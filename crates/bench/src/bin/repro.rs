@@ -20,29 +20,24 @@
 //! parallelism for `fig1`; results are bit-identical at any thread count.
 //! `--stats` appends the solver statistics accumulated across every solve
 //! of the command: the deterministic aggregate (per-phase wall clock,
-//! simplex/branch-and-bound counters including the warm-re-solve split
-//! and the presolve reductions, node outcome breakdown, incumbent
+//! simplex/branch-and-bound counters and the presolve reductions, node outcome breakdown, incumbent
 //! timeline), the per-scenario shards and the timing-dependent per-worker
 //! loads. It also switches on the presolve root-gap measurement, so each
 //! shard line reports how much the presolved root LP tightened
 //! (`RootGapBps`; one extra root LP per solve).
 //!
-//! `bench-milp` solves the six Table I scenarios twice — warm
-//! (dual-simplex node re-solves, the default) and cold — under a node
-//! budget (`--nodes`, default 12 — each WATERS node LP costs thousands of
-//! simplex iterations; deterministic, so both runs visit the
-//! same trajectory), prints the iteration split and writes the
+//! `bench-milp` solves the six Table I scenarios in the default
+//! configuration under a node budget (`--nodes`, default 12 — each WATERS
+//! node LP costs thousands of simplex iterations; deterministic, so the
+//! counters repeat exactly), prints the per-scenario work and writes the
 //! machine-readable report to `--out` (default `BENCH_milp.json`, schema
-//! `letdma-bench-milp/4`; DESIGN.md §"Warm-started node re-solves" and
-//! §"Sparse LU basis & pricing"). Each mode carries a `time_breakdown`
-//! block (factorize / solve / pricing wall clock) and a `phase1_iterations`
-//! split, and each scenario carries `crash` / `reuse` blocks measuring the
-//! two phase-1 killers (crash bases, cross-scenario root reuse). When
-//! `--baseline <path>` (default `BENCH_milp.json`) names a readable
-//! previous report, each scenario records its warm-fathom delta and
-//! wall-clock speedup against it — the re-measurement of the PR 3
-//! "certificates essentially never fire" observation, and the basis
-//! swap's wall-clock claim, respectively.
+//! `letdma-bench-milp/5`; DESIGN.md §"Warm-start architecture"). Each
+//! scenario carries its nodes, simplex iterations with the phase-1 share,
+//! a `time_breakdown` block (factorize / solve / pricing wall clock), the
+//! presolve reductions and a `reuse` block measuring cross-scenario root
+//! reuse. When `--baseline <path>` (default `BENCH_milp.json`) names a
+//! readable previous report, each scenario records its wall-clock
+//! speedup against it.
 //!
 //! `corpus` runs the scenario-diversity campaign: `--scenarios` (default
 //! 64) specs expanded from `--seed` (default `0xDAC22021`), each solved
@@ -235,8 +230,8 @@ fn main() -> ExitCode {
         "alpha-sweep" => print!("{}", alpha_sweep::render(&session.alpha_sweep())),
         "bench-milp" => {
             // A previous report (typically the committed baseline) gives
-            // the warm-fathom deltas; its absence is fine — first runs and
-            // fresh checkouts just record null deltas.
+            // the wall-clock speedups; its absence is fine — first runs and
+            // fresh checkouts just record null speedups.
             let baseline = std::fs::read_to_string(&baseline_path)
                 .ok()
                 .and_then(|text| match Json::parse(&text) {
@@ -374,11 +369,9 @@ fn main() -> ExitCode {
                         .map_or(0, |(_, v)| *v)
                 };
                 println!(
-                    "{name:<28} {:>8} nodes  {:>10} simplex iterations  {:>8} dual iterations  {:>4} warm fathoms  {:>4} incumbents  {:>6} root-gap bps ({} rows dropped, {} cols fixed, {} coeffs tightened)",
+                    "{name:<28} {:>8} nodes  {:>10} simplex iterations  {:>4} incumbents  {:>6} root-gap bps ({} rows dropped, {} cols fixed, {} coeffs tightened)",
                     count(Counter::Nodes),
                     count(Counter::SimplexIterations),
-                    count(Counter::DualIterations),
-                    count(Counter::WarmFathoms),
                     count(Counter::Incumbents),
                     count(Counter::RootGapBps),
                     count(Counter::PresolveRowsDropped),

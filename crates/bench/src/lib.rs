@@ -12,7 +12,7 @@
 //!   ([`Session::table1`]);
 //! * the **α sensitivity sweep** described in the §VII text
 //!   ([`Session::alpha_sweep`]);
-//! * the **MILP warm-start A/B** ([`milp_bench`]) behind
+//! * the **MILP benchmark** ([`milp_bench`]) behind
 //!   `repro bench-milp` and the committed `BENCH_milp.json` baseline;
 //! * the **scenario-corpus campaign** ([`corpus_bench`]) behind
 //!   `repro corpus` and the committed `BENCH_corpus.json` artifact —

@@ -34,14 +34,6 @@ pub const REFACTOR_ENV: &str = "LETDMA_REFACTOR";
 /// defaults to partial pricing.
 pub const PRICING_ENV: &str = "LETDMA_PRICING";
 
-/// Name of the environment variable governing the simplex crash-basis
-/// constructor (see `milp::SolveOptions::with_crash`): when on, cold
-/// solves seed phase 1 from a slack-preferring + singleton-column crash
-/// instead of the all-artificial identity. Unset defaults to off, because
-/// the crash changes pivot paths (never values) and the byte-identical
-/// trajectory regressions pin the default path.
-pub const CRASH_ENV: &str = "LETDMA_CRASH";
-
 /// Resolves a boolean feature flag: `requested` if given, else the
 /// environment variable `name`, else `default`.
 ///

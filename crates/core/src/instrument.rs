@@ -42,21 +42,16 @@ pub enum Counter {
     Nodes,
     /// Feasible incumbents accepted.
     Incumbents,
-    /// Node re-solves attempted on the parent's basis (dual simplex).
+    /// Node re-solves started from the parent's basis. Always 0: every
+    /// node LP is a cold primal solve. The name stays for existing readers
+    /// until a node warm start that returns LP values exists.
     WarmAttempts,
-    /// Warm re-solves that fathomed the node by the dual objective bound.
+    /// Warm node re-solves that fathomed the node. Always 0, like
+    /// [`WarmAttempts`](Self::WarmAttempts).
     WarmFathoms,
-    /// Warm re-solves that proved the node LP infeasible.
-    WarmInfeasible,
-    /// Warm re-solves that gave up and fell back to the cold primal path.
-    WarmFallbacks,
-    /// Dual-simplex iterations spent in warm re-solves.
+    /// Dual-simplex iterations. Always 0, like
+    /// [`WarmAttempts`](Self::WarmAttempts).
     DualIterations,
-    /// Estimated primal iterations avoided by successful warm re-solves
-    /// (the parent LP's iteration count minus the dual iterations spent —
-    /// a deterministic proxy; the exact reduction is measured by the
-    /// warm/cold bench split in `BENCH_milp.json`).
-    WarmIterationsSaved,
     /// Worker panics caught by the branch-and-bound panic isolation
     /// (injected or real); each one was converted into a typed outcome
     /// instead of a process abort.
@@ -88,10 +83,10 @@ pub enum Counter {
     /// (`milp::SolveOptions::with_measure_root_gap`).
     RootGapBps,
     /// Factorized forward solves (`Basis::ftran`) performed by the simplex
-    /// — entering columns, warm-basis right-hand sides, flip repairs.
+    /// — entering columns and imported-basis right-hand sides.
     FtranCalls,
     /// Factorized transpose solves (`Basis::btran`) performed by the
-    /// simplex — pricing duals and dual-simplex pivot rows.
+    /// simplex — pricing duals and Devex pivot rows.
     BtranCalls,
     /// Nonzeros appended to the basis update (eta) files by pivots;
     /// bounded per solve by the refactorization cadence.
@@ -121,19 +116,14 @@ pub enum Counter {
     /// lifetime (reported once at shutdown, like
     /// [`RootGapBps`](Self::RootGapBps) is reported once per solve).
     QueueDepth,
-    /// Node LPs whose starting basis was built by the crash constructor
-    /// (at least one singleton structural column replaced an artificial;
-    /// see `milp::SolveOptions::with_crash`).
-    CrashBasisUsed,
     /// Root LPs warm-started from a sibling scenario's exported root basis
     /// (the cross-scenario reuse ladder rung; see `letdma-opt`'s
     /// `OptConfig::with_reuse_basis`).
     CrossScenarioWarmStarts,
     /// Phase-1 iterations avoided by successful cross-scenario root warm
     /// starts: the donor root LP's phase-1 count, charged once per
-    /// successful import (a deterministic proxy, like
-    /// [`WarmIterationsSaved`](Self::WarmIterationsSaved); the exact
-    /// reduction is measured by the `reuse` block in `BENCH_milp.json`).
+    /// successful import (a deterministic proxy; the exact reduction is
+    /// measured by the `reuse` block in `BENCH_milp.json`).
     Phase1IterationsSaved,
     /// Transport round trips re-attempted by the serve TCP client after a
     /// connect/write/read failure (each retry re-sends the whole batch
@@ -168,10 +158,7 @@ impl Counter {
             Self::Incumbents => "incumbents",
             Self::WarmAttempts => "warm attempts",
             Self::WarmFathoms => "warm fathoms",
-            Self::WarmInfeasible => "warm infeasible",
-            Self::WarmFallbacks => "warm fallbacks",
             Self::DualIterations => "dual iterations",
-            Self::WarmIterationsSaved => "warm iterations saved",
             Self::PanicsCaught => "panics caught",
             Self::NumericalRecoveries => "numerical recoveries",
             Self::ToleranceEscalations => "tolerance escalations",
@@ -190,7 +177,6 @@ impl Counter {
             Self::JobsRejected => "jobs rejected",
             Self::CacheHits => "cache hits",
             Self::QueueDepth => "queue depth (max)",
-            Self::CrashBasisUsed => "crash bases used",
             Self::CrossScenarioWarmStarts => "cross-scenario warm starts",
             Self::Phase1IterationsSaved => "phase-1 iterations saved",
             Self::RetriesAttempted => "retries attempted",
@@ -217,10 +203,7 @@ impl Counter {
         Self::Incumbents,
         Self::WarmAttempts,
         Self::WarmFathoms,
-        Self::WarmInfeasible,
-        Self::WarmFallbacks,
         Self::DualIterations,
-        Self::WarmIterationsSaved,
         Self::PanicsCaught,
         Self::NumericalRecoveries,
         Self::ToleranceEscalations,
@@ -239,7 +222,6 @@ impl Counter {
         Self::JobsRejected,
         Self::CacheHits,
         Self::QueueDepth,
-        Self::CrashBasisUsed,
         Self::CrossScenarioWarmStarts,
         Self::Phase1IterationsSaved,
         Self::RetriesAttempted,

@@ -2,7 +2,7 @@
 //!
 //! A self-contained mixed-integer linear programming (MILP) solver in safe
 //! Rust: a bounded-variable revised simplex underneath a best-first
-//! branch-and-bound with warm starts and a rounding heuristic.
+//! branch-and-bound with an incumbent warm start and a rounding heuristic.
 //!
 //! The crate exists because this workspace reproduces a paper whose
 //! optimization problem was originally solved with IBM CPLEX; no external
@@ -11,24 +11,16 @@
 //! solution found so far together with the proven bound — exactly how the
 //! paper reports its `OBJ-DMAT` results after a CPLEX timeout.
 //!
-//! # The primal/dual split
+//! # One LP path
 //!
-//! Two simplex loops share one computational form, one basis
-//! representation ([`Basis`]) and one refactorization cadence:
-//!
-//! * The **primal** simplex ([`simplex::SimplexSolver::solve`]) solves an
-//!   LP from scratch — artificial-variable phase 1, pluggable pricing
-//!   ([`PricingRule`]; partial pricing by default) with Bland
-//!   anti-cycling, a Harris-style two-pass ratio test. It is the
-//!   *canonical* path: every value and objective the solver ever returns
-//!   comes out of a primal solve.
-//! * The **dual** simplex ([`simplex::SimplexSolver::warm_resolve`])
-//!   re-solves a branch-and-bound child from its parent's optimal basis
-//!   ([`WarmBasis`]) after the single bound change of branching. It only
-//!   certifies *value-free* outcomes — "cannot beat the incumbent" or
-//!   "infeasible" — and hands everything else back to the primal path, so
-//!   enabling or disabling it ([`SolveOptions::warm_basis`]) never changes
-//!   a solution bit, only how much work the solve costs.
+//! Every node LP is a cold **primal** simplex solve
+//! ([`simplex::SimplexSolver::solve`]): artificial-variable phase 1,
+//! pluggable pricing ([`PricingRule`]; partial pricing by default) with
+//! Bland anti-cycling, a Harris-style two-pass ratio test, one basis
+//! representation ([`Basis`]) and one refactorization cadence. The only
+//! warm start is at the root: a sibling scenario's optimal root basis
+//! ([`WarmBasis`], shared through a [`RootBasisSlot`]) is installed and,
+//! when primal feasible, phase 2 runs directly from it.
 //!
 //! # Examples
 //!
@@ -61,7 +53,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod basis;
-pub mod crash;
 mod expr;
 mod lp_format;
 mod model;
@@ -75,7 +66,7 @@ pub use expr::{LinExpr, Var};
 pub use model::{Comparison, Constraint, Model, ObjectiveSense, Sense, VarDef, VarType};
 pub use presolve::{Lift, LiftEntry, PresolveInfeasible, PresolveStats, Presolved};
 pub use pricing::{Pricing, PricingRule};
-pub use simplex::{WarmBasis, WarmOutcome};
+pub use simplex::WarmBasis;
 pub use solver::{
     MilpSolution, RootBasisSlot, SolveError, SolveOptions, SolveStats, SolveStatus, Solver,
     WorkerLoad,

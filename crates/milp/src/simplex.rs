@@ -1,5 +1,5 @@
-//! Bounded-variable revised simplex — primal and dual — on a factorized
-//! basis representation.
+//! Bounded-variable primal revised simplex on a factorized basis
+//! representation.
 //!
 //! The LP is brought into the computational form
 //!
@@ -30,22 +30,13 @@
 //! variables > sparse/partial/per-basis-default. Custom representations
 //! plug in via [`SimplexSolver::from_model_with_basis`].
 //!
-//! # Warm re-solves (dual simplex)
+//! # Root-basis import
 //!
-//! A branch-and-bound child node differs from its parent LP by exactly one
-//! variable bound, and the parent's optimal basis stays *dual feasible*
-//! for the child. [`SimplexSolver::snapshot`] captures that basis as a
-//! [`WarmBasis`]; [`SimplexSolver::warm_resolve`] re-installs it on the
-//! child and runs a bounded-variable **dual simplex** (largest-violation
-//! leaving rule, a Harris-style two-pass dual ratio test with
-//! bound-flipping, the same [`Basis`] representation and refactorization
-//! cadence as the primal loop). The warm path only ever certifies
-//! *value-free* outcomes — "this node cannot beat the incumbent"
-//! ([`WarmOutcome::Fathomed`]) or "this node is infeasible"
-//! ([`WarmOutcome::Infeasible`]) — and hands everything else back to the
-//! cold primal path ([`WarmOutcome::GiveUp`]), which keeps branch-and-bound
-//! trajectories byte-identical with the warm path on or off (see
-//! DESIGN.md §"Warm-started node re-solves").
+//! [`SimplexSolver::snapshot`] captures an optimal basis partition as a
+//! [`WarmBasis`]; [`SimplexSolver::solve_from_basis`] installs it on another
+//! model of the same shape and, when the implied point is primal feasible
+//! there, runs phase 2 directly — the cross-scenario root reuse of
+//! DESIGN.md §"Warm-start architecture". Every other solve starts cold.
 
 // Index-based loops mirror the mathematical notation (rows i, columns j,
 // groups g); iterator rewrites would obscure the correspondence.
@@ -145,32 +136,18 @@ pub struct SimplexSolver {
     /// Refactorize after this many product-form updates (numerical-drift
     /// control for long solves; `u64::MAX` disables).
     pub refactor_interval: u64,
-    /// Smallest pivot magnitude the ratio tests will accept (primal
-    /// leaving pivot and dual entering pivot). The default `1e-9` matches
-    /// the historical hard-coded threshold; the branch-and-bound numerical
-    /// recovery escalates it (together with a tighter
+    /// Smallest pivot magnitude the ratio test will accept as the
+    /// leaving pivot. The default `1e-9` matches the historical
+    /// hard-coded threshold; the branch-and-bound numerical recovery
+    /// escalates it (together with a tighter
     /// [`refactor_interval`](Self::refactor_interval)) when retrying a
     /// node whose first solve broke down, trading a slightly weaker
     /// ratio test for pivots that cannot blow up the maintained inverse.
     pub min_pivot: f64,
-    /// Dual-simplex iterations executed by [`warm_resolve`]
-    /// (kept separate from the primal [`iterations`] counter).
-    ///
-    /// [`warm_resolve`]: Self::warm_resolve
-    /// [`iterations`]: Self::iterations
-    pub dual_iterations: u64,
-    /// Cap on dual iterations per [`warm_resolve`](Self::warm_resolve)
-    /// call; hitting it falls back to the cold primal path, so the cap
-    /// bounds the work wasted on nodes the warm path cannot certify.
-    /// When the inherited bound starts far below the fathoming cutoff the
-    /// loop further tightens this to a 48-iteration "hopeless gap" budget
-    /// (see `dual_optimize`), since only an infeasibility certificate —
-    /// found quickly or not at all — could still settle the node.
-    pub dual_iteration_limit: u64,
-    /// FTRAN solves performed (primal ratio-test columns, warm-start
-    /// residuals, dual flip repairs and entering columns).
+    /// FTRAN solves performed (ratio-test columns and the basic-value
+    /// recomputation of a basis import).
     pub ftran_calls: u64,
-    /// BTRAN solves performed (pricing duals, dual pivot rows).
+    /// BTRAN solves performed (pricing duals, Devex pivot rows).
     pub btran_calls: u64,
     /// Columns priced by the pricing strategy (one per `eval` call — the
     /// work partial pricing saves shows up here).
@@ -181,17 +158,6 @@ pub struct SimplexSolver {
     pub time_solve: Duration,
     /// Wall-clock spent choosing entering variables (reduced-cost scans).
     pub time_pricing: Duration,
-    /// Runs the crash-basis constructor before phase 1 (see
-    /// [`crate::crash`]): rows whose slack cannot absorb the starting
-    /// residual try a singleton structural column before falling back to an
-    /// artificial. Off by default — the crash changes pivot paths (never
-    /// values), and the byte-identical trajectory regressions pin the
-    /// default path.
-    pub crash: bool,
-    /// Structural columns the crash constructor placed into the starting
-    /// basis of the most recent [`solve`](Self::solve) (zero when the
-    /// crash is off or no row qualified).
-    pub crash_columns: u64,
 }
 
 impl std::fmt::Debug for SimplexSolver {
@@ -354,16 +320,12 @@ impl SimplexSolver {
             bound_flips: 0,
             refactor_interval,
             min_pivot: 1e-9,
-            dual_iterations: 0,
-            dual_iteration_limit: 500,
             ftran_calls: 0,
             btran_calls: 0,
             pricing_candidates: 0,
             time_factorize: Duration::ZERO,
             time_solve: Duration::ZERO,
             time_pricing: Duration::ZERO,
-            crash: false,
-            crash_columns: 0,
         }
     }
 
@@ -399,17 +361,7 @@ impl SimplexSolver {
         if self.m == 0 {
             return self.solve_unconstrained();
         }
-        if !self.initialize_artificial_basis() {
-            // The crash diagonal failed to refactorize (a true diagonal
-            // never does; reachable through fault injection): rebuild the
-            // plain slack/artificial basis and run without the crash.
-            let crash = std::mem::replace(&mut self.crash, false);
-            let ok = self.initialize_artificial_basis();
-            self.crash = crash;
-            if !ok {
-                return LpOutcome::Numerical;
-            }
-        }
+        self.initialize_artificial_basis();
 
         // Phase 1: minimize the sum of artificials.
         let mut phase1_cost = vec![0.0; self.n];
@@ -505,15 +457,10 @@ impl SimplexSolver {
     /// Puts every non-artificial column at its bound nearest zero, then
     /// builds the starting basis: per row, the slack when it can absorb
     /// the residual (slack-preferring — most rows of a typical model start
-    /// feasible this way), else — with [`crash`](Self::crash) on — a
-    /// singleton structural column whose implied value fits its bounds
-    /// (see [`crate::crash`]), else one sign-matched artificial.
-    ///
-    /// Returns `false` only when a crash basis failed to refactorize (the
-    /// caller rebuilds without the crash); the crash-free basis is a ±1
-    /// diagonal and always succeeds.
-    #[must_use]
-    fn initialize_artificial_basis(&mut self) -> bool {
+    /// feasible this way), else one sign-matched artificial. The result is
+    /// a ±1 diagonal, so the basis representation is reset, never
+    /// refactorized.
+    fn initialize_artificial_basis(&mut self) {
         let m = self.m;
         for j in 0..self.n_struct + m {
             let (l, u) = (self.lower[j], self.upper[j]);
@@ -548,12 +495,6 @@ impl SimplexSolver {
                 }
             }
         }
-        let crash_candidates = if self.crash {
-            crate::crash::singleton_candidates(&self.cols, self.n_struct, m, self.min_pivot)
-        } else {
-            Vec::new()
-        };
-        self.crash_columns = 0;
         self.basis = Vec::with_capacity(m);
         let mut signs = vec![0.0; m];
         for i in 0..m {
@@ -575,26 +516,6 @@ impl SimplexSolver {
                 signs[i] = 1.0;
                 continue;
             }
-            // Crash: a singleton structural column absorbs the residual
-            // when its implied value fits inside its own bounds — the row
-            // then starts feasible instead of feeding phase 1.
-            let crash_col = crash_candidates
-                .get(i)
-                .into_iter()
-                .flatten()
-                .find_map(|&(j, a)| {
-                    let v = residual[i] / a + self.x[j];
-                    (v.is_finite() && v >= self.lower[j] && v <= self.upper[j]).then_some((j, v))
-                });
-            if let Some((j, v)) = crash_col {
-                self.status[j] = ColStatus::Basic(i);
-                self.x[j] = v;
-                self.basis.push(j);
-                // The diagonal entry is a_ij ≠ ±1: the basis is rebuilt by
-                // a full refactorization below instead of the ±1 reset.
-                self.crash_columns += 1;
-                continue;
-            }
             // Keep the slack parked; an artificial absorbs the rest.
             let rest = residual[i];
             let (chosen, binv_sign) = if rest >= 0.0 { (p, 1.0) } else { (q, -1.0) };
@@ -604,16 +525,8 @@ impl SimplexSolver {
             // Column of q is −e_i, so B⁻¹ row is −e_i when q is basic.
             signs[i] = binv_sign;
         }
-        if self.crash_columns > 0 {
-            self.basis_inv.reset(&vec![1.0; m]);
-            if !self.refactorize() {
-                return false;
-            }
-        } else {
-            self.basis_inv.reset(&signs);
-        }
+        self.basis_inv.reset(&signs);
         self.iterations = 0;
-        true
     }
 
     /// Runs primal pivoting until optimal/unbounded for the given cost.
@@ -905,9 +818,9 @@ impl SimplexSolver {
         ok
     }
 
-    /// Captures the current basis partition for warm-starting a child
-    /// node's re-solve. Meaningful after a solve that returned
-    /// [`LpOutcome::Optimal`]; the snapshot is independent of the basis
+    /// Captures the current basis partition for a root-basis import (see
+    /// [`solve_from_basis`](Self::solve_from_basis)). Meaningful after a
+    /// solve that returned [`LpOutcome::Optimal`]; the snapshot is independent of the basis
     /// inverse, so it is cheap to clone and share across threads.
     #[must_use]
     pub fn snapshot(&self) -> WarmBasis {
@@ -915,118 +828,8 @@ impl SimplexSolver {
             basis: self.basis.clone(),
             status: self.status.clone(),
             n_struct: self.n_struct,
-            iterations: self.iterations,
             phase1_iterations: self.phase1_iterations,
         }
-    }
-
-    /// Attempts a warm (dual-simplex) re-solve from a parent basis
-    /// snapshot, with `cutoff` the minimization-form objective threshold at
-    /// or above which the node is fathomed (`f64::INFINITY` disables
-    /// fathoming and leaves only infeasibility detection).
-    ///
-    /// The solver must be freshly built from the *child* model (the
-    /// parent's model with one bound tightened). The parent's optimal
-    /// basis stays exactly dual feasible for the child — the branching
-    /// variable is basic in the parent, so every nonbasic status still
-    /// points at an unchanged bound — which is verified numerically after
-    /// the basis inverse is rebuilt; any discrepancy degrades to
-    /// [`WarmOutcome::GiveUp`] and the caller re-solves cold.
-    pub fn warm_resolve(&mut self, warm: &WarmBasis, cutoff: f64) -> WarmOutcome {
-        let m = self.m;
-        if m == 0
-            || warm.basis.len() != m
-            || warm.status.len() != self.n
-            || warm.n_struct != self.n_struct
-        {
-            return WarmOutcome::GiveUp { iterations: 0 };
-        }
-        // Close the artificials exactly like the cold path does after
-        // phase 1: they are spectators of the re-solve.
-        for j in self.artificial_columns().collect::<Vec<_>>() {
-            self.upper[j] = 0.0;
-        }
-        self.basis.clone_from(&warm.basis);
-        self.status.clone_from(&warm.status);
-        for (i, &bj) in self.basis.iter().enumerate() {
-            if self.status[bj] != ColStatus::Basic(i) {
-                return WarmOutcome::GiveUp { iterations: 0 };
-            }
-        }
-        // Nonbasic columns rest on their (child-model) bounds.
-        for j in 0..self.n {
-            self.x[j] = match self.status[j] {
-                ColStatus::Basic(_) => continue,
-                ColStatus::AtLower => self.lower[j],
-                ColStatus::AtUpper => self.upper[j],
-                ColStatus::FreeZero => 0.0,
-            };
-            if !self.x[j].is_finite() {
-                return WarmOutcome::GiveUp { iterations: 0 };
-            }
-        }
-        // Rebuild B⁻¹ from scratch for the inherited basis.
-        self.basis_inv.reset(&vec![1.0; m]);
-        if !self.refactorize() {
-            return WarmOutcome::GiveUp { iterations: 0 };
-        }
-        // x_B = B⁻¹ (b − N x_N).
-        let mut resid = self.b.clone();
-        for j in 0..self.n {
-            if matches!(self.status[j], ColStatus::Basic(_)) {
-                continue;
-            }
-            let v = self.x[j];
-            if v != 0.0 {
-                for &(i, a) in &self.cols[j] {
-                    resid[i] -= a * v;
-                }
-            }
-        }
-        let resid: Vec<(usize, f64)> = resid
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        let mut xb = vec![0.0; m];
-        let t0 = Instant::now();
-        self.basis_inv.ftran(&resid, &mut xb);
-        self.time_solve += t0.elapsed();
-        self.ftran_calls += 1;
-        for (i, &bj) in self.basis.iter().enumerate() {
-            if !xb[i].is_finite() {
-                return WarmOutcome::GiveUp { iterations: 0 };
-            }
-            self.x[bj] = xb[i];
-        }
-        // Verify dual feasibility of the inherited basis (exact in theory,
-        // checked numerically because the inverse was just rebuilt).
-        let cost = self.cost.clone();
-        let y = self.btran_costs(&cost);
-        for j in 0..self.n {
-            if matches!(self.status[j], ColStatus::Basic(_)) {
-                continue;
-            }
-            if self.upper[j] - self.lower[j] <= 0.0 {
-                continue; // fixed columns never move: sign-free
-            }
-            let mut d = cost[j];
-            for &(i, a) in &self.cols[j] {
-                d -= y[i] * a;
-            }
-            let tol = 1e-6 * (1.0 + cost[j].abs());
-            let dual_feasible = match self.status[j] {
-                ColStatus::AtLower => d >= -tol,
-                ColStatus::AtUpper => d <= tol,
-                ColStatus::FreeZero => d.abs() <= tol,
-                ColStatus::Basic(_) => true,
-            };
-            if !dual_feasible {
-                return WarmOutcome::GiveUp { iterations: 0 };
-            }
-        }
-        self.dual_optimize(&cost, cutoff)
     }
 
     /// Attempts a **primal** warm start from another scenario's root-basis
@@ -1040,16 +843,11 @@ impl SimplexSolver {
     /// fallback is exactly a from-scratch [`solve`](Self::solve).
     ///
     /// This is the cross-scenario rung of the warm ladder (see DESIGN.md
-    /// §"Warm-start architecture"): where [`warm_resolve`]
-    /// (dual, value-free) serves branch-and-bound children under a known
-    /// cutoff, `solve_from_basis` serves *sibling scenarios* at the root,
-    /// where no cutoff exists and full primal values are required. On a
-    /// resubmission of the same structure the donor's optimal basis is
-    /// primal feasible by construction and phase 2 terminates in a
-    /// handful of iterations; on an α-sibling (same shape, scaled data)
+    /// §"Warm-start architecture"): it serves *sibling scenarios* at the
+    /// root, where full primal values are required. On a resubmission of
+    /// the same structure the donor's optimal basis is primal feasible by
+    /// construction and phase 2 terminates in a handful of iterations; on an α-sibling (same shape, scaled data)
     /// the install is opportunistic.
-    ///
-    /// [`warm_resolve`]: Self::warm_resolve
     pub fn solve_from_basis(&mut self, warm: &WarmBasis) -> Option<LpOutcome> {
         let m = self.m;
         if m == 0
@@ -1145,340 +943,11 @@ impl SimplexSolver {
             PivotResult::Numerical => LpOutcome::Numerical,
         })
     }
-
-    /// Structural values and basis columns of the current point (debug
-    /// instrumentation for warm-vs-cold comparisons; not a public API).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_point(&self) -> (Vec<f64>, Vec<usize>) {
-        (self.x[..self.n_struct].to_vec(), self.basis.clone())
-    }
-
-    /// `y = c_B' B⁻¹` (BTRAN of the basic costs, sparse by basis position
-    /// in ascending order).
-    fn btran_costs(&mut self, cost: &[f64]) -> Vec<f64> {
-        let cb: Vec<(usize, f64)> = self
-            .basis
-            .iter()
-            .enumerate()
-            .filter(|&(_, &bj)| cost[bj] != 0.0)
-            .map(|(i, &bj)| (i, cost[bj]))
-            .collect();
-        let mut y = vec![0.0; self.m];
-        let t0 = Instant::now();
-        self.basis_inv.btran(&cb, &mut y);
-        self.time_solve += t0.elapsed();
-        self.btran_calls += 1;
-        y
-    }
-
-    /// The bounded-variable dual simplex loop behind
-    /// [`warm_resolve`](Self::warm_resolve).
-    ///
-    /// Invariant: the basis is dual feasible, so the primal objective of
-    /// the current point (nonbasics on bounds, basics solving the rows) is
-    /// a valid, monotonically non-decreasing lower bound on the LP optimum
-    /// — crossing `cutoff` therefore fathoms the node without ever
-    /// producing primal values. Primal infeasibility is declared only with
-    /// a Farkas-style margin wide enough that the cold phase-1 tolerance
-    /// (`1e-6`) is guaranteed to agree.
-    fn dual_optimize(&mut self, cost: &[f64], cutoff: f64) -> WarmOutcome {
-        /// Safety margin (versus the row-scaled cold phase-1 tolerance of
-        /// `1e-6`) required before the warm path declares infeasibility.
-        const INFEAS_MARGIN: f64 = 1e-5;
-        /// Iteration budget when the starting bound sits hopelessly far
-        /// below the cutoff (or no finite cutoff exists): a fathom would
-        /// need the dual bound to climb the whole gap, which essentially
-        /// never happens on a weak (big-M) relaxation, so the only
-        /// certificate still worth chasing is primal infeasibility — and
-        /// the ratio test exposes that within a few pivots of the changed
-        /// bound or not at all. Keeping hopeless attempts this short bounds
-        /// the warm overhead of a fallback to a sliver of a cold re-solve.
-        const HOPELESS_GAP_BUDGET: u64 = 48;
-        let m = self.m;
-        // Solver-facing cutoff is scale·model_obj; internally the loop
-        // tracks min_inner = Σ cost·x with min_obj = min_inner + scale·offset.
-        let cutoff_inner = cutoff - self.obj_scale * self.obj_offset;
-        let fathom_margin = 1e-6 * (1.0 + cutoff_inner.abs());
-        let costed: Vec<usize> = (0..self.n).filter(|&j| cost[j] != 0.0).collect();
-        // Gap-adaptive budget, decided once from deterministic state (the
-        // inherited basis and the node's creation-time cutoff), so warm
-        // runs stay bit-reproducible at any thread count. The gap is
-        // measured relative to the magnitudes actually involved (with a
-        // floor for near-zero objectives) — an absolute `1 + |cutoff|`
-        // scale would drown fractional objectives like OBJ-DEL's delay
-        // ratios and declare every gap plausible.
-        let initial: f64 = costed.iter().map(|&j| cost[j] * self.x[j]).sum();
-        let gap_scale = cutoff_inner.abs().max(initial.abs()).max(1e-3);
-        let hopeless = !cutoff_inner.is_finite() || cutoff_inner - initial > 0.25 * gap_scale;
-        let budget = if hopeless {
-            self.dual_iteration_limit.min(HOPELESS_GAP_BUDGET)
-        } else {
-            self.dual_iteration_limit
-        };
-        let mut iterations: u64 = 0;
-        let mut stall = 0u32;
-        let mut last_obj = f64::NEG_INFINITY;
-        loop {
-            if iterations >= budget {
-                return WarmOutcome::GiveUp { iterations };
-            }
-            if iterations % 64 == 0 {
-                if fault::should_fire(FaultSite::DeadlineExhausted) {
-                    return WarmOutcome::GiveUp { iterations };
-                }
-                if let Some(deadline) = self.deadline {
-                    if Instant::now() >= deadline {
-                        return WarmOutcome::GiveUp { iterations };
-                    }
-                }
-            }
-            // The dual bound of the current basis.
-            let obj: f64 = costed.iter().map(|&j| cost[j] * self.x[j]).sum();
-            if obj >= cutoff_inner + fathom_margin {
-                return WarmOutcome::Fathomed { iterations };
-            }
-            // Degenerate pivots don't move the bound; give up rather than
-            // risk cycling (the cold path is always available).
-            if obj <= last_obj + 1e-12 {
-                stall += 1;
-                if stall > 256 {
-                    return WarmOutcome::GiveUp { iterations };
-                }
-            } else {
-                stall = 0;
-            }
-            last_obj = obj;
-
-            // Leaving row: largest primal bound violation.
-            let mut leave: Option<(usize, f64)> = None; // (row, signed violation)
-            for (i, &bj) in self.basis.iter().enumerate() {
-                let xi = self.x[bj];
-                let viol = if xi > self.upper[bj] + EPS {
-                    xi - self.upper[bj]
-                } else if xi < self.lower[bj] - EPS {
-                    xi - self.lower[bj]
-                } else {
-                    continue;
-                };
-                match leave {
-                    Some((_, best)) if viol.abs() <= best.abs() => {}
-                    _ => leave = Some((i, viol)),
-                }
-            }
-            let Some((r, viol)) = leave else {
-                // Primal feasible: the optimum lies below the cutoff, and
-                // canonical values must come from the cold path.
-                return WarmOutcome::GiveUp { iterations };
-            };
-            iterations += 1;
-            self.dual_iterations += 1;
-            let sigma = if viol > 0.0 { 1.0 } else { -1.0 };
-
-            // ρ = row r of B⁻¹ (BTRAN of e_r); the Farkas certificate scale.
-            let mut rho = vec![0.0; m];
-            let t0 = Instant::now();
-            self.basis_inv.btran(&[(r, 1.0)], &mut rho);
-            self.time_solve += t0.elapsed();
-            self.btran_calls += 1;
-            let rho_inf = rho.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-            let y = self.btran_costs(cost);
-
-            // Price the pivot row: a nonbasic column is an eligible blocker
-            // exactly when moving it within its bounds reduces the
-            // violation (equivalently, when the dual step drives its
-            // reduced cost towards zero).
-            let t_pricing = Instant::now();
-            let mut blockers: Vec<Blocker> = Vec::new();
-            for j in 0..self.n {
-                if matches!(self.status[j], ColStatus::Basic(_)) {
-                    continue;
-                }
-                let range = self.upper[j] - self.lower[j];
-                if range <= 0.0 {
-                    continue; // fixed columns can never move
-                }
-                let mut alpha = 0.0;
-                for &(i, a) in &self.cols[j] {
-                    alpha += rho[i] * a;
-                }
-                let sa = sigma * alpha;
-                let eligible = match self.status[j] {
-                    ColStatus::AtLower => sa > 1e-9,
-                    ColStatus::AtUpper => sa < -1e-9,
-                    ColStatus::FreeZero => sa.abs() > 1e-9,
-                    ColStatus::Basic(_) => false,
-                };
-                if !eligible {
-                    continue;
-                }
-                let mut d = cost[j];
-                for &(i, a) in &self.cols[j] {
-                    d -= y[i] * a;
-                }
-                blockers.push(Blocker {
-                    j,
-                    t: (d / sa).max(0.0),
-                    alpha,
-                    range,
-                });
-            }
-            self.pricing_candidates += self.n as u64;
-            self.time_pricing += t_pricing.elapsed();
-            if blockers.is_empty() {
-                // Dual unbounded: no nonbasic movement can repair the row,
-                // so every point of the box violates it by |viol| — the
-                // Farkas margin, in units bounded by ‖ρ‖∞.
-                if viol.abs() > INFEAS_MARGIN * rho_inf.max(1.0) {
-                    return WarmOutcome::Infeasible { iterations };
-                }
-                return WarmOutcome::GiveUp { iterations };
-            }
-
-            // Bound-flipping dual ratio test, Harris-style two passes.
-            // Pass 1 walks blockers in ratio order, flipping boxed columns
-            // to their opposite bound while the infeasibility slope stays
-            // positive; the blocker that would overshoot enters the basis.
-            blockers.sort_by(|a, b| {
-                a.t.partial_cmp(&b.t)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(
-                        b.alpha
-                            .abs()
-                            .partial_cmp(&a.alpha.abs())
-                            .unwrap_or(std::cmp::Ordering::Equal),
-                    )
-            });
-            let mut slope = viol.abs();
-            let mut flip_count = 0usize;
-            let mut enter_idx: Option<usize> = None;
-            for (k, blocker) in blockers.iter().enumerate() {
-                let reduction = blocker.alpha.abs() * blocker.range;
-                if reduction.is_finite() && slope - reduction > 1e-9 {
-                    flip_count = k + 1;
-                    slope -= reduction;
-                } else {
-                    enter_idx = Some(k);
-                    break;
-                }
-            }
-            let Some(mut enter_k) = enter_idx else {
-                // Every eligible blocker flips and the violation survives:
-                // the box cannot satisfy the row. Same margin rule.
-                if slope > INFEAS_MARGIN * rho_inf.max(1.0) {
-                    return WarmOutcome::Infeasible { iterations };
-                }
-                return WarmOutcome::GiveUp { iterations };
-            };
-            // Pass 2: among blockers within a whisker of the frontier
-            // ratio, prefer the largest pivot magnitude (tiny pivots blow
-            // up the maintained inverse).
-            let frontier = blockers[enter_k].t;
-            for k in enter_k + 1..blockers.len() {
-                if blockers[k].t > frontier + 1e-9 {
-                    break;
-                }
-                if blockers[k].alpha.abs() > blockers[enter_k].alpha.abs() {
-                    enter_k = k;
-                }
-            }
-
-            // Apply the bound flips, then repair the basic values with a
-            // single FTRAN of the accumulated column movement.
-            if flip_count > 0 {
-                let mut db = vec![0.0; m];
-                for blocker in &blockers[..flip_count] {
-                    let j = blocker.j;
-                    let (st, v) = match self.status[j] {
-                        ColStatus::AtLower => (ColStatus::AtUpper, self.upper[j]),
-                        ColStatus::AtUpper => (ColStatus::AtLower, self.lower[j]),
-                        // Unreachable: flipped blockers have finite range.
-                        other => (other, self.x[j]),
-                    };
-                    let dv = v - self.x[j];
-                    if dv != 0.0 {
-                        for &(i, a) in &self.cols[j] {
-                            db[i] += a * dv;
-                        }
-                    }
-                    self.x[j] = v;
-                    self.status[j] = st;
-                    self.bound_flips += 1;
-                }
-                let db: Vec<(usize, f64)> = db
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v != 0.0)
-                    .map(|(i, &v)| (i, v))
-                    .collect();
-                let mut w = vec![0.0; m];
-                let t0 = Instant::now();
-                self.basis_inv.ftran(&db, &mut w);
-                self.time_solve += t0.elapsed();
-                self.ftran_calls += 1;
-                for (i, &bj) in self.basis.iter().enumerate() {
-                    self.x[bj] -= w[i];
-                }
-            }
-
-            // Entering pivot: drive the leaving variable exactly onto its
-            // violated bound.
-            let q = blockers[enter_k].j;
-            let mut w = vec![0.0; m];
-            let t0 = Instant::now();
-            self.basis_inv.ftran(&self.cols[q], &mut w);
-            self.time_solve += t0.elapsed();
-            self.ftran_calls += 1;
-            let alpha = w[r];
-            if alpha.abs() <= self.min_pivot {
-                return WarmOutcome::GiveUp { iterations };
-            }
-            let leaving = self.basis[r];
-            let target = if sigma > 0.0 {
-                self.upper[leaving]
-            } else {
-                self.lower[leaving]
-            };
-            let dxq = (self.x[leaving] - target) / alpha;
-            for (i, &bj) in self.basis.iter().enumerate() {
-                self.x[bj] -= w[i] * dxq;
-            }
-            self.x[leaving] = target;
-            self.status[leaving] = if sigma > 0.0 {
-                ColStatus::AtUpper
-            } else {
-                ColStatus::AtLower
-            };
-            self.x[q] += dxq;
-            self.status[q] = ColStatus::Basic(r);
-            self.basis[r] = q;
-            let t0 = Instant::now();
-            self.basis_inv.pivot(r, &w);
-            self.time_solve += t0.elapsed();
-            if self.basis_inv.wants_refactor(self.refactor_interval) && !self.refactorize() {
-                return WarmOutcome::GiveUp { iterations };
-            }
-        }
-    }
-}
-
-/// One eligible column of the dual ratio test.
-struct Blocker {
-    /// Column index.
-    j: usize,
-    /// Dual ratio `d_j / (σ·α_j)` at which this column's reduced cost
-    /// reaches zero (clamped to `≥ 0`).
-    t: f64,
-    /// Pivot-row coefficient `(B⁻¹ A_j)_r`.
-    alpha: f64,
-    /// Bound range `u_j − l_j` (`+∞` when unboxed: such a column can only
-    /// enter, never flip).
-    range: f64,
 }
 
 /// A basis snapshot of an optimal LP solve, captured by
 /// [`SimplexSolver::snapshot`] and consumed by
-/// [`SimplexSolver::warm_resolve`] on a child node. Opaque: the basis
+/// [`SimplexSolver::solve_from_basis`] on a sibling model. Opaque: the basis
 /// partition only has meaning for models with the same shape (row count,
 /// variable count) as the snapshotted one.
 #[derive(Debug, Clone)]
@@ -1486,19 +955,10 @@ pub struct WarmBasis {
     basis: Vec<usize>,
     status: Vec<ColStatus>,
     n_struct: usize,
-    iterations: u64,
     phase1_iterations: u64,
 }
 
 impl WarmBasis {
-    /// Simplex iterations the snapshotted (parent) solve spent — the
-    /// deterministic proxy for how much work a warm fathom of a child
-    /// saves.
-    #[must_use]
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
     /// Phase-1 iterations the snapshotted solve spent — the deterministic
     /// proxy for what a successful cross-scenario root import of this
     /// basis saves (the import skips phase 1 entirely; see
@@ -1507,33 +967,6 @@ impl WarmBasis {
     pub fn phase1_iterations(&self) -> u64 {
         self.phase1_iterations
     }
-}
-
-/// Outcome of a warm (dual-simplex) node re-solve — see
-/// [`SimplexSolver::warm_resolve`]. The warm path never produces primal
-/// values: it either certifies a value-free outcome or hands the node back
-/// to the cold primal path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmOutcome {
-    /// The monotone dual objective bound crossed the cutoff: the node
-    /// cannot beat the incumbent that stamped the cutoff.
-    Fathomed {
-        /// Dual iterations spent.
-        iterations: u64,
-    },
-    /// The node LP is infeasible, certified with a safety margin over the
-    /// cold path's phase-1 tolerance so both paths always agree.
-    Infeasible {
-        /// Dual iterations spent.
-        iterations: u64,
-    },
-    /// Nothing could be certified (dual infeasibility after install, an
-    /// optimum below the cutoff, the iteration cap, a degeneracy stall, or
-    /// numerical trouble): the caller must re-solve cold.
-    GiveUp {
-        /// Dual iterations spent.
-        iterations: u64,
-    },
 }
 
 /// Result of one `optimize` run.
@@ -1705,7 +1138,7 @@ mod tests {
         assert!((v[0] - 1.0).abs() < 1e-9 && (v[1] - 1.0).abs() < 1e-9);
     }
 
-    /// The 3×3 LP of the hand-computed dual ratio test below:
+    /// A 3×3 LP with a `≥` row that feeds phase 1:
     ///
     /// ```text
     ///     min  x + 2y + 3z
@@ -1715,9 +1148,8 @@ mod tests {
     ///          x, y, z ∈ [0, 10]
     /// ```
     ///
-    /// Cold optimum: x = 4, y = z = 0, objective 4, with basis
-    /// {x @ r1, s2 @ r2, s3 @ r3} (all row scales are 1, so `B = I`).
-    fn dual_test_lp() -> (Model, [crate::Var; 3]) {
+    /// Optimum: x = 4, y = z = 0, objective 4.
+    fn three_row_lp() -> Model {
         let mut m = Model::new();
         let x = m.add_continuous("x", 0.0, 10.0);
         let y = m.add_continuous("y", 0.0, 10.0);
@@ -1726,94 +1158,7 @@ mod tests {
         m.add_constraint("r2", (y + z).le(5.0));
         m.add_constraint("r3", LinExpr::from(z).le(3.0));
         m.set_objective(ObjectiveSense::Minimize, x + 2.0 * y + 3.0 * z);
-        (m, [x, y, z])
-    }
-
-    /// Solves the parent of [`dual_test_lp`] and returns its snapshot.
-    fn dual_test_parent() -> (Model, [crate::Var; 3], WarmBasis) {
-        let (m, vars) = dual_test_lp();
-        let mut parent = SimplexSolver::from_model(&m);
-        assert_optimal(&parent.solve(), 4.0);
-        (m, vars, parent.snapshot())
-    }
-
-    /// Hand-computed dual ratio test. Branching `x ≤ 2` leaves the basic
-    /// `x = 4` above its new upper bound (violation 2, σ = +1, pivot row
-    /// ρ = e₁). Candidate blockers on that row: `y` with reduced cost
-    /// d = 2 − 1 = 1 and ratio t = 1, `z` with d = 3 − 1 = 2 and ratio
-    /// t = 2; the `≥` slack is at its upper bound with σα > 0, ineligible.
-    /// The ratio test must pick `y` (smaller ratio), whose range 10 covers
-    /// the violation, so `y` enters with step (4 − 2)/1 = 2: one dual
-    /// iteration to the child optimum x = 2, y = 2, z = 0, objective 6.
-    #[test]
-    fn dual_ratio_test_hand_computed() {
-        let (mut m, [x, ..], warm) = dual_test_parent();
-        m.set_bounds(x, 0.0, 2.0);
-        let mut child = SimplexSolver::from_model(&m);
-        // Cutoff +∞: nothing to fathom against, so after reaching the
-        // (primal-feasible) child optimum the warm path must hand the node
-        // back to the cold solver rather than return values.
-        let outcome = child.warm_resolve(&warm, f64::INFINITY);
-        assert_eq!(outcome, WarmOutcome::GiveUp { iterations: 1 });
-        assert_eq!(child.dual_iterations, 1);
-        // The single pivot landed exactly on the hand-computed vertex.
-        assert!((child.x[0] - 2.0).abs() < 1e-9, "x = {}", child.x[0]);
-        assert!((child.x[1] - 2.0).abs() < 1e-9, "y = {}", child.x[1]);
-        assert!(child.x[2].abs() < 1e-9, "z = {}", child.x[2]);
-    }
-
-    /// Same child, but with an incumbent-derived cutoff of 5: the dual
-    /// bound after the single pivot is 6 ≥ 5, so the node is fathomed
-    /// without ever producing primal values.
-    #[test]
-    fn dual_resolve_fathoms_against_cutoff() {
-        let (mut m, [x, ..], warm) = dual_test_parent();
-        m.set_bounds(x, 0.0, 2.0);
-        let mut child = SimplexSolver::from_model(&m);
-        let outcome = child.warm_resolve(&warm, 5.0);
-        assert_eq!(outcome, WarmOutcome::Fathomed { iterations: 1 });
-        // A cutoff above the child optimum must NOT fathom.
-        let mut child = SimplexSolver::from_model(&m);
-        assert_eq!(
-            child.warm_resolve(&warm, 7.0),
-            WarmOutcome::GiveUp { iterations: 1 }
-        );
-    }
-
-    /// Tightening to `x ≤ 2, y ≤ 1, z = 0` caps `x + y + z` at 3 < 4. The
-    /// dual loop flips `y` to its upper bound (ratio 1, range 1 — too
-    /// short to absorb the violation of 2), finds no blocker left (`z` is
-    /// fixed and the `≥` slack sits on the wrong side), and the residual
-    /// slope of 1 clears the Farkas margin: certified infeasible.
-    #[test]
-    fn dual_resolve_certifies_infeasibility() {
-        let (mut m, [x, y, z], warm) = dual_test_parent();
-        m.set_bounds(x, 0.0, 2.0);
-        m.set_bounds(y, 0.0, 1.0);
-        m.set_bounds(z, 0.0, 0.0);
-        let mut child = SimplexSolver::from_model(&m);
-        let outcome = child.warm_resolve(&warm, f64::INFINITY);
-        assert_eq!(outcome, WarmOutcome::Infeasible { iterations: 1 });
-        // The cold path must agree — the certificate margin guarantees it.
-        assert_eq!(SimplexSolver::from_model(&m).solve(), LpOutcome::Infeasible);
-    }
-
-    /// A shape-mismatched snapshot (different model) degrades to `GiveUp`
-    /// instead of corrupting the solve.
-    #[test]
-    fn dual_resolve_rejects_foreign_snapshot() {
-        let (m, ..) = dual_test_lp();
-        let mut other = Model::new();
-        let w = other.add_continuous("w", 0.0, 1.0);
-        other.add_constraint("c", LinExpr::from(w).le(1.0));
-        let mut solver = SimplexSolver::from_model(&other);
-        let _ = solver.solve();
-        let foreign = solver.snapshot();
-        let mut child = SimplexSolver::from_model(&m);
-        assert_eq!(
-            child.warm_resolve(&foreign, 0.0),
-            WarmOutcome::GiveUp { iterations: 0 }
-        );
+        m
     }
 
     #[test]
@@ -1871,26 +1216,50 @@ mod tests {
     /// the node's budget.
     #[test]
     fn expired_deadline_times_out_cold_solve() {
-        let (m, _) = dual_test_lp();
+        let m = three_row_lp();
         let mut lp = SimplexSolver::from_model(&m);
         lp.deadline = Some(Instant::now());
         assert_eq!(lp.solve(), LpOutcome::TimedOut);
         assert_eq!(lp.iterations, 0, "no pivots after the deadline");
     }
 
-    /// The warm dual path honors the same deadline contract: an expired
-    /// deadline yields `GiveUp` at iteration 0, handing the node back to
-    /// the caller (which owns the retry/fallback policy) rather than
-    /// pivoting past its budget.
+    /// A root import honors the same deadline contract: the donor basis
+    /// installs, then phase 2 stops before its first pivot.
     #[test]
-    fn expired_deadline_gives_up_warm_resolve() {
-        let (mut m, [x, ..], warm) = dual_test_parent();
-        m.set_bounds(x, 0.0, 2.0);
-        let mut child = SimplexSolver::from_model(&m);
-        child.deadline = Some(Instant::now());
+    fn expired_deadline_times_out_root_import() {
+        let m = three_row_lp();
+        let mut donor = SimplexSolver::from_model(&m);
+        assert_optimal(&donor.solve(), 4.0);
+        let mut lp = SimplexSolver::from_model(&m);
+        lp.deadline = Some(Instant::now());
         assert_eq!(
-            child.warm_resolve(&warm, 5.0),
-            WarmOutcome::GiveUp { iterations: 0 }
+            lp.solve_from_basis(&donor.snapshot()),
+            Some(LpOutcome::TimedOut)
         );
+        assert_eq!(lp.iterations, 0, "no pivots after the deadline");
+    }
+
+    /// A snapshot of a differently shaped model is refused (`None`, the
+    /// caller solves cold) instead of corrupting the solve; a same-shape
+    /// snapshot of an optimal basis settles the LP without phase 1.
+    #[test]
+    fn solve_from_basis_rejects_foreign_snapshot() {
+        let m = three_row_lp();
+        let mut other = Model::new();
+        let w = other.add_continuous("w", 0.0, 1.0);
+        other.add_constraint("c", LinExpr::from(w).le(1.0));
+        let mut foreign = SimplexSolver::from_model(&other);
+        let _ = foreign.solve();
+        let mut lp = SimplexSolver::from_model(&m);
+        assert_eq!(lp.solve_from_basis(&foreign.snapshot()), None);
+
+        let mut donor = SimplexSolver::from_model(&m);
+        assert_optimal(&donor.solve(), 4.0);
+        let mut lp = SimplexSolver::from_model(&m);
+        let outcome = lp
+            .solve_from_basis(&donor.snapshot())
+            .expect("same shape installs");
+        assert_optimal(&outcome, 4.0);
+        assert_eq!(lp.phase1_iterations, 0, "an import skips phase 1");
     }
 }

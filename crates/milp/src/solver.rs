@@ -38,7 +38,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use letdma_core::env::{resolve_flag, resolve_override, CRASH_ENV, PRESOLVE_ENV, REFACTOR_ENV};
+use letdma_core::env::{resolve_flag, resolve_override, PRESOLVE_ENV, REFACTOR_ENV};
 use letdma_core::fault::{self, FaultSite};
 use letdma_core::instrument::{
     timed_phase, Counter, IncumbentRecord, Instrument, NodeEvent, NoopInstrument,
@@ -50,7 +50,7 @@ use crate::expr::Var;
 use crate::model::{Model, ObjectiveSense};
 use crate::presolve;
 use crate::pricing::PricingRule;
-use crate::simplex::{LpOutcome, SimplexSolver, WarmBasis, WarmOutcome};
+use crate::simplex::{LpOutcome, SimplexSolver, WarmBasis};
 
 /// Options controlling a [`Model::solver`] session.
 ///
@@ -97,17 +97,6 @@ pub struct SolveOptions {
     /// [`threads`](Self::threads)). Part of the trajectory: two solves
     /// agree byte-for-byte only when their widths agree. Clamped to ≥ 1.
     pub speculation: usize,
-    /// Warm-start node re-solves from the parent's optimal basis (`true`,
-    /// default): each child node first attempts a dual-simplex re-solve
-    /// that can fathom the node against the incumbent or certify
-    /// infeasibility without a cold solve, falling back to the cold primal
-    /// path otherwise. By construction the search trajectory — solutions,
-    /// node counts, incumbent timeline — is identical either way (the warm
-    /// path only certifies outcomes the cold path is guaranteed to reach);
-    /// only the iteration/pivot work counters differ. Distinct from
-    /// [`warm_start`](Self::warm_start), which seeds an *incumbent
-    /// assignment*, not a basis.
-    pub warm_basis: bool,
     /// Run the presolve/tightening pass ([`crate::presolve`]) ahead of
     /// branch and bound. `None` (default) defers to the `LETDMA_PRESOLVE`
     /// environment variable, else on. Presolve runs on the coordinator
@@ -136,15 +125,6 @@ pub struct SolveOptions {
     /// ([`PricingRule::Partial`]). Resolved once per solve; the rule never
     /// changes *which* optimum is found, only the pivot path to it.
     pub pricing: Option<PricingRule>,
-    /// Run the crash-basis constructor ([`crate::crash`]) before phase 1
-    /// of every cold node LP: rows whose slack cannot absorb the starting
-    /// residual try a singleton structural column before an artificial, so
-    /// fewer rows feed phase 1. `None` (default) defers to the
-    /// `LETDMA_CRASH` environment variable, else **off** — the crash
-    /// changes pivot paths and possibly which optimal vertex is returned
-    /// (never the objective), so the byte-identical trajectory regressions
-    /// pin the crash-free default. Resolved once per solve.
-    pub crash: Option<bool>,
     /// Absolute wall-clock deadline for the whole solve. Checked before
     /// any presolve or simplex work: an already-expired deadline returns
     /// [`SolveError::DeadlineExpired`] without touching the model.
@@ -172,13 +152,11 @@ impl Default for SolveOptions {
             threads: None,
             deterministic: true,
             speculation: 8,
-            warm_basis: true,
             presolve: None,
             measure_root_gap: false,
             basis: None,
             refactor_interval: None,
             pricing: None,
-            crash: None,
             deadline: None,
         }
     }
@@ -256,14 +234,6 @@ impl SolveOptions {
         self
     }
 
-    /// Enables or disables warm (dual-simplex) node re-solves from the
-    /// parent basis (see [`warm_basis`](Self::warm_basis)).
-    #[must_use]
-    pub fn with_warm_basis(mut self, warm_basis: bool) -> Self {
-        self.warm_basis = warm_basis;
-        self
-    }
-
     /// Explicitly enables or disables the presolve pass (overriding the
     /// `LETDMA_PRESOLVE` environment variable; see
     /// [`presolve`](Self::presolve)).
@@ -306,15 +276,6 @@ impl SolveOptions {
         self
     }
 
-    /// Explicitly enables or disables the crash-basis constructor
-    /// (overriding the `LETDMA_CRASH` environment variable; see
-    /// [`crash`](Self::crash)).
-    #[must_use]
-    pub fn with_crash(mut self, crash: bool) -> Self {
-        self.crash = Some(crash);
-        self
-    }
-
     /// Sets an absolute wall-clock deadline (see
     /// [`deadline`](Self::deadline)).
     #[must_use]
@@ -332,7 +293,6 @@ struct LpConfig {
     basis: BasisKind,
     pricing: PricingRule,
     refactor_interval: u64,
-    crash: bool,
 }
 
 impl LpConfig {
@@ -341,25 +301,21 @@ impl LpConfig {
         let pricing = PricingRule::resolve(options.pricing);
         let refactor_interval = resolve_override(REFACTOR_ENV, options.refactor_interval)
             .unwrap_or_else(|| basis.instantiate().default_refactor_interval());
-        let crash = resolve_flag(CRASH_ENV, options.crash, false);
         Self {
             basis,
             pricing,
             refactor_interval,
-            crash,
         }
     }
 
     /// Builds a node LP solver on this configuration.
     fn solver(&self, model: &Model) -> SimplexSolver {
-        let mut solver = SimplexSolver::from_model_configured(
+        SimplexSolver::from_model_configured(
             model,
             self.basis,
             self.pricing,
             Some(self.refactor_interval),
-        );
-        solver.crash = self.crash;
-        solver
+        )
     }
 }
 
@@ -481,9 +437,6 @@ pub struct WorkerLoad {
     pub skipped: u64,
     /// Simplex iterations executed by this worker.
     pub lp_iterations: u64,
-    /// Dual-simplex iterations executed by this worker during warm node
-    /// re-solves (disjoint from [`lp_iterations`](Self::lp_iterations)).
-    pub dual_iterations: u64,
     /// Simplex pivots executed by this worker.
     pub pivots: u64,
     /// Bound flips executed by this worker.
@@ -501,7 +454,6 @@ impl WorkerLoad {
         self.jobs += other.jobs;
         self.skipped += other.skipped;
         self.lp_iterations += other.lp_iterations;
-        self.dual_iterations += other.dual_iterations;
         self.pivots += other.pivots;
         self.bound_flips += other.bound_flips;
         self.refactorizations += other.refactorizations;
@@ -523,8 +475,9 @@ pub struct SolveStats {
     pub nodes: u64,
     /// Total primal simplex iterations across all consumed LP solves.
     pub lp_iterations: u64,
-    /// Total dual-simplex iterations across all consumed warm node
-    /// re-solves (zero when [`SolveOptions::warm_basis`] is off).
+    /// Dual-simplex iterations. Always 0: every node LP is a cold primal
+    /// solve. The field stays so existing readers keep compiling until a
+    /// node warm start that returns LP values exists.
     pub dual_iterations: u64,
     /// Simplex basis changes (pivots) across all consumed LP solves.
     pub pivots: u64,
@@ -564,7 +517,6 @@ impl SolveStats {
                     mine.jobs += load.jobs;
                     mine.skipped += load.skipped;
                     mine.lp_iterations += load.lp_iterations;
-                    mine.dual_iterations += load.dual_iterations;
                     mine.pivots += load.pivots;
                     mine.bound_flips += load.bound_flips;
                     mine.refactorizations += load.refactorizations;
@@ -688,17 +640,6 @@ struct Node {
     /// problems. The same id orders result merging (and hence incumbent
     /// tie-breaking) in deterministic mode.
     seq: u64,
-    /// Min-form fathom threshold as of node *creation* (`+∞` when no
-    /// incumbent existed yet). The warm re-solve fathoms against this
-    /// stamped value, never the live incumbent: creation happens at a
-    /// deterministic merge point and the incumbent only improves
-    /// afterwards, so a warm fathom here is always confirmed by the cold
-    /// path's merge-time test — at any thread count.
-    cutoff: f64,
-    /// The parent's optimal basis, shared by both children (absent at the
-    /// root, when the parent LP hit a limit, or when
-    /// [`SolveOptions::warm_basis`] is off).
-    warm: Option<Arc<WarmBasis>>,
 }
 
 impl Node {
@@ -992,13 +933,6 @@ impl<'m, 'i> Solver<'m, 'i> {
         self
     }
 
-    /// Enables or disables warm (dual-simplex) node re-solves from the
-    /// parent basis (see [`SolveOptions::warm_basis`]; default on).
-    pub fn warm_basis(mut self, warm_basis: bool) -> Self {
-        self.options.warm_basis = warm_basis;
-        self
-    }
-
     /// Enables stderr progress lines.
     pub fn log(mut self, log: bool) -> Self {
         self.options.log = log;
@@ -1077,10 +1011,10 @@ impl<'m, 'i> Solver<'m, 'i> {
     /// Publishes this solve's optimal root basis into `slot` right after
     /// the root LP solves (before any branching), making this solve the
     /// **donor** of a cross-scenario reuse group. When the root never
-    /// reaches an exportable basis (infeasible, unbounded, timed out, or
-    /// basis capture disabled) nothing is published — the slot's owner
-    /// must seal it with [`RootBasisSlot::publish`]`(None)` after the
-    /// solve returns so waiters cannot hang.
+    /// reaches an exportable basis (infeasible, unbounded or timed out)
+    /// nothing is published — the slot's owner must seal it with
+    /// [`RootBasisSlot::publish`]`(None)` after the solve returns so
+    /// waiters cannot hang.
     pub fn root_export(mut self, slot: Arc<RootBasisSlot>) -> Self {
         self.root_export = Some(slot);
         self
@@ -1134,13 +1068,10 @@ enum PureLp {
     Solved {
         values: Vec<f64>,
         min_obj: f64,
-        /// Optimal basis of this node, inherited by its children (captured
-        /// only when warm re-solves are enabled).
-        warm: Option<WarmBasis>,
+        /// Optimal basis of this node, captured only for a root LP whose
+        /// solve exports it through a [`RootBasisSlot`].
+        basis: Option<WarmBasis>,
     },
-    /// The warm re-solve certified that the node cannot beat the incumbent
-    /// that stamped its creation-time cutoff; no LP values exist.
-    Fathomed,
     Infeasible,
     Unbounded,
     TimedOut,
@@ -1164,17 +1095,8 @@ struct LpShard {
     pivots: u64,
     bound_flips: u64,
     refactorizations: u64,
-    warm_attempts: u64,
-    warm_fathoms: u64,
-    warm_infeasible: u64,
-    warm_fallbacks: u64,
-    dual_iterations: u64,
-    warm_iterations_saved: u64,
     tolerance_escalations: u64,
     numerical_recoveries: u64,
-    /// LP solves whose phase-1 start installed at least one crash column
-    /// (see [`crate::crash`]; zero unless the crash is enabled).
-    crash_used: u64,
     /// Cross-scenario root warm starts: attempts to start the root LP from
     /// a donor scenario's optimal basis, how many settled the root without
     /// phase 1, and the donor's phase-1 iteration bill that each hit
@@ -1201,7 +1123,7 @@ struct LpShard {
 
 impl LpShard {
     /// Accumulates one finished `SimplexSolver`'s basis/pricing work
-    /// (shared by the warm, cold and retry paths of a node evaluation).
+    /// (shared by the cold, retry and root-import paths).
     fn absorb_lp(&mut self, lp: &SimplexSolver) {
         self.ftran_calls += lp.ftran_calls;
         self.btran_calls += lp.btran_calls;
@@ -1216,17 +1138,6 @@ impl LpShard {
     }
 }
 
-/// Solves the LP relaxation of one node. Free function (no `&self`) so
-/// worker threads can run it without borrowing the search driver.
-///
-/// With `warm` present, a dual-simplex re-solve from the parent basis runs
-/// first; it either settles the node without values
-/// ([`PureLp::Fathomed`]/[`PureLp::Infeasible`]) or gives up, in which case
-/// the cold primal path below runs exactly as it would have without the
-/// attempt — so the returned [`PureLp`] differs from a cold-only solve at
-/// most in *which* certificate settled a settled node, never in values,
-/// objective or search consequences. `capture` additionally snapshots the
-/// optimal basis of a cold solve for this node's children.
 /// Panic-isolating wrapper around [`solve_node_lp`]: a panic anywhere in
 /// the node evaluation (injected by the fault plane or a genuine bug)
 /// becomes [`PureLp::Panicked`] instead of unwinding across the worker
@@ -1240,14 +1151,17 @@ fn solve_node_lp_guarded(
     deadline: Option<Instant>,
     scale: f64,
     capture: bool,
-    warm: Option<(&WarmBasis, f64)>,
 ) -> (PureLp, LpShard) {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solve_node_lp(model, config, overrides, deadline, scale, capture, warm)
+        solve_node_lp(model, config, overrides, deadline, scale, capture)
     }))
     .unwrap_or_else(|_| (PureLp::Panicked, LpShard::default()))
 }
 
+/// Solves the LP relaxation of one node from a cold start. Free function
+/// (no `&self`) so worker threads can run it without borrowing the search
+/// driver. `capture` snapshots the optimal basis (the root of a solve that
+/// exports it).
 fn solve_node_lp(
     model: &Model,
     config: LpConfig,
@@ -1255,7 +1169,6 @@ fn solve_node_lp(
     deadline: Option<Instant>,
     scale: f64,
     capture: bool,
-    warm: Option<(&WarmBasis, f64)>,
 ) -> (PureLp, LpShard) {
     if fault::should_fire(FaultSite::WorkerPanic) {
         panic!("fault injection: worker panic while solving a node LP");
@@ -1272,73 +1185,15 @@ fn solve_node_lp(
         }
         scratch.set_bounds(v, nl, nu);
     }
-    let mut warm_debug: Option<(Vec<f64>, Vec<usize>)> = None;
-    if let Some((basis, cutoff)) = warm {
-        shard.warm_attempts = 1;
-        let mut lp = config.solver(&scratch);
-        lp.deadline = deadline;
-        let outcome = lp.warm_resolve(basis, cutoff);
-        shard.dual_iterations = lp.dual_iterations;
-        shard.pivots = lp.pivots();
-        shard.bound_flips = lp.bound_flips;
-        shard.refactorizations = lp.refactorizations();
-        shard.absorb_lp(&lp);
-        match outcome {
-            WarmOutcome::Fathomed { .. } => {
-                shard.warm_fathoms = 1;
-                // The cold solve this certificate replaced would have cost
-                // roughly what the parent's did.
-                shard.warm_iterations_saved = basis.iterations().saturating_sub(lp.dual_iterations);
-                return (PureLp::Fathomed, shard);
-            }
-            WarmOutcome::Infeasible { .. } => {
-                shard.warm_infeasible = 1;
-                shard.warm_iterations_saved = basis.iterations().saturating_sub(lp.dual_iterations);
-                return (PureLp::Infeasible, shard);
-            }
-            WarmOutcome::GiveUp { .. } => {
-                shard.warm_fallbacks = 1;
-                if std::env::var_os("LETDMA_WARM_DEBUG").is_some() {
-                    warm_debug = Some(lp.debug_point());
-                }
-            }
-        }
-    }
     let mut lp = config.solver(&scratch);
     lp.deadline = deadline;
     let mut outcome = lp.solve();
-    if let Some((wx, wbasis)) = &warm_debug {
-        if let LpOutcome::Optimal { values, .. } = &outcome {
-            let exact = values
-                .iter()
-                .zip(wx.iter())
-                .filter(|(a, b)| a.to_bits() == b.to_bits())
-                .count();
-            let maxdiff = values
-                .iter()
-                .zip(wx.iter())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            let (_, mut cb) = lp.debug_point();
-            cb.sort_unstable();
-            let mut wb = wbasis.clone();
-            wb.sort_unstable();
-            eprintln!(
-                "WARMDBG n={} exact_bits={} maxdiff={:.3e} basis_eq={}",
-                values.len(),
-                exact,
-                maxdiff,
-                cb == wb
-            );
-        }
-    }
     shard.lp_solves = 1;
     shard.iterations = lp.iterations;
     shard.phase1_iterations = lp.phase1_iterations;
-    shard.pivots += lp.pivots();
-    shard.bound_flips += lp.bound_flips;
-    shard.refactorizations += lp.refactorizations();
-    shard.crash_used += u64::from(lp.crash_columns > 0);
+    shard.pivots = lp.pivots();
+    shard.bound_flips = lp.bound_flips;
+    shard.refactorizations = lp.refactorizations();
     shard.absorb_lp(&lp);
     if matches!(outcome, LpOutcome::Numerical) {
         // Numerical recovery: rebuild the solver from scratch (which *is*
@@ -1363,7 +1218,6 @@ fn solve_node_lp(
         shard.pivots += retry.pivots();
         shard.bound_flips += retry.bound_flips;
         shard.refactorizations += retry.refactorizations();
-        shard.crash_used += u64::from(retry.crash_columns > 0);
         shard.absorb_lp(&retry);
         if !matches!(outcome, LpOutcome::Numerical) {
             shard.numerical_recoveries = 1;
@@ -1374,7 +1228,7 @@ fn solve_node_lp(
         LpOutcome::Optimal { values, objective } => PureLp::Solved {
             values,
             min_obj: scale * objective,
-            warm: capture.then(|| lp.snapshot()),
+            basis: capture.then(|| lp.snapshot()),
         },
         LpOutcome::Infeasible => PureLp::Infeasible,
         LpOutcome::Unbounded => PureLp::Unbounded,
@@ -1427,7 +1281,6 @@ struct BranchAndBound<'a> {
     batch_width: usize,
     nodes: u64,
     lp_iterations: u64,
-    dual_iterations: u64,
     pivots: u64,
     bound_flips: u64,
     refactorizations: u64,
@@ -1482,7 +1335,6 @@ impl<'a> BranchAndBound<'a> {
             batch_width: options.speculation.max(1),
             nodes: 0,
             lp_iterations: 0,
-            dual_iterations: 0,
             pivots: 0,
             bound_flips: 0,
             refactorizations: 0,
@@ -1626,11 +1478,10 @@ impl<'a> BranchAndBound<'a> {
     /// aggregate statistics and the instrument.
     fn absorb_shard(&mut self, shard: &LpShard) {
         self.lp_iterations += shard.iterations;
-        self.dual_iterations += shard.dual_iterations;
         self.pivots += shard.pivots;
         self.bound_flips += shard.bound_flips;
         self.refactorizations += shard.refactorizations;
-        if shard.lp_solves > 0 || shard.warm_attempts > 0 || shard.cross_attempts > 0 {
+        if shard.lp_solves > 0 || shard.cross_attempts > 0 {
             self.instrument.count(Counter::LpSolves, shard.lp_solves);
             self.instrument
                 .count(Counter::SimplexIterations, shard.iterations);
@@ -1661,24 +1512,6 @@ impl<'a> BranchAndBound<'a> {
             self.instrument
                 .count(Counter::NumericalRecoveries, shard.numerical_recoveries);
         }
-        if shard.warm_attempts > 0 {
-            self.instrument
-                .count(Counter::WarmAttempts, shard.warm_attempts);
-            self.instrument
-                .count(Counter::WarmFathoms, shard.warm_fathoms);
-            self.instrument
-                .count(Counter::WarmInfeasible, shard.warm_infeasible);
-            self.instrument
-                .count(Counter::WarmFallbacks, shard.warm_fallbacks);
-            self.instrument
-                .count(Counter::DualIterations, shard.dual_iterations);
-            self.instrument
-                .count(Counter::WarmIterationsSaved, shard.warm_iterations_saved);
-        }
-        if shard.crash_used > 0 {
-            self.instrument
-                .count(Counter::CrashBasisUsed, shard.crash_used);
-        }
         if shard.cross_attempts > 0 {
             self.instrument
                 .count(Counter::CrossScenarioWarmStarts, shard.cross_hits);
@@ -1690,12 +1523,9 @@ impl<'a> BranchAndBound<'a> {
     /// Solves one node LP inline on the coordinator, charging the work to
     /// worker 0 (the sequential path, the root node, and the defensive
     /// fallback for a worker skip that the monotonicity argument says
-    /// cannot be consumed).
-    fn solve_inline(
-        &mut self,
-        overrides: &[(Var, f64, f64)],
-        warm: Option<(&WarmBasis, f64)>,
-    ) -> (PureLp, LpShard) {
+    /// cannot be consumed). The root snapshot is captured exactly when a
+    /// [`RootBasisSlot`] export is attached.
+    fn solve_inline(&mut self, overrides: &[(Var, f64, f64)], root: bool) -> (PureLp, LpShard) {
         let t0 = Instant::now();
         let (lp, shard) = solve_node_lp_guarded(
             self.model,
@@ -1703,13 +1533,11 @@ impl<'a> BranchAndBound<'a> {
             overrides,
             self.deadline(),
             self.scale,
-            self.options.warm_basis,
-            warm,
+            root && self.root_export.is_some(),
         );
         let load = self.worker_load_mut(0);
         load.jobs += 1;
         load.lp_iterations += shard.iterations;
-        load.dual_iterations += shard.dual_iterations;
         load.pivots += shard.pivots;
         load.bound_flips += shard.bound_flips;
         load.refactorizations += shard.refactorizations;
@@ -1754,7 +1582,7 @@ impl<'a> BranchAndBound<'a> {
                 Some(PureLp::Solved {
                     values,
                     min_obj: self.scale * objective,
-                    warm: self.options.warm_basis.then(|| lp.snapshot()),
+                    basis: self.root_export.is_some().then(|| lp.snapshot()),
                 })
             }
             // A genuine phase-2 certificate or brake from a feasible
@@ -1826,11 +1654,11 @@ impl<'a> BranchAndBound<'a> {
                             // Count the failed attempt, then run the cold
                             // root exactly as a donor-less solve would.
                             self.absorb_shard(&import_shard);
-                            self.solve_inline(&[], None)
+                            self.solve_inline(&[], true)
                         }
                     }
                 }
-                None => self.solve_inline(&[], None),
+                None => self.solve_inline(&[], true),
             };
             self.absorb_shard(&shard);
             match lp {
@@ -1861,25 +1689,18 @@ impl<'a> BranchAndBound<'a> {
                     self.instrument.count(Counter::PanicsCaught, 1);
                     exhausted = false;
                 }
-                // Unreachable at the root (no warm basis was passed), but
-                // harmless: a fathomed root leaves the tree empty.
-                PureLp::Fathomed => {
-                    self.instrument.node_event(NodeEvent::FathomedByBound);
-                }
                 PureLp::Solved {
                     values,
                     min_obj,
-                    warm,
+                    basis,
                 } => {
                     // Publish the optimal root basis for sibling scenarios
-                    // of the same structure. `None` (warm capture off)
-                    // still seals the slot so beneficiaries fall back to
-                    // cold solves instead of blocking.
+                    // of the same structure.
                     if let Some(slot) = &self.root_export {
-                        slot.publish(warm.as_ref().map(|w| Arc::new(w.clone())));
+                        slot.publish(basis.map(Arc::new));
                     }
                     self.root_bound = Some(min_obj);
-                    self.process_lp(values, min_obj, Vec::new(), 0, warm);
+                    self.process_lp(values, min_obj, Vec::new(), 0);
                 }
             }
         }
@@ -1949,7 +1770,7 @@ impl<'a> BranchAndBound<'a> {
         let stats = SolveStats {
             nodes: self.nodes,
             lp_iterations: self.lp_iterations,
-            dual_iterations: self.dual_iterations,
+            dual_iterations: 0,
             pivots: self.pivots,
             bound_flips: self.bound_flips,
             refactorizations: self.refactorizations,
@@ -1984,9 +1805,9 @@ impl<'a> BranchAndBound<'a> {
     /// fractional variable from — by splitting the domain of the first
     /// integral variable that still holds at least two integer points.
     /// Both children inherit `bound` unchanged (a failed LP proves
-    /// nothing, so the node must never be fathomed) and carry no warm
-    /// basis. Returns `false` when nothing is splittable, in which case
-    /// the caller must stop instead of re-queueing the same node forever.
+    /// nothing, so the node must never be fathomed). Returns `false` when
+    /// nothing is splittable, in which case the caller must stop instead
+    /// of re-queueing the same node forever.
     ///
     /// Termination: every split strictly shrinks one finite integer
     /// domain, so even a fault that breaks *every* LP only drives the
@@ -2021,10 +1842,6 @@ impl<'a> BranchAndBound<'a> {
             } else {
                 lo_int // value split: [lo, lo] vs [lo+1, ∞)
             };
-            let cutoff = match &self.incumbent {
-                Some((_, inc)) => *inc - self.options.gap_abs,
-                None => f64::INFINITY,
-            };
             let mut down = overrides.to_vec();
             down.push((var, f64::NEG_INFINITY, split));
             let mut up = overrides.to_vec();
@@ -2036,8 +1853,6 @@ impl<'a> BranchAndBound<'a> {
                     bound,
                     depth: depth + 1,
                     seq: self.node_seq,
-                    cutoff,
-                    warm: None,
                 });
             }
             return true;
@@ -2085,7 +1900,6 @@ impl<'a> BranchAndBound<'a> {
         let gap_abs = self.options.gap_abs;
         let deadline = self.deadline();
         let scale = self.scale;
-        let warm_basis = self.options.warm_basis;
         let deterministic = self.options.deterministic;
         let inc_bits = AtomicU64::new(self.incumbent_bits());
         let next_job = AtomicUsize::new(0);
@@ -2123,19 +1937,16 @@ impl<'a> BranchAndBound<'a> {
                                 load.skipped += 1;
                                 JobOutcome::Skipped
                             } else {
-                                let warm = node.warm.as_deref().map(|basis| (basis, node.cutoff));
                                 let (lp, shard) = solve_node_lp_guarded(
                                     model,
                                     lp_config,
                                     &node.overrides,
                                     deadline,
                                     scale,
-                                    warm_basis,
-                                    warm,
+                                    false,
                                 );
                                 load.jobs += 1;
                                 load.lp_iterations += shard.iterations;
-                                load.dual_iterations += shard.dual_iterations;
                                 load.pivots += shard.pivots;
                                 load.bound_flips += shard.bound_flips;
                                 load.refactorizations += shard.refactorizations;
@@ -2272,13 +2083,7 @@ impl<'a> BranchAndBound<'a> {
             // A worker skip can only be consumed if the incumbent that
             // justified it disappeared — impossible, since incumbents only
             // improve — but solving inline keeps even that path correct.
-            Some(JobOutcome::Skipped) | None => {
-                let warm = node.warm.clone();
-                self.solve_inline(
-                    &node.overrides,
-                    warm.as_deref().map(|basis| (basis, node.cutoff)),
-                )
-            }
+            Some(JobOutcome::Skipped) | None => self.solve_inline(&node.overrides, false),
         };
         self.nodes += 1;
         self.instrument.count(Counter::Nodes, 1);
@@ -2318,19 +2123,10 @@ impl<'a> BranchAndBound<'a> {
                 // optimizer's degradation ladder takes it from there.
                 Ok(MergeControl::PushBackAndStop)
             }
-            // The warm certificate replaces a cold solve the merge-time
-            // test above (or `process_lp`'s bound check) was guaranteed to
-            // discard anyway: same terminal node, no children either way.
-            PureLp::Fathomed => {
-                self.instrument.node_event(NodeEvent::FathomedByBound);
-                Ok(MergeControl::Continue)
-            }
             PureLp::Solved {
-                values,
-                min_obj,
-                warm,
+                values, min_obj, ..
             } => {
-                self.process_lp(values, min_obj, node.overrides.clone(), node.depth, warm);
+                self.process_lp(values, min_obj, node.overrides.clone(), node.depth);
                 Ok(MergeControl::Continue)
             }
         }
@@ -2344,7 +2140,6 @@ impl<'a> BranchAndBound<'a> {
         min_obj: f64,
         overrides: Vec<(Var, f64, f64)>,
         depth: u32,
-        warm: Option<WarmBasis>,
     ) {
         if self.fathomed(min_obj) {
             self.instrument.node_event(NodeEvent::FathomedByBound);
@@ -2370,23 +2165,6 @@ impl<'a> BranchAndBound<'a> {
             Some((var, value)) => {
                 self.instrument.node_event(NodeEvent::Branched);
                 self.try_rounding(&values);
-                // Stamp the children's warm-fathom cutoff *after* the
-                // rounding heuristic: any incumbent it produced is part of
-                // the deterministic merge-order state, and a tighter
-                // cutoff means more warm fathoms.
-                let cutoff = match &self.incumbent {
-                    Some((_, inc)) => *inc - self.options.gap_abs,
-                    None => f64::INFINITY,
-                };
-                // Without a finite cutoff the dual simplex could only
-                // certify infeasibility, typically re-solving feasible
-                // children to optimality first and then throwing that work
-                // away — not worth attempting.
-                let warm = if self.options.warm_basis && cutoff.is_finite() {
-                    warm.map(Arc::new)
-                } else {
-                    None
-                };
                 let floor = value.floor();
                 let mut down = overrides.clone();
                 down.push((var, f64::NEG_INFINITY, floor));
@@ -2403,8 +2181,6 @@ impl<'a> BranchAndBound<'a> {
                     bound: min_obj,
                     depth: depth + 1,
                     seq: self.node_seq,
-                    cutoff,
-                    warm: warm.clone(),
                 });
                 self.node_seq += 1;
                 self.open.push(Node {
@@ -2412,8 +2188,6 @@ impl<'a> BranchAndBound<'a> {
                     bound: min_obj,
                     depth: depth + 1,
                     seq: self.node_seq,
-                    cutoff,
-                    warm,
                 });
             }
         }
@@ -2648,64 +2422,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_resolves_match_cold_bit_for_bit() {
-        // The warm dual-simplex path must not change a single bit of the
-        // search outcome: values, objective, node count and the incumbent
-        // timeline are all pinned against a warm-disabled run. Work
-        // counters (iterations, pivots) are *expected* to differ — that is
-        // the point of the warm path. A two-constraint knapsack with a
-        // seeded incumbent branches enough to exercise warm fathoming (the
-        // assignment polytope would be integral — no branching at all).
-        let mut m = Model::new();
-        let vals = [15.0, 10.0, 9.0, 5.0, 7.0, 12.0];
-        let w1 = [1.0, 5.0, 3.0, 4.0, 2.0, 6.0];
-        let w2 = [4.0, 2.0, 5.0, 1.0, 6.0, 3.0];
-        let x: Vec<_> = (0..6).map(|i| m.add_binary(format!("x{i}"))).collect();
-        m.add_constraint(
-            "c1",
-            LinExpr::weighted_sum(x.iter().copied().zip(w1)).le(10.0),
-        );
-        m.add_constraint(
-            "c2",
-            LinExpr::weighted_sum(x.iter().copied().zip(w2)).le(10.0),
-        );
-        m.set_objective(
-            ObjectiveSense::Maximize,
-            LinExpr::weighted_sum(x.iter().copied().zip(vals)),
-        );
-        let mut cold_stats = letdma_core::SolverStats::new();
-        let cold = m
-            .solver()
-            .warm_start(vec![0.0; 6])
-            .warm_basis(false)
-            .instrument(&mut cold_stats)
-            .run()
-            .unwrap();
-        let mut warm_stats = letdma_core::SolverStats::new();
-        let warm = m
-            .solver()
-            .warm_start(vec![0.0; 6])
-            .instrument(&mut warm_stats)
-            .run()
-            .unwrap();
-        assert_eq!(cold.values(), warm.values());
-        assert_eq!(cold.objective().to_bits(), warm.objective().to_bits());
-        assert_eq!(cold.stats().nodes, warm.stats().nodes);
-        assert_eq!(cold.status(), warm.status());
-        assert_eq!(cold_stats.counter(Counter::WarmAttempts), 0);
-        assert_eq!(cold.stats().dual_iterations, 0);
-        let timeline = |s: &letdma_core::SolverStats| -> Vec<(u64, u64)> {
-            s.incumbents()
-                .iter()
-                .map(|r| (r.nodes, r.objective.to_bits()))
-                .collect()
-        };
-        assert_eq!(timeline(&cold_stats), timeline(&warm_stats));
-        // The assignment model actually exercises the warm path.
-        assert!(warm_stats.counter(Counter::WarmAttempts) > 0);
-    }
-
-    #[test]
     fn opportunistic_mode_still_finds_the_optimum() {
         let (m, _) = assignment_model(4);
         let s = m.solver().threads(4).deterministic(false).run().unwrap();
@@ -2724,24 +2440,17 @@ mod tests {
             .with_log(false)
             .with_threads(0)
             .with_deterministic(false)
-            .with_speculation(0)
-            .with_warm_basis(false)
-            .with_crash(true);
+            .with_speculation(0);
         assert_eq!(o.time_limit, Some(Duration::from_secs(7)));
         assert_eq!(o.node_limit, Some(9));
         assert_eq!(o.threads, Some(1), "threads clamp to ≥ 1");
         assert_eq!(o.speculation, 1, "speculation clamps to ≥ 1");
         assert!(!o.deterministic);
-        assert!(!o.warm_basis);
-        assert_eq!(o.crash, Some(true));
-        assert!(SolveOptions::new().warm_basis, "warm re-solves default on");
-        assert_eq!(SolveOptions::new().crash, None, "crash defers to the env");
     }
 
-    /// A model whose `≥` rows feed phase 1 from a cold start but carry
-    /// singleton structural columns the crash can settle instead: `x`
-    /// appears only in `r1`, `z` only in `r2`.
-    fn crashable_model() -> Model {
+    /// A model whose `≥` rows feed phase 1 from a cold start, so a root
+    /// import has a phase-1 bill to save.
+    fn phase1_model() -> Model {
         let mut m = Model::new();
         let x = m.add_continuous("x", 0.0, 10.0);
         let y = m.add_integer("y", 0.0, 10.0);
@@ -2753,48 +2462,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_changes_work_not_values() {
-        let m = crashable_model();
-        let mut cold_stats = letdma_core::SolverStats::new();
-        let cold = m
-            .solver()
-            .presolve(false)
-            .instrument(&mut cold_stats)
-            .run()
-            .unwrap();
-        let mut crash_stats = letdma_core::SolverStats::new();
-        let crash = m
-            .solver()
-            .options(SolveOptions::new().with_presolve(false).with_crash(true))
-            .instrument(&mut crash_stats)
-            .run()
-            .unwrap();
-        assert_eq!(cold.objective().to_bits(), crash.objective().to_bits());
-        assert_eq!(cold.status(), crash.status());
-        assert_eq!(
-            cold_stats.counter(Counter::CrashBasisUsed),
-            0,
-            "crash defaults off"
-        );
-        assert!(
-            crash_stats.counter(Counter::CrashBasisUsed) > 0,
-            "the singleton columns must actually be crashed"
-        );
-        assert!(
-            crash_stats.counter(Counter::Phase1Iterations)
-                < cold_stats.counter(Counter::Phase1Iterations),
-            "crash {} < cold {}",
-            crash_stats.counter(Counter::Phase1Iterations),
-            cold_stats.counter(Counter::Phase1Iterations)
-        );
-    }
-
-    #[test]
     fn root_import_round_trip_skips_phase1() {
         // A donor solve exports its optimal root basis; resubmitting the
         // same structure imports it, settles the root without phase 1, and
         // reaches the identical optimum.
-        let m = crashable_model();
+        let m = phase1_model();
         let slot = Arc::new(RootBasisSlot::new());
         let mut donor_stats = letdma_core::SolverStats::new();
         let donor = m
@@ -2836,7 +2508,7 @@ mod tests {
         // basis cannot transfer, and the fallback must match a plain cold
         // solve bit for bit.
         let slot = Arc::new(RootBasisSlot::new());
-        crashable_model()
+        phase1_model()
             .solver()
             .presolve(false)
             .root_export(Arc::clone(&slot))
@@ -2870,7 +2542,7 @@ mod tests {
         slot.publish(None);
         assert!(matches!(slot.get(), Some(None)), "sealed empty");
         // A later publish must not overwrite the seal.
-        let m = crashable_model();
+        let m = phase1_model();
         let export = Arc::new(RootBasisSlot::new());
         m.solver()
             .presolve(false)
@@ -2888,7 +2560,7 @@ mod tests {
         let mk = |nodes, pivots, ms, worker| SolveStats {
             nodes,
             lp_iterations: 10 * nodes,
-            dual_iterations: 3 * nodes,
+            dual_iterations: 0,
             pivots,
             bound_flips: 1,
             refactorizations: 2,
@@ -2905,7 +2577,6 @@ mod tests {
         let b = mk(5, 11, 90, 1);
         a.merge_concurrent(&b);
         assert_eq!(a.nodes, 8);
-        assert_eq!(a.dual_iterations, 24);
         assert_eq!(a.pivots, 18);
         assert_eq!(a.bound_flips, 2);
         assert_eq!(a.refactorizations, 4);
@@ -2941,8 +2612,6 @@ mod tests {
             bound,
             depth: 0,
             seq,
-            cutoff: f64::INFINITY,
-            warm: None,
         };
         let mut heap = BinaryHeap::new();
         heap.push(mk(f64::NAN, 0));
@@ -2964,24 +2633,21 @@ mod tests {
     fn time_limit_returns_incumbent_not_error() {
         // Seeded case for SolveOptions::time_limit: with an expired
         // deadline the solver must return the warm-start incumbent as
-        // Feasible — on both the cold-primal and warm-dual configurations
-        // — and only without any incumbent degrade to a typed limit error.
+        // Feasible, and only without any incumbent degrade to a typed
+        // limit error.
         let mut m = Model::new();
         let x = m.add_binary("x");
         let y = m.add_binary("y");
         m.add_constraint("cap", (x + y).le(1.0));
         m.set_objective(ObjectiveSense::Maximize, 2.0 * x + y);
-        for warm_basis in [false, true] {
-            let s = m
-                .solver()
-                .warm_start(vec![0.0, 1.0]) // feasible, objective 1
-                .time_limit(Duration::ZERO)
-                .warm_basis(warm_basis)
-                .run()
-                .unwrap();
-            assert_eq!(s.status(), SolveStatus::Feasible, "warm_basis={warm_basis}");
-            assert!((s.objective() - 1.0).abs() < 1e-9);
-        }
+        let s = m
+            .solver()
+            .warm_start(vec![0.0, 1.0]) // feasible, objective 1
+            .time_limit(Duration::ZERO)
+            .run()
+            .unwrap();
+        assert_eq!(s.status(), SolveStatus::Feasible);
+        assert!((s.objective() - 1.0).abs() < 1e-9);
         let err = m.solver().time_limit(Duration::ZERO).run().unwrap_err();
         assert!(matches!(err, SolveError::LimitReached { .. }), "{err}");
     }

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use letdma_core::fault::{self, FaultSite, FaultSpec};
 use letdma_core::{Counter, NodeEvent, SolverStats};
-use milp::{Model, ObjectiveSense, SolveError, SolveStatus, Var};
+use milp::{Model, ObjectiveSense, SolveError, SolveOptions, SolveStatus, Var};
 
 static PLANE: Mutex<()> = Mutex::new(());
 
@@ -136,8 +136,9 @@ fn persistent_numerical_breakdown_branches_conservatively() {
     });
 }
 
-/// A singular refactorization in the warm (dual) re-solve path degrades
-/// to the cold primal solve for that node; the optimum is untouched.
+/// A singular refactorization in a node LP degrades to the escalated
+/// cold re-solve of that node; the optimum is untouched. A refactor
+/// cadence of one pivot makes the first node LP refactorize.
 #[test]
 fn singular_refactorization_degrades_to_cold_solve() {
     plane(|| {
@@ -146,12 +147,18 @@ fn singular_refactorization_degrades_to_cold_solve() {
             FaultSpec::always().limit_fires(1),
         );
         let (m, _) = knapsack();
+        let mut stats = SolverStats::new();
         let sol = m
             .solver()
+            .options(SolveOptions::new().with_refactor_interval(1))
+            .instrument(&mut stats)
             .run()
-            .expect("a singular warm basis must fall back to the cold path");
+            .expect("a singular basis must fall back to a cold re-solve");
         assert_eq!(sol.status(), SolveStatus::Optimal);
         assert!((sol.objective() - 220.0).abs() < 1e-9);
+        assert_eq!(fault::fires(FaultSite::SingularRefactor), 1);
+        assert_eq!(stats.counter(Counter::ToleranceEscalations), 1);
+        assert_eq!(stats.counter(Counter::NumericalRecoveries), 1);
     });
 }
 

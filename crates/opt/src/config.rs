@@ -79,14 +79,6 @@ pub struct OptConfig {
     /// in the parallel MILP search — see
     /// [`milp::SolveOptions::deterministic`].
     pub deterministic: bool,
-    /// Warm (dual-simplex) node re-solves from the parent basis in the
-    /// MILP search (default on) — see [`milp::SolveOptions::warm_basis`].
-    /// Never changes the solution, only the work spent finding it; this
-    /// knob exists for A/B measurements like `BENCH_milp.json`'s
-    /// warm/cold split. Distinct from
-    /// [`warm_start`](Self::warm_start), which seeds the search with the
-    /// *heuristic incumbent*.
-    pub warm_basis: bool,
     /// MILP presolve (bound propagation, fixing, big-M tightening) ahead
     /// of branch-and-bound — see [`milp::SolveOptions::presolve`]. `None`
     /// (the default) defers to the `LETDMA_PRESOLVE` environment variable
@@ -94,14 +86,6 @@ pub struct OptConfig {
     /// the coordinator before any worker spawns, so the search trajectory
     /// stays byte-identical at any thread count either way.
     pub presolve: Option<bool>,
-    /// Crash-basis construction for simplex phase 1 — see
-    /// [`milp::SolveOptions::with_crash`]. `None` (the default) defers to
-    /// the `LETDMA_CRASH` environment variable and falls back to *off*;
-    /// `Some(_)` overrides both. The crash changes pivot paths (and
-    /// possibly which optimal vertex is reported), never objective values;
-    /// it stays off by default so the byte-identical trajectory
-    /// regressions keep pinning the canonical cold path.
-    pub crash: Option<bool>,
     /// Cross-scenario root-basis reuse (default on): sibling solves of the
     /// same model structure start their root LP from the first solve's
     /// optimal basis, skipping phase 1 — see
@@ -143,9 +127,7 @@ impl Default for OptConfig {
             log: false,
             threads: None,
             deterministic: true,
-            warm_basis: true,
             presolve: None,
-            crash: None,
             reuse_basis: true,
             measure_root_gap: false,
             deadline: None,
@@ -234,29 +216,12 @@ impl OptConfig {
         self
     }
 
-    /// Enables or disables warm (dual-simplex) node re-solves in the MILP
-    /// search (see [`OptConfig::warm_basis`]; default on).
-    #[must_use]
-    pub fn with_warm_basis(mut self, warm_basis: bool) -> Self {
-        self.warm_basis = warm_basis;
-        self
-    }
-
     /// Forces MILP presolve on or off, overriding the `LETDMA_PRESOLVE`
     /// environment variable (see [`OptConfig::presolve`]; unset defaults
     /// to on).
     #[must_use]
     pub fn with_presolve(mut self, presolve: bool) -> Self {
         self.presolve = Some(presolve);
-        self
-    }
-
-    /// Forces the simplex crash-basis constructor on or off, overriding
-    /// the `LETDMA_CRASH` environment variable (see [`OptConfig::crash`];
-    /// unset defaults to off).
-    #[must_use]
-    pub fn with_crash(mut self, crash: bool) -> Self {
-        self.crash = Some(crash);
         self
     }
 
@@ -317,19 +282,9 @@ mod tests {
             .with_warm_start(false)
             .with_threads(0)
             .with_deterministic(false)
-            .with_warm_basis(false)
             .with_presolve(false)
-            .with_crash(true)
             .with_reuse_basis(false)
             .with_measure_root_gap(true);
-        assert!(!c.warm_basis);
-        assert!(OptConfig::new().warm_basis, "warm re-solves default on");
-        assert_eq!(c.crash, Some(true));
-        assert_eq!(
-            OptConfig::new().crash,
-            None,
-            "crash defers to LETDMA_CRASH by default"
-        );
         assert!(!c.reuse_basis);
         assert!(
             OptConfig::new().reuse_basis,

@@ -168,7 +168,6 @@ impl Drop for SealOnDrop {
 /// let solution = Optimizer::new(&system)
 ///     .objective(Objective::MinTransfers)
 ///     .threads(2)
-///     .warm_basis(true) // dual-simplex node re-solves (the default)
 ///     .instrument(&mut stats)
 ///     .run()?;
 /// assert!(stats.phases().iter().any(|(name, _, _)| *name == "milp-search"));
@@ -251,26 +250,10 @@ impl<'s, 'i> Optimizer<'s, 'i> {
         self
     }
 
-    /// Enables or disables warm (dual-simplex) node re-solves in the MILP
-    /// search (default on; never changes the solution, only the work spent
-    /// finding it — see [`OptConfig::warm_basis`]).
-    pub fn warm_basis(mut self, warm_basis: bool) -> Self {
-        self.config = self.config.with_warm_basis(warm_basis);
-        self
-    }
-
     /// Forces MILP presolve on or off, overriding the `LETDMA_PRESOLVE`
     /// environment variable (see [`OptConfig::presolve`]).
     pub fn presolve(mut self, presolve: bool) -> Self {
         self.config = self.config.with_presolve(presolve);
-        self
-    }
-
-    /// Forces the simplex crash-basis constructor on or off, overriding
-    /// the `LETDMA_CRASH` environment variable (see [`OptConfig::crash`];
-    /// unset defaults to off).
-    pub fn crash(mut self, crash: bool) -> Self {
-        self.config = self.config.with_crash(crash);
         self
     }
 
@@ -333,9 +316,9 @@ impl<'s, 'i> Optimizer<'s, 'i> {
     /// the returned solution is recorded in
     /// [`LetDmaSolution::resolution`]:
     ///
-    /// 1. a worker panic in the MILP search triggers **one** retry from
-    ///    scratch at half the time/node budget with warm dual re-solves
-    ///    disabled ([`Resolution::MilpRetry`]);
+    /// 1. a worker panic in the MILP search triggers **one** cold retry
+    ///    from scratch at half the time/node budget, without the
+    ///    cross-scenario root hooks ([`Resolution::MilpRetry`]);
     /// 2. if the search (or its retry) ends with no incumbent — budget
     ///    exhausted or panics persisting — the conformance-verified
     ///    constructive heuristic is returned when it exists
@@ -514,8 +497,7 @@ fn run_pipeline(
         // threading them through the `with_*` chain.
         let mut solve_options = SolveOptions::new()
             .with_log(config.log)
-            .with_deterministic(config.deterministic)
-            .with_warm_basis(config.warm_basis);
+            .with_deterministic(config.deterministic);
         solve_options.time_limit = config.time_limit;
         solve_options.node_limit = config.node_limit;
         solve_options.warm_start = warm;
@@ -529,7 +511,6 @@ fn run_pipeline(
         };
         solve_options.measure_root_gap = config.measure_root_gap;
         solve_options.deadline = config.deadline;
-        solve_options.crash = config.crash;
         (built, solve_options)
     });
     let f = match (built.as_ref(), prepared) {
@@ -547,8 +528,7 @@ fn run_pipeline(
         }
         // Cross-scenario root reuse: attach the import/export hooks to the
         // *first* search only — the panic-retry below always solves cold
-        // (it already strips the intra-search warm path, and a donor that
-        // panicked has its slot sealed by the guard above).
+        // (a donor that panicked has its slot sealed by the guard above).
         match &root {
             RootReuse::Off => {}
             RootReuse::Slot(slot) => match slot.get() {
@@ -570,11 +550,10 @@ fn run_pipeline(
     });
     if matches!(solve_result, Err(SolveError::WorkerPanic { .. })) {
         // Degradation rung 1: a worker panic poisoned the first search, so
-        // retry once from scratch at half the budget with warm (dual)
-        // re-solves disabled — the cheapest configuration change that
-        // removes a whole code path from the panic surface while still
-        // giving the MILP a real chance before the heuristic fallback.
-        let mut retry_options = solve_options.clone().with_warm_basis(false);
+        // retry once cold from scratch at half the budget and without the
+        // root hooks — still giving the MILP a real chance before the
+        // heuristic fallback.
+        let mut retry_options = solve_options.clone();
         retry_options.time_limit = solve_options.time_limit.map(|t| t / 2);
         retry_options.node_limit = solve_options.node_limit.map(|n| (n / 2).max(1));
         resolution = Resolution::MilpRetry;

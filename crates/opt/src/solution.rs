@@ -42,8 +42,9 @@ pub enum Provenance {
 pub enum Resolution {
     /// The first MILP attempt returned the solution.
     Milp,
-    /// The first MILP attempt died on a worker panic; the reduced-budget
-    /// retry (warm dual re-solves disabled) returned the solution.
+    /// The first MILP attempt died on a worker panic; the cold
+    /// half-budget retry (no cross-scenario root hooks) returned the
+    /// solution.
     MilpRetry,
     /// The MILP search (including any retry) produced no incumbent; the
     /// conformance-verified constructive heuristic was returned instead.

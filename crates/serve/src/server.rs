@@ -232,6 +232,11 @@ impl DrainHandle {
     pub fn drain(&self) {
         self.shared.drain();
     }
+
+    /// Whether both handles drain the same server.
+    pub(crate) fn same_server(&self, other: &DrainHandle) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
+    }
 }
 
 /// The solve server: a bounded job queue fanned out over worker threads.

@@ -235,7 +235,8 @@ struct TcpShared {
     /// registered in-flight ones have been drained.
     draining: AtomicBool,
     /// Drain handles of in-flight per-batch servers, so a drain reaches
-    /// batches that are mid-solve on other threads.
+    /// batches that are mid-solve on other threads. A batch removes its
+    /// own handle once its server has shut down.
     drains: Mutex<Vec<crate::server::DrainHandle>>,
     /// Stops the accept loop and the per-connection read loops.
     stop: AtomicBool,
@@ -389,6 +390,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<TcpShared>) {
                 if shared.stop.load(Ordering::SeqCst) {
                     break;
                 }
+                // Forget connections that already closed, so the list is
+                // bounded by the open ones.
+                handlers.retain(|h| !h.is_finished());
                 let shared = Arc::clone(shared);
                 if let Ok(handle) = std::thread::Builder::new()
                     .name("letdma-tcp-conn".to_owned())
@@ -495,11 +499,12 @@ fn run_batch(shared: &Arc<TcpShared>, requests: Vec<SolveRequest>) -> Vec<SolveR
     if !fresh.is_empty() {
         let mut server =
             Server::start_with_cache(shared.serve_config.clone(), shared.cache.clone());
+        let drain_handle = server.drain_handle();
         shared
             .drains
             .lock()
             .expect("tcp drain registry lock")
-            .push(server.drain_handle());
+            .push(drain_handle.clone());
         // Re-check after registering: a drain that raced past the registry
         // is applied here, so no batch escapes it.
         if shared.draining.load(Ordering::SeqCst) {
@@ -524,11 +529,17 @@ fn run_batch(shared: &Arc<TcpShared>, requests: Vec<SolveRequest>) -> Vec<SolveR
                 .expect("one response per submission");
             outcomes[position] = Some(outcome);
         }
+        let batch_stats = server.shutdown();
+        shared
+            .drains
+            .lock()
+            .expect("tcp drain registry lock")
+            .retain(|h| !h.same_server(&drain_handle));
         shared
             .stats
             .lock()
             .expect("tcp stats lock")
-            .absorb(&server.shutdown());
+            .absorb(&batch_stats);
         // Publish keyed answers, then wake every waiting duplicate.
         {
             let mut idem = shared.idem.lock().expect("tcp idempotency lock");
@@ -768,6 +779,35 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use letdma_model::SystemBuilder;
+    use letdma_opt::OptConfig;
+
+    use crate::Client;
+
+    #[test]
+    fn finished_batches_leave_no_drain_handles_behind() {
+        let mut b = SystemBuilder::new(2);
+        let p = b.task("p").period_ms(5).core_index(0).add().unwrap();
+        let c = b.task("c").period_ms(10).core_index(1).add().unwrap();
+        b.label("l").size(64).writer(p).reader(c).add().unwrap();
+        let system = b.build().unwrap();
+        let server = TcpServer::bind("127.0.0.1:0", ServeConfig::new()).expect("bind");
+        let mut client = Client::new(TcpTransport::connect(server.local_addr()));
+        for _ in 0..4 {
+            let request = SolveRequest::new(system.clone(), OptConfig::new());
+            let responses = client.solve_batch(&[request]).expect("batch answered");
+            assert!(responses[0].outcome.is_ok());
+        }
+        let registered = server
+            .shared
+            .drains
+            .lock()
+            .expect("tcp drain registry lock")
+            .len();
+        assert_eq!(registered, 0, "finished batches must deregister");
+        let _ = server.shutdown();
+    }
 
     #[test]
     fn backoff_is_deterministic_jittered_and_capped() {

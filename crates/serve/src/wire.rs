@@ -283,10 +283,8 @@ fn config_json(config: &OptConfig) -> Json {
         ("log", Json::Bool(config.log)),
         ("threads", opt_u64_json(config.threads.map(|n| n as u64))),
         ("deterministic", Json::Bool(config.deterministic)),
-        ("warm_basis", Json::Bool(config.warm_basis)),
         ("presolve", config.presolve.map_or(Json::Null, Json::Bool)),
         ("measure_root_gap", Json::Bool(config.measure_root_gap)),
-        ("crash", config.crash.map_or(Json::Null, Json::Bool)),
         ("reuse_basis", Json::Bool(config.reuse_basis)),
     ])
 }
@@ -307,18 +305,12 @@ fn config_from(value: &Json) -> Result<OptConfig, String> {
     config.log = bool_field(value, "log")?;
     config.threads = opt_u64_field(value, "threads")?.map(|n| n as usize);
     config.deterministic = bool_field(value, "deterministic")?;
-    config.warm_basis = bool_field(value, "warm_basis")?;
     config.presolve = match field(value, "presolve")? {
         Json::Null => None,
         Json::Bool(b) => Some(*b),
         _ => return Err("field `presolve` is not null or a boolean".to_owned()),
     };
     config.measure_root_gap = bool_field(value, "measure_root_gap")?;
-    config.crash = match field(value, "crash")? {
-        Json::Null => None,
-        Json::Bool(b) => Some(*b),
-        _ => return Err("field `crash` is not null or a boolean".to_owned()),
-    };
     config.reuse_basis = bool_field(value, "reuse_basis")?;
     Ok(config)
 }

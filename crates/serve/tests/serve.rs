@@ -109,6 +109,23 @@ fn wire_requests_round_trip() {
     );
 }
 
+/// Request documents from older clients carry config fields this version
+/// no longer has (the removed warm-basis and `crash` knobs); the decoder
+/// ignores unknown fields instead of rejecting the document.
+#[test]
+fn wire_requests_from_older_clients_still_decode() {
+    let config = base_config().with_node_limit(77);
+    let text = wire::encode_requests(&[SolveRequest::new(comm_system(5), config)]);
+    let older = text.replacen(
+        "\"deterministic\"",
+        "\"crash\": true, \"retired_knob\": false, \"deterministic\"",
+        1,
+    );
+    assert_ne!(older, text, "the config object must have been extended");
+    let decoded = wire::decode_requests(&older).expect("older documents decode");
+    assert_eq!(decoded[0].config.node_limit, Some(77));
+}
+
 /// Responses survive the codec bit-exactly: the objective value's f64
 /// bits, every counter, phase counts and the incumbent timeline, plus
 /// typed errors.

@@ -37,6 +37,13 @@ LETDMA_BASIS=dense  LETDMA_THREADS=4 cargo test -p milp -p letdma-opt --quiet --
 LETDMA_BASIS=sparse LETDMA_THREADS=1 cargo test -p milp -p letdma-opt --quiet --offline
 LETDMA_BASIS=sparse LETDMA_THREADS=4 cargo test -p milp -p letdma-opt --quiet --offline
 
+echo "== benchmark package (perfbench/, a separate cargo workspace) =="
+# `cargo build --workspace` never compiles perfbench/: it has its own
+# [workspace]. Build and test it here so a change to the public names it
+# reads (counters, options, stats fields) fails CI instead of the benchmark.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test --doc =="
 # The worked examples on the session builders (Model::solver(),
 # Optimizer::new()) and the crate-level docs are doc-tests; keep them
@@ -48,17 +55,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== bench-milp smoke (BENCH_milp.json) =="
 # A tiny node budget keeps this fast; the run itself validates the JSON
-# against the letdma-bench-milp/4 schema before writing (milp_bench::validate)
-# and asserts warm/cold trajectory agreement, so a nonzero exit or a missing
-# file is the failure signal. The committed BENCH_milp.json serves as the
-# warm-fathom and wall-clock baseline, exercising the Json::parse + delta
-# path.
+# against the letdma-bench-milp/5 schema before writing (milp_bench::validate),
+# so a nonzero exit or a missing file is the failure signal. The committed
+# BENCH_milp.json serves as the wall-clock baseline, exercising the
+# Json::parse + speedup path.
 smoke_out="$(mktemp -t bench_milp_smoke.XXXXXX.json)"
 trap 'rm -f "$smoke_out"' EXIT
 cargo run --release -p letdma-bench --bin repro --offline -- \
   bench-milp --nodes 2 --baseline BENCH_milp.json --out "$smoke_out"
 test -s "$smoke_out" || { echo "bench-milp produced no BENCH_milp.json"; exit 1; }
-grep -q '"schema": "letdma-bench-milp/4"' "$smoke_out" || {
+grep -q '"schema": "letdma-bench-milp/5"' "$smoke_out" || {
   echo "bench-milp output lacks the schema tag"; exit 1; }
 grep -q '"phase1_iterations_saved"' "$smoke_out" || {
   echo "bench-milp output lacks the reuse phase-1 block"; exit 1; }

@@ -8,7 +8,9 @@
 
 use std::time::Duration;
 
-use letdma::core::{Cases, Counter, Rng, SolverStats};
+use std::fmt::Write as _;
+
+use letdma::core::{Cases, Counter, Fnv64, Rng, SolverStats, Xoshiro256};
 use letdma::model::{System, SystemBuilder, TimeNs};
 use letdma::opt::{heuristic_solution, Objective, OptConfig, Optimizer};
 use letdma::sim::{simulate, Approach, SimConfig};
@@ -168,94 +170,81 @@ fn solver_trajectory_is_deterministic() {
     );
 }
 
-/// Runs one node-limited solve with warm (dual-simplex) node re-solves on
-/// or off and returns everything the byte-identity claim covers: layout,
-/// schedule, exact objective bits, node count and the incumbent timeline.
-/// Deliberately *excluded*: iteration/LP-solve counters (warmth exists to
-/// change those) and node-event labels (a warm certificate may label an
-/// infeasible-and-fathomable node `fathomed-by-bound` where cold says
-/// `infeasible` — see DESIGN.md §"Warm-started node re-solves").
-fn warm_cold_fingerprint(
-    system: &System,
-    objective: Objective,
-    node_limit: u64,
-    warm_basis: bool,
-) -> (String, u64, Vec<(u64, u64)>) {
+/// Runs one node-limited solve and hashes everything the trajectory pin
+/// covers: layout, schedule, exact objective bits, node count and the
+/// incumbent timeline. Deliberately *excluded*: iteration/LP-solve work
+/// counters, which measure how each node LP was solved, not what the
+/// search found.
+fn trajectory_hash(system: &System, objective: Objective, node_limit: u64) -> u64 {
     let mut stats = SolverStats::default();
     let config = OptConfig::new()
         .with_objective(objective)
         .without_time_limit()
-        .with_node_limit(node_limit)
-        .with_warm_basis(warm_basis);
+        .with_node_limit(node_limit);
     let solution = Optimizer::new(system)
         .config(config)
         .instrument(&mut stats)
         .run()
         .expect("feasible");
-    let fingerprint = format!(
-        "{:?}|{:?}|{:?}",
+    let mut h = Fnv64::new();
+    write!(
+        h,
+        "{:?}|{:?}|{:?}|{}",
         solution.layout,
         solution.schedule,
         solution.objective_value.map(f64::to_bits),
-    );
-    let timeline: Vec<(u64, u64)> = stats
-        .incumbents()
-        .iter()
-        .map(|r| (r.nodes, r.objective.to_bits()))
-        .collect();
-    let (warm_attempts, dual_iterations) = (
-        stats.counter(Counter::WarmAttempts),
-        stats.counter(Counter::DualIterations),
-    );
-    if warm_basis {
-        assert_eq!(
-            stats.counter(Counter::WarmFathoms)
-                + stats.counter(Counter::WarmInfeasible)
-                + stats.counter(Counter::WarmFallbacks),
-            warm_attempts,
-            "every warm attempt must end in exactly one outcome"
-        );
-    } else {
-        assert_eq!(warm_attempts, 0, "cold run must not attempt warm re-solves");
-        assert_eq!(
-            dual_iterations, 0,
-            "cold run must not spend dual iterations"
-        );
+        stats.counter(Counter::Nodes),
+    )
+    .expect("hashing never fails");
+    for r in stats.incumbents() {
+        h.write_u64(r.nodes);
+        h.write_u64(r.objective.to_bits());
     }
-    (fingerprint, stats.counter(Counter::Nodes), timeline)
+    h.finish()
 }
 
-/// Warm (dual-simplex) node re-solves are a pure work-saver: on the WATERS
-/// case study the warm and cold searches produce byte-identical layouts,
-/// schedules, objective bits, node counts and incumbent timelines.
+/// The WATERS search trajectory under `MinTransfers` at 8 nodes, pinned
+/// by hash. The constant was captured when node re-solves still ran a
+/// value-free dual-simplex certificate before the cold primal solve; the
+/// certificate never changed a search answer, and this pin proves its
+/// removal did not either.
 #[test]
-fn waters_warm_resolves_match_cold_bit_for_bit() {
+fn waters_trajectory_matches_golden_hash() {
     let (system, _) = waters_system().expect("case study builds");
-    let warm = warm_cold_fingerprint(&system, Objective::MinTransfers, 8, true);
-    let cold = warm_cold_fingerprint(&system, Objective::MinTransfers, 8, false);
-    assert_eq!(warm, cold, "warm re-solves changed the WATERS trajectory");
+    let got = trajectory_hash(&system, Objective::MinTransfers, 8);
+    assert_eq!(
+        got, 0x7CE5_F85A_D9AE_C283,
+        "WATERS trajectory hash {got:#018x}"
+    );
 }
 
-/// The same byte-identity over a seeded corpus of generated workloads
-/// (replay a failure with `LETDMA_CASE_SEED`; scale up with
-/// `LETDMA_CASES`).
+/// The same pin over a fixed six-case seeded corpus at 60 nodes. Case
+/// seeds come from `Cases::case_seed`, so `LETDMA_CASES` does not resize
+/// the set and every case has its own constant.
 #[test]
-fn generated_corpus_warm_resolves_match_cold_bit_for_bit() {
-    Cases::new("warm_cold_identity", 6).run(|rng| {
-        let cfg = GenConfig {
-            cores: 2,
-            tasks: 5 + (rng.next_u64() % 3) as usize,
-            labels: 3 + (rng.next_u64() % 4) as usize,
-            seed: rng.next_u64(),
-            ..GenConfig::default()
-        };
-        let system = generate(&cfg);
-        let warm = warm_cold_fingerprint(&system, Objective::MinTransfers, 60, true);
-        let cold = warm_cold_fingerprint(&system, Objective::MinTransfers, 60, false);
-        assert_eq!(
-            warm, cold,
-            "warm re-solves changed the trajectory for seed {:#x}",
-            cfg.seed
-        );
-    });
+fn generated_corpus_trajectories_match_golden_hashes() {
+    const GOLDEN: [u64; 6] = [
+        0x59FF_AA7F_6B4F_E344,
+        0x93BC_3FB7_FEB2_6333,
+        0xCCBE_14AA_3EDB_5089,
+        0x525C_91DA_0EFE_C0D0,
+        0x5FD8_7633_B1BB_CDCF,
+        0x90FD_88D5_A75E_BF33,
+    ];
+    let cases = Cases::new("warm_cold_identity", GOLDEN.len());
+    let got: Vec<u64> = (0..GOLDEN.len())
+        .map(|index| {
+            let mut rng = Xoshiro256::seed_from_u64(cases.case_seed(index));
+            let cfg = GenConfig {
+                cores: 2,
+                tasks: 5 + (rng.next_u64() % 3) as usize,
+                labels: 3 + (rng.next_u64() % 4) as usize,
+                seed: rng.next_u64(),
+                ..GenConfig::default()
+            };
+            trajectory_hash(&generate(&cfg), Objective::MinTransfers, 60)
+        })
+        .collect();
+    let rendered: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
+    assert_eq!(got, GOLDEN, "corpus trajectory hashes {rendered:?}");
 }
