@@ -197,7 +197,7 @@ pub fn run_over(node_limit: u64, workers: &[usize], tcp: bool) -> ServeBench {
             responses = client
                 .solve_batch(&requests)
                 .unwrap_or_else(|e| panic!("serve round (workers={w}) failed: {e}"));
-            round_stats = client.transport().stats().clone();
+            round_stats = client.transport().stats();
         }
         let wall_clock = started.elapsed();
 

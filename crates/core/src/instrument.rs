@@ -113,8 +113,9 @@ pub enum Counter {
     /// keyed by the model-structure hash, skipping both phases entirely.
     CacheHits,
     /// High-watermark depth of the serve admission queue over the server's
-    /// lifetime (reported once at shutdown, like
+    /// lifetime (reported once per stats snapshot, like
     /// [`RootGapBps`](Self::RootGapBps) is reported once per solve).
+    /// Merging two collectors keeps the larger watermark.
     QueueDepth,
     /// Root LPs warm-started from a sibling scenario's exported root basis
     /// (the cross-scenario reuse ladder rung; see `letdma-opt`'s
@@ -377,7 +378,8 @@ impl SolverStats {
     }
 
     /// Merges another collector into this one (phase totals and counters
-    /// add; incumbent timelines concatenate in order).
+    /// add, except the [`Counter::QueueDepth`] watermark, which keeps the
+    /// larger value; incumbent timelines concatenate in order).
     ///
     /// This is the *sequential* merge: use it when `other` records work
     /// that happened after this collector's (two solves back to back).
@@ -403,7 +405,8 @@ impl SolverStats {
     /// worker's shard, a scenario solved in parallel).
     ///
     /// Counters, node events and incumbent timelines still sum and
-    /// concatenate — work is work — but each wall-clock phase takes the
+    /// concatenate — work is work; the [`Counter::QueueDepth`] watermark
+    /// still keeps the larger value — but each wall-clock phase takes the
     /// **maximum** of the two totals instead of their sum: concurrent
     /// phases overlap, so the larger shard bounds the elapsed time. Entry
     /// counts still add (they count events, not time).
@@ -425,7 +428,13 @@ impl SolverStats {
     /// the phase-duration policy.
     fn absorb_events(&mut self, other: &SolverStats) {
         for (&c, &n) in &other.counters {
-            *self.counters.entry(c).or_insert(0) += n;
+            let total = self.counters.entry(c).or_insert(0);
+            // A watermark merges as the deeper of the two, not their sum.
+            *total = if c == Counter::QueueDepth {
+                (*total).max(n)
+            } else {
+                *total + n
+            };
         }
         for (&e, &n) in &other.node_events {
             *self.node_events.entry(e).or_insert(0) += n;
@@ -607,8 +616,11 @@ mod tests {
         b.count(Counter::Pivots, 3);
         b.phase_finished("lp", Duration::from_millis(2));
         b.node_event(NodeEvent::Integral);
+        a.count(Counter::QueueDepth, 4);
+        b.count(Counter::QueueDepth, 3);
         a.absorb(&b);
         assert_eq!(a.counter(Counter::Pivots), 5);
+        assert_eq!(a.counter(Counter::QueueDepth), 4, "a watermark is a max");
         assert_eq!(a.phases()[0], ("lp", Duration::from_millis(3), 2));
         assert_eq!(a.node_events(NodeEvent::Integral), 1);
     }

@@ -1,10 +1,10 @@
 //! The typed request/response surface of the solve service.
 //!
 //! These types are the protocol: a transport ships them (the bundled codec
-//! is [`crate::wire`], but nothing here depends on it), the server consumes
-//! [`SolveRequest`]s and streams [`SolveResponse`]s back in completion
-//! order. The schema is versioned by [`PROTOCOL`]; a wire document with a
-//! different protocol string is rejected before any field is read.
+//! is [`crate::wire`], but nothing here depends on it), the server answers
+//! a batch of [`SolveRequest`]s with one [`SolveResponse`] per request, in
+//! request order. The schema is versioned by [`PROTOCOL`]; a wire document
+//! with a different protocol string is rejected before any field is read.
 
 use std::fmt;
 use std::time::Duration;
@@ -17,12 +17,9 @@ use letdma_opt::{OptConfig, Resolution};
 /// any incompatible change to the request or response layout.
 pub const PROTOCOL: &str = "letdma-serve/1";
 
-/// Identifier of one submitted job, unique within a [`Server`]
-/// (sequential from zero over all submission attempts, accepted or
-/// rejected — so sorting a batch's responses by id restores submission
-/// order).
-///
-/// [`Server`]: crate::Server
+/// Identifier of one job: its zero-based position in the submitted batch,
+/// whether the job was admitted or rejected. A batch's responses come back
+/// in request order, so `responses[i].job == JobId(i)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobId(pub u64);
@@ -139,30 +136,13 @@ impl SolveResponse {
     }
 }
 
-/// Lifecycle of a job inside a [`Server`](crate::Server).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[non_exhaustive]
-pub enum JobStatus {
-    /// Admitted, waiting for a worker.
-    Queued,
-    /// Dequeued by a worker; solving (or checking its deadline).
-    Running,
-    /// A [`SolveResponse`] has been emitted (success or typed failure).
-    Done,
-    /// Refused at admission (queue full); its rejection response was
-    /// emitted immediately.
-    Rejected,
-}
-
 /// Typed failures of the solve service.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ServeError {
     /// Admission control refused the job: the queue already holds
-    /// `capacity` jobs. Resubmit later (the submitter sees this both as
-    /// the `submit` error and as the job's streamed response).
+    /// `capacity` jobs. Resubmit later (the job did no solver work).
     QueueFull {
         /// The queue capacity that was exhausted.
         capacity: usize,
@@ -174,7 +154,7 @@ pub enum ServeError {
     DeadlineExpired,
     /// The server began a graceful drain before a worker picked this job
     /// up: in-flight solves run to completion, but queued work — and any
-    /// submission arriving after the drain started — is rejected with this
+    /// request arriving after the drain started — is rejected with this
     /// error. Resubmit to another server (the job did no solver work).
     ShuttingDown,
     /// The solve itself failed; carries the rendered

@@ -2,10 +2,11 @@
 //!
 //! The session API is transport-agnostic: a [`Transport`] moves one
 //! request document to a server and brings one response document back,
-//! and everything else — encoding, decoding, ordering — lives in
-//! [`Client`]. The bundled [`LoopbackTransport`] runs the server
-//! in-process (the benchmark and CI smoke path); a network transport
-//! would implement the same one-method trait over a socket.
+//! and everything else — encoding, decoding, the response-count check —
+//! lives in [`Client`]. The bundled [`LoopbackTransport`] runs the server
+//! in-process (the benchmark and CI smoke path);
+//! [`TcpTransport`](crate::TcpTransport) implements the same one-method
+//! trait over a socket.
 
 use letdma_core::SolverStats;
 
@@ -28,16 +29,16 @@ pub trait Transport {
     fn round_trip(&mut self, request: &str) -> Result<String, ServeError>;
 }
 
-/// An in-process transport: each [`round_trip`](Transport::round_trip)
-/// starts a [`Server`], submits the decoded batch, collects every
-/// response and shuts the server down — while the [`SolveCache`] and the
-/// aggregate server statistics persist across calls, so a re-submitted
-/// model structure hits the cache on the next exchange.
+/// An in-process transport: one [`Server`], started at construction and
+/// kept for the transport's lifetime. Each
+/// [`round_trip`](Transport::round_trip) decodes the batch, runs it
+/// through [`Server::solve_batch`] and encodes the responses, so the
+/// [`SolveCache`], the queue and the aggregate statistics persist across
+/// calls and a re-submitted model structure hits the cache on the next
+/// exchange.
 #[derive(Debug)]
 pub struct LoopbackTransport {
-    config: ServeConfig,
-    cache: SolveCache,
-    stats: SolverStats,
+    server: Server,
 }
 
 impl LoopbackTransport {
@@ -53,43 +54,23 @@ impl LoopbackTransport {
     #[must_use]
     pub fn with_cache(config: ServeConfig, cache: SolveCache) -> Self {
         Self {
-            config,
-            cache,
-            stats: SolverStats::new(),
+            server: Server::start_with_cache(config, cache),
         }
     }
 
-    /// Aggregate statistics of every server generation this transport has
-    /// run: admission counters, cache hits, queue depth and the absorbed
-    /// per-job solver counters.
+    /// A snapshot of the server's aggregate statistics: admission
+    /// counters, cache hits, queue depth (max) and the absorbed per-job
+    /// solver counters (see [`Server::stats`]).
     #[must_use]
-    pub fn stats(&self) -> &SolverStats {
-        &self.stats
-    }
-
-    /// The shared formulation + presolve cache.
-    #[must_use]
-    pub fn cache(&self) -> &SolveCache {
-        &self.cache
+    pub fn stats(&self) -> SolverStats {
+        self.server.stats()
     }
 }
 
 impl Transport for LoopbackTransport {
     fn round_trip(&mut self, request: &str) -> Result<String, ServeError> {
         let requests = wire::decode_requests(request).map_err(ServeError::Transport)?;
-        let mut server = Server::start_with_cache(self.config.clone(), self.cache.clone());
-        let attempts = requests.len();
-        for request in requests {
-            // Rejections are streamed as responses too, so the submit
-            // error carries no extra information here.
-            let _ = server.submit(request);
-        }
-        let mut responses: Vec<SolveResponse> = (0..attempts).map(|_| server.recv()).collect();
-        // Completion order → submission order (ids are sequential over
-        // all submission attempts).
-        responses.sort_by_key(|r| r.job);
-        self.stats.absorb(&server.shutdown());
-        Ok(wire::encode_responses(&responses))
+        Ok(wire::encode_responses(&self.server.solve_batch(requests)))
     }
 }
 
@@ -113,8 +94,8 @@ impl<T: Transport> Client<T> {
     }
 
     /// Solves a batch of scenarios through the service and returns one
-    /// response per request, **in request order** (responses stream back
-    /// in completion order and are re-sorted by job id here).
+    /// response per request, **in request order** (the server answers in
+    /// that order; this method checks only the count).
     ///
     /// # Errors
     ///

@@ -6,18 +6,21 @@
 //! The crate has three layers (DESIGN.md §"Service architecture"):
 //!
 //! * [`api`] — the protocol types: [`SolveRequest`] / [`SolveResponse`] /
-//!   [`SolveReport`], typed failures ([`ServeError`]), job lifecycle
-//!   ([`JobId`], [`JobStatus`]), versioned by [`PROTOCOL`];
-//! * [`Server`] — admission control over a bounded FIFO queue, a worker
-//!   pool sharding jobs across the panic-isolated optimizer pipeline,
+//!   [`SolveReport`], typed failures ([`ServeError`]) and [`JobId`] (a
+//!   job's batch position), versioned by [`PROTOCOL`];
+//! * [`Server`] — one long-lived scheduler per process or listener:
+//!   admission control over a bounded FIFO queue, a worker pool sharding
+//!   jobs across the panic-isolated optimizer pipeline, a blocking
+//!   [`Server::solve_batch`] that any number of threads may call at once,
 //!   per-request deadlines stamped at admission, and a shared
 //!   [`SolveCache`] keyed by [`letdma_opt::structure_key`] so
 //!   re-submissions of a known model structure skip formulation and
 //!   presolve (with byte-identical solver trajectories — the cached
 //!   reduction replays its recorded tallies);
 //! * [`Client`] over a [`Transport`] — the wire codec ([`wire`], JSON
-//!   with bit-exact floats) plus ordering guarantees; the bundled
-//!   [`LoopbackTransport`] runs the server in-process.
+//!   with bit-exact floats); the bundled [`LoopbackTransport`] owns one
+//!   server in-process and [`TcpTransport`] reaches the one server behind
+//!   a [`TcpServer`].
 //!
 //! # Examples
 //!
@@ -54,7 +57,7 @@ mod server;
 pub mod tcp;
 pub mod wire;
 
-pub use api::{JobId, JobStatus, ServeError, SolveReport, SolveRequest, SolveResponse, PROTOCOL};
+pub use api::{JobId, ServeError, SolveReport, SolveRequest, SolveResponse, PROTOCOL};
 pub use client::{Client, LoopbackTransport, Transport};
-pub use server::{DrainHandle, ServeConfig, Server, SolveCache};
+pub use server::{ServeConfig, Server, SolveCache};
 pub use tcp::{RetryPolicy, TcpServer, TcpTransport};

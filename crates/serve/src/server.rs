@@ -5,12 +5,14 @@
 //! See DESIGN.md §"Service architecture" for the queue discipline, the
 //! cache keying and the backpressure contract. In short:
 //!
-//! * [`Server::submit`] either admits a job (bounded FIFO, counted under
-//!   [`Counter::JobsAdmitted`]) or rejects it immediately with
+//! * [`Server::solve_batch`] admits a batch's requests in order. Each one
+//!   is either queued (bounded FIFO, counted under
+//!   [`Counter::JobsAdmitted`]) or refused on the spot with
 //!   [`ServeError::QueueFull`] ([`Counter::JobsRejected`]) — queueing is
-//!   never unbounded, and a rejection is also streamed as a regular
-//!   [`SolveResponse`] so every submission attempt gets exactly one
-//!   response.
+//!   never unbounded. The call blocks until every admitted job of *its*
+//!   batch is answered and returns one response per request, in request
+//!   order. Several threads may call it at once: the queue, the workers
+//!   and the capacity are shared by every caller.
 //! * Workers dequeue in FIFO order. A job whose deadline expired while
 //!   queued is answered with [`ServeError::DeadlineExpired`] before any
 //!   simplex work.
@@ -25,17 +27,18 @@
 //!   [`OptConfig::reuse_basis`](letdma_opt::OptConfig::reuse_basis) per
 //!   request to make a cache hit's trajectory byte-identical to the cold
 //!   solve.
-//! * [`Server::drain`] (or a [`DrainHandle`] from another thread) starts a
-//!   graceful drain: queued jobs are rejected immediately with
-//!   [`ServeError::ShuttingDown`] ([`Counter::DrainRejections`]),
-//!   in-flight solves run to completion, later submissions are refused.
-//! * [`Server::shutdown`] drains the queue, joins the workers and returns
-//!   the server's aggregate [`SolverStats`] (including the high watermark
-//!   of the live [`Server::depth`] gauge under [`Counter::QueueDepth`]).
+//! * [`Server::drain`], from any thread, starts a graceful drain: queued
+//!   jobs are rejected immediately with [`ServeError::ShuttingDown`]
+//!   ([`Counter::DrainRejections`]), in-flight solves run to completion,
+//!   later batches are refused.
+//! * [`Server::stats`] snapshots the aggregate [`SolverStats`] (including
+//!   the high watermark of the live [`Server::depth`] gauge under
+//!   [`Counter::QueueDepth`]); [`Server::shutdown`] joins the workers and
+//!   returns the final snapshot.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -44,7 +47,7 @@ use letdma_core::{Counter, Instrument, SolverStats};
 use letdma_model::{let_semantics, System};
 use letdma_opt::{prepare, structure_key, OptConfig, OptError, Optimizer, Prepared};
 
-use crate::api::{JobId, JobStatus, ServeError, SolveReport, SolveRequest, SolveResponse};
+use crate::api::{JobId, ServeError, SolveReport, SolveRequest, SolveResponse};
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -55,10 +58,10 @@ pub struct ServeConfig {
     /// same explicit > environment > default chain every other knob uses
     /// (DESIGN.md §"Configuration precedence").
     pub workers: Option<usize>,
-    /// Admission bound: the maximum number of jobs waiting in the queue.
-    /// A submission arriving at a full queue is rejected with
-    /// [`ServeError::QueueFull`]; zero rejects every submission (useful to
-    /// test backpressure handling).
+    /// Admission bound: the maximum number of jobs waiting in the queue,
+    /// over every batch in flight. A request arriving at a full queue is
+    /// rejected with [`ServeError::QueueFull`]; zero rejects every request
+    /// (useful to test backpressure handling).
     pub queue_capacity: usize,
 }
 
@@ -97,13 +100,12 @@ impl ServeConfig {
 /// [`structure_key`].
 ///
 /// Cheap to clone (an `Arc` around the map): hand the same cache to
-/// several servers — or to successive server generations, as the loopback
-/// transport does — and re-submissions of an already-seen model structure
-/// skip formulation and presolve entirely. Each entry also holds the
-/// structure's cross-scenario root-basis slot (DESIGN.md §"Warm-start
-/// architecture"), so re-submissions additionally skip simplex phase 1
-/// unless the request disables
-/// [`reuse_basis`](letdma_opt::OptConfig::reuse_basis).
+/// several servers — the serve benchmark shares one across its rounds —
+/// and re-submissions of an already-seen model structure skip formulation
+/// and presolve entirely. Each entry also holds the structure's
+/// cross-scenario root-basis slot (DESIGN.md §"Warm-start architecture"),
+/// so re-submissions additionally skip simplex phase 1 unless the request
+/// disables [`reuse_basis`](letdma_opt::OptConfig::reuse_basis).
 #[derive(Debug, Clone, Default)]
 pub struct SolveCache {
     entries: Arc<Mutex<HashMap<u64, Arc<Prepared>>>>,
@@ -140,6 +142,9 @@ struct Job {
     system: System,
     config: OptConfig,
     deadline: Option<Instant>,
+    /// The submitting batch's reply channel. The job's one response goes
+    /// here, whether a worker or a drain flush produces it.
+    reply: mpsc::Sender<SolveResponse>,
 }
 
 struct QueueState {
@@ -147,15 +152,9 @@ struct QueueState {
     shutdown: bool,
     /// Graceful-drain mode: in-flight solves finish, queued jobs were
     /// flushed with [`ServeError::ShuttingDown`] rejections when the drain
-    /// began, and new submissions are refused (see [`Server::drain`]).
+    /// began, and new requests are refused (see [`Server::drain`]).
     draining: bool,
-    /// Live queue-depth gauge: incremented at admission, decremented on
-    /// every exit path — dispatch to a worker (including jobs whose queued
-    /// deadline then expires) and drain rejection — so it reads zero
-    /// exactly when no admitted job is still waiting.
-    depth: usize,
     high_watermark: usize,
-    status: BTreeMap<JobId, JobStatus>,
 }
 
 struct Shared {
@@ -163,104 +162,36 @@ struct Shared {
     available: Condvar,
     stats: Mutex<SolverStats>,
     cache: SolveCache,
-    /// The response stream's sender. Lives here (not only in the worker
-    /// threads) so a [`DrainHandle`] can stream drain rejections for
-    /// flushed jobs without going through a worker.
-    responses: mpsc::Sender<SolveResponse>,
 }
 
 impl Shared {
-    fn set_status(&self, id: JobId, status: JobStatus) {
-        self.state
-            .lock()
-            .expect("server state lock")
-            .status
-            .insert(id, status);
-    }
-
     fn count(&self, counter: Counter, n: u64) {
         self.stats
             .lock()
             .expect("server stats lock")
             .count(counter, n);
     }
-
-    /// Switches the server into drain mode and flushes the queue: every
-    /// queued job is rejected with [`ServeError::ShuttingDown`] right now
-    /// (not when a worker would have reached it), counted under
-    /// [`Counter::DrainRejections`]. In-flight solves are untouched.
-    /// Idempotent.
-    fn drain(&self) {
-        let flushed: Vec<JobId> = {
-            let mut state = self.state.lock().expect("server state lock");
-            state.draining = true;
-            let jobs: Vec<JobId> = state.queue.drain(..).map(|job| job.id).collect();
-            state.depth -= jobs.len();
-            for id in &jobs {
-                state.status.insert(*id, JobStatus::Rejected);
-            }
-            jobs
-        };
-        if !flushed.is_empty() {
-            self.count(Counter::DrainRejections, flushed.len() as u64);
-            for id in flushed {
-                let _ = self.responses.send(SolveResponse {
-                    job: id,
-                    outcome: Err(ServeError::ShuttingDown),
-                });
-            }
-        }
-    }
-}
-
-/// A cloneable handle that can start a graceful drain of its [`Server`]
-/// from another thread (see [`Server::drain_handle`]).
-///
-/// The TCP listener hands one to its shutdown path so connection handlers
-/// blocked in [`Server::recv`] still get every owed response: queued jobs
-/// are flushed as typed [`ServeError::ShuttingDown`] rejections, in-flight
-/// solves run to completion.
-#[derive(Debug, Clone)]
-pub struct DrainHandle {
-    shared: Arc<Shared>,
-}
-
-impl DrainHandle {
-    /// Starts the drain (idempotent): rejects all queued jobs immediately
-    /// and makes every later submission fail with
-    /// [`ServeError::ShuttingDown`].
-    pub fn drain(&self) {
-        self.shared.drain();
-    }
-
-    /// Whether both handles drain the same server.
-    pub(crate) fn same_server(&self, other: &DrainHandle) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
-    }
-}
-
-/// The solve server: a bounded job queue fanned out over worker threads.
-///
-/// Responses are streamed in **completion order** through
-/// [`recv`](Server::recv) — exactly one per submission attempt (admission
-/// rejections included). Sort by [`SolveResponse::job`] to restore
-/// submission order; that is what [`Client::solve_batch`] does.
-///
-/// [`Client::solve_batch`]: crate::Client::solve_batch
-#[derive(Debug)]
-pub struct Server {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    responses: mpsc::Receiver<SolveResponse>,
-    rejects: mpsc::Sender<SolveResponse>,
-    next_job: u64,
-    capacity: usize,
 }
 
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared").finish_non_exhaustive()
     }
+}
+
+/// The solve server: one bounded job queue fanned out over worker threads
+/// for its whole lifetime.
+///
+/// Share it by reference (or in an `Arc`) across threads:
+/// [`solve_batch`](Server::solve_batch), [`drain`](Server::drain),
+/// [`depth`](Server::depth) and [`stats`](Server::stats) all take
+/// `&self`, so the worker count and the queue capacity bound the whole
+/// process, not one batch.
+#[derive(Debug)]
+pub struct Server {
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+    capacity: usize,
 }
 
 impl Server {
@@ -270,8 +201,8 @@ impl Server {
         Self::start_with_cache(config, SolveCache::new())
     }
 
-    /// Starts a server sharing `cache` with other servers (or a previous
-    /// server generation): structures prepared elsewhere hit immediately.
+    /// Starts a server sharing `cache` with other servers: structures
+    /// prepared elsewhere hit immediately.
     ///
     /// # Panics
     ///
@@ -279,63 +210,91 @@ impl Server {
     #[must_use]
     pub fn start_with_cache(config: ServeConfig, cache: SolveCache) -> Self {
         let workers = resolve_size(THREADS_ENV, config.workers, 1);
-        let (tx, rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 shutdown: false,
                 draining: false,
-                depth: 0,
                 high_watermark: 0,
-                status: BTreeMap::new(),
             }),
             available: Condvar::new(),
             stats: Mutex::new(SolverStats::new()),
             cache,
-            responses: tx.clone(),
         });
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let tx = tx.clone();
                 std::thread::Builder::new()
                     .name(format!("letdma-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, &tx))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn serve worker")
             })
             .collect();
         Self {
             shared,
             workers: handles,
-            responses: rx,
-            rejects: tx,
-            next_job: 0,
             capacity: config.queue_capacity,
         }
     }
 
-    /// Submits one request. Admission either succeeds — the job is queued
-    /// FIFO and its response will arrive via [`recv`](Server::recv) — or
-    /// fails fast with [`ServeError::QueueFull`]; the rejection is *also*
-    /// streamed as a response, so `recv` yields exactly one response per
-    /// submission attempt either way.
+    /// Solves one batch: admits its requests in order, waits for the
+    /// admitted ones and returns one response per request, **in request
+    /// order**, with [`JobId`] = batch position.
     ///
-    /// # Errors
-    ///
-    /// [`ServeError::QueueFull`] when the queue already holds
-    /// `queue_capacity` jobs; [`ServeError::ShuttingDown`] when a drain
-    /// has started (see [`drain`](Server::drain)).
+    /// A request refused at admission is answered inline with
+    /// [`ServeError::QueueFull`] (the queue already holds
+    /// `queue_capacity` jobs) or [`ServeError::ShuttingDown`] (a
+    /// [`drain`](Server::drain) has started). Admitted requests may still
+    /// end in [`ServeError::DeadlineExpired`], a drain rejection or a
+    /// solve error — every failure is typed, none is an error of this
+    /// method.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread panicked while holding the server state
     /// lock (workers isolate solver panics, so this indicates a bug in the
     /// queue plumbing itself).
-    pub fn submit(&mut self, request: SolveRequest) -> Result<JobId, ServeError> {
-        let id = JobId(self.next_job);
-        self.next_job += 1;
-        // Stamp the absolute deadline at admission: queue time counts
-        // against the request's budget.
+    #[must_use]
+    pub fn solve_batch(&self, requests: Vec<SolveRequest>) -> Vec<SolveResponse> {
+        let (reply, replies) = mpsc::channel();
+        let mut admitted = 0;
+        let mut responses: Vec<Option<SolveResponse>> = requests
+            .into_iter()
+            .enumerate()
+            .map(|(position, request)| {
+                let id = JobId(position as u64);
+                match self.admit(id, request, &reply) {
+                    Ok(()) => {
+                        admitted += 1;
+                        None
+                    }
+                    Err(error) => Some(SolveResponse::new(id, Err(error))),
+                }
+            })
+            .collect();
+        drop(reply);
+        // Every admitted job answers exactly once, from a worker or a drain
+        // flush. Count the answers rather than wait for the channel to
+        // close: a worker drops its job's sender only after replying, and
+        // waiting for that would cost a context switch per job.
+        for response in replies.iter().take(admitted) {
+            let position = response.job.0 as usize;
+            responses[position] = Some(response);
+        }
+        responses
+            .into_iter()
+            .map(|response| response.expect("every admitted job answers once"))
+            .collect()
+    }
+
+    /// Queues one job or says why not. The absolute deadline is stamped
+    /// here: queue time counts against the request's budget.
+    fn admit(
+        &self,
+        id: JobId,
+        request: SolveRequest,
+        reply: &mpsc::Sender<SolveResponse>,
+    ) -> Result<(), ServeError> {
         let deadline = request.deadline.map(|d| Instant::now() + d);
         let mut state = self.shared.state.lock().expect("server state lock");
         let refusal = if state.draining {
@@ -349,13 +308,8 @@ impl Server {
             None
         };
         if let Some((error, counter)) = refusal {
-            state.status.insert(id, JobStatus::Rejected);
             drop(state);
             self.shared.count(counter, 1);
-            let _ = self.rejects.send(SolveResponse {
-                job: id,
-                outcome: Err(error.clone()),
-            });
             return Err(error);
         }
         state.queue.push_back(Job {
@@ -363,55 +317,27 @@ impl Server {
             system: request.system,
             config: request.config,
             deadline,
+            reply: reply.clone(),
         });
-        state.depth += 1;
-        state.high_watermark = state.high_watermark.max(state.depth);
-        state.status.insert(id, JobStatus::Queued);
+        state.high_watermark = state.high_watermark.max(state.queue.len());
         drop(state);
         self.shared.count(Counter::JobsAdmitted, 1);
         self.shared.available.notify_one();
-        Ok(id)
+        Ok(())
     }
 
-    /// Blocks until the next response (completion order). Call exactly
-    /// once per submission attempt; calling more often blocks forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every worker exited while responses were still owed
-    /// (cannot happen: workers only exit after the queue drains).
-    #[must_use]
-    pub fn recv(&self) -> SolveResponse {
-        self.responses
-            .recv()
-            .expect("the server keeps a sender alive")
-    }
-
-    /// The lifecycle state of a job, or `None` for an unknown id.
+    /// The live queue-depth gauge: jobs admitted but not yet handed to a
+    /// worker, over every batch in flight. Returns to zero once every
+    /// admitted job has been dispatched, expired in the queue, or been
+    /// drain-rejected (the high watermark of this gauge is what
+    /// [`stats`](Server::stats) reports under [`Counter::QueueDepth`]).
     ///
     /// # Panics
     ///
     /// Panics under the same (impossible) poisoned-lock condition as
-    /// [`submit`](Server::submit).
+    /// [`solve_batch`](Server::solve_batch).
     #[must_use]
-    pub fn status(&self, job: JobId) -> Option<JobStatus> {
-        self.shared
-            .state
-            .lock()
-            .expect("server state lock")
-            .status
-            .get(&job)
-            .copied()
-    }
-
-    /// Number of jobs currently waiting in the queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same (impossible) poisoned-lock condition as
-    /// [`submit`](Server::submit).
-    #[must_use]
-    pub fn pending(&self) -> usize {
+    pub fn depth(&self) -> usize {
         self.shared
             .state
             .lock()
@@ -420,57 +346,62 @@ impl Server {
             .len()
     }
 
-    /// The live queue-depth gauge: jobs admitted but not yet handed to a
-    /// worker. Returns to zero once every admitted job has been dispatched,
-    /// expired in the queue, or been drain-rejected (the high watermark of
-    /// this gauge is what [`shutdown`](Server::shutdown) reports under
-    /// [`Counter::QueueDepth`]).
+    /// Starts a graceful drain, from any thread: every job still queued is
+    /// rejected *now* with [`ServeError::ShuttingDown`] (counted under
+    /// [`Counter::DrainRejections`]), in-flight solves run to completion,
+    /// and every later request is refused with the same typed error.
+    /// Blocked [`solve_batch`](Server::solve_batch) calls still return one
+    /// response per request. Idempotent.
     ///
     /// # Panics
     ///
     /// Panics under the same (impossible) poisoned-lock condition as
-    /// [`submit`](Server::submit).
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.shared.state.lock().expect("server state lock").depth
-    }
-
-    /// Starts a graceful drain: every job still queued is rejected *now*
-    /// with [`ServeError::ShuttingDown`] (streamed like any other
-    /// response and counted under [`Counter::DrainRejections`]), in-flight
-    /// solves run to completion, and every later [`submit`](Server::submit)
-    /// fails with the same typed error. Idempotent; the response contract
-    /// — exactly one response per submission attempt — is preserved, so
-    /// keep calling [`recv`](Server::recv) until all owed responses
-    /// arrived, then [`shutdown`](Server::shutdown) as usual.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same (impossible) poisoned-lock condition as
-    /// [`submit`](Server::submit).
+    /// [`solve_batch`](Server::solve_batch).
     pub fn drain(&self) {
-        self.shared.drain();
-    }
-
-    /// A cloneable [`DrainHandle`] for triggering the drain from another
-    /// thread (the TCP listener's shutdown path uses this while the
-    /// connection handler owns the server).
-    #[must_use]
-    pub fn drain_handle(&self) -> DrainHandle {
-        DrainHandle {
-            shared: Arc::clone(&self.shared),
+        let flushed: Vec<Job> = {
+            let mut state = self.shared.state.lock().expect("server state lock");
+            state.draining = true;
+            state.queue.drain(..).collect()
+        };
+        if !flushed.is_empty() {
+            self.shared
+                .count(Counter::DrainRejections, flushed.len() as u64);
+            for job in flushed {
+                let _ = job
+                    .reply
+                    .send(SolveResponse::new(job.id, Err(ServeError::ShuttingDown)));
+            }
         }
     }
 
-    /// Drains the queue, joins the workers and returns the server's
-    /// aggregate statistics: admission counters
-    /// ([`Counter::JobsAdmitted`] / [`Counter::JobsRejected`] /
-    /// [`Counter::CacheHits`]), the queue-depth high watermark
-    /// ([`Counter::QueueDepth`]) and the absorbed per-job solver counters.
+    /// A snapshot of the server's aggregate statistics so far: admission
+    /// counters ([`Counter::JobsAdmitted`] / [`Counter::JobsRejected`] /
+    /// [`Counter::DrainRejections`] / [`Counter::CacheHits`]), the
+    /// queue-depth high watermark ([`Counter::QueueDepth`]) and the
+    /// absorbed per-job solver counters. A job's counters are absorbed
+    /// before its response is sent, so a snapshot taken after
+    /// [`solve_batch`](Server::solve_batch) returns covers that batch.
     ///
-    /// Already-queued jobs still run to completion; collect their
-    /// responses with [`recv`](Server::recv) **before** calling this (the
-    /// channel dies with the server).
+    /// # Panics
+    ///
+    /// Panics under the same (impossible) poisoned-lock condition as
+    /// [`solve_batch`](Server::solve_batch).
+    #[must_use]
+    pub fn stats(&self) -> SolverStats {
+        let watermark = self
+            .shared
+            .state
+            .lock()
+            .expect("server state lock")
+            .high_watermark;
+        let mut stats = self.shared.stats.lock().expect("server stats lock").clone();
+        if watermark > 0 {
+            stats.count(Counter::QueueDepth, watermark as u64);
+        }
+        stats
+    }
+
+    /// Joins the workers and returns the final [`stats`](Server::stats).
     ///
     /// # Panics
     ///
@@ -478,23 +409,23 @@ impl Server {
     /// isolated inside the pipeline, so this indicates a queue bug).
     #[must_use]
     pub fn shutdown(mut self) -> SolverStats {
-        {
-            let mut state = self.shared.state.lock().expect("server state lock");
-            state.shutdown = true;
-        }
+        assert!(self.stop_workers(), "serve worker never panics");
+        self.stats()
+    }
+
+    /// Releases and joins the workers; whether all of them exited cleanly.
+    /// Jobs still queued run to completion first. Never panics, so `Drop`
+    /// can call it: setting the flag is valid even on a poisoned lock.
+    fn stop_workers(&mut self) -> bool {
+        self.shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
         self.shared.available.notify_all();
-        for worker in std::mem::take(&mut self.workers) {
-            worker.join().expect("serve worker never panics");
-        }
-        let watermark = {
-            let state = self.shared.state.lock().expect("server state lock");
-            state.high_watermark
-        };
-        let mut stats = self.shared.stats.lock().expect("server stats lock").clone();
-        if watermark > 0 {
-            stats.count(Counter::QueueDepth, watermark as u64);
-        }
-        stats
+        // Join every worker before judging: `all` alone would stop early.
+        let joined: Vec<_> = self.workers.drain(..).map(JoinHandle::join).collect();
+        joined.iter().all(Result::is_ok)
     }
 }
 
@@ -502,27 +433,16 @@ impl Drop for Server {
     fn drop(&mut self) {
         // `shutdown` already took the handles; this only fires on an
         // un-shut-down drop, where workers must still be released.
-        {
-            let mut state = self.shared.state.lock().expect("server state lock");
-            state.shutdown = true;
-        }
-        self.shared.available.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.stop_workers();
     }
 }
 
-fn worker_loop(shared: &Shared, tx: &mpsc::Sender<SolveResponse>) {
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut state = shared.state.lock().expect("server state lock");
             loop {
                 if let Some(job) = state.queue.pop_front() {
-                    // Dispatch decrements the live gauge; the queued-expiry
-                    // check inside `run_job` is part of this same exit path
-                    // (the job left the queue either way).
-                    state.depth -= 1;
                     break job;
                 }
                 if state.shutdown {
@@ -531,36 +451,32 @@ fn worker_loop(shared: &Shared, tx: &mpsc::Sender<SolveResponse>) {
                 state = shared.available.wait(state).expect("server state lock");
             }
         };
-        let id = job.id;
-        shared.set_status(id, JobStatus::Running);
-        let response = run_job(shared, job);
-        shared.set_status(id, JobStatus::Done);
-        // A send error means the `Server` handle (and its receiver) is
-        // gone; keep draining so shutdown still completes.
-        let _ = tx.send(response);
+        let outcome = run_job(shared, &job.system, job.config, job.deadline);
+        // A send error means the batch's caller is gone; keep serving.
+        let _ = job.reply.send(SolveResponse::new(job.id, outcome));
     }
 }
 
-fn run_job(shared: &Shared, job: Job) -> SolveResponse {
+fn run_job(
+    shared: &Shared,
+    system: &System,
+    config: OptConfig,
+    deadline: Option<Instant>,
+) -> Result<SolveReport, ServeError> {
     // Queued-expiry check: a deadline spent waiting in line is answered
     // with the typed error before any formulation, presolve or simplex
     // work happens on this job's behalf.
-    if let Some(deadline) = job.deadline {
-        if deadline <= Instant::now() {
-            return SolveResponse {
-                job: job.id,
-                outcome: Err(ServeError::DeadlineExpired),
-            };
-        }
+    if deadline.is_some_and(|deadline| deadline <= Instant::now()) {
+        return Err(ServeError::DeadlineExpired);
     }
 
     // Cache lookup. Systems with nothing to schedule skip the cache (the
     // pipeline rejects them typed before touching a formulation, so
     // caching one would only hold memory).
-    let prepared = if let_semantics::comms_at_start(&job.system).is_empty() {
+    let prepared = if let_semantics::comms_at_start(system).is_empty() {
         None
     } else {
-        let key = structure_key(&job.system, &job.config);
+        let key = structure_key(system, &config);
         let cached = {
             let entries = shared.cache.entries.lock().expect("cache lock");
             entries.get(&key).cloned()
@@ -571,7 +487,7 @@ fn run_job(shared: &Shared, job: Job) -> SolveResponse {
                 // Build outside the lock so concurrent workers preparing
                 // *different* structures don't serialize; a race on the
                 // same key wastes one preparation and first-insert wins.
-                let entry = Arc::new(prepare(&job.system, &job.config));
+                let entry = Arc::new(prepare(system, &config));
                 let mut entries = shared.cache.entries.lock().expect("cache lock");
                 let entry = entries.entry(key).or_insert(entry).clone();
                 (entry, false)
@@ -583,15 +499,13 @@ fn run_job(shared: &Shared, job: Job) -> SolveResponse {
         Some((entry, hit))
     };
 
-    let mut config = job.config;
-    if let Some(deadline) = job.deadline {
-        config = config.with_deadline(deadline);
-    }
+    let config = match deadline {
+        Some(deadline) => config.with_deadline(deadline),
+        None => config,
+    };
     let mut stats = SolverStats::new();
     let result = {
-        let optimizer = Optimizer::new(&job.system)
-            .config(config)
-            .instrument(&mut stats);
+        let optimizer = Optimizer::new(system).config(config).instrument(&mut stats);
         match &prepared {
             Some((entry, _)) => optimizer.run_prepared(entry),
             None => optimizer.run(),
@@ -603,7 +517,7 @@ fn run_job(shared: &Shared, job: Job) -> SolveResponse {
         .expect("server stats lock")
         .absorb(&stats);
     let cache_hit = prepared.as_ref().is_some_and(|(_, hit)| *hit);
-    let outcome = match result {
+    match result {
         Ok(solution) => Ok(SolveReport {
             resolution: solution.resolution,
             num_transfers: solution.num_transfers(),
@@ -613,9 +527,5 @@ fn run_job(shared: &Shared, job: Job) -> SolveResponse {
         }),
         Err(OptError::DeadlineExpired) => Err(ServeError::DeadlineExpired),
         Err(error) => Err(ServeError::Solve(error.to_string())),
-    };
-    SolveResponse {
-        job: job.id,
-        outcome,
     }
 }

@@ -13,8 +13,8 @@
 //!   by a write-side close ([`FaultSite::NetTruncate`]) and a single
 //!   flipped payload byte ([`FaultSite::NetCorruptByte`]).
 //! * **[`TcpServer`]** — a listener spawning one handler thread per
-//!   connection. Each request frame is decoded and run through a
-//!   per-batch [`Server`] sharing the listener's [`SolveCache`] — exactly
+//!   connection, in front of one [`Server`] started at bind. Each request
+//!   frame is decoded and run through [`Server::solve_batch`] — exactly
 //!   the loopback discipline, which is why faults-off TCP trajectories are
 //!   byte-identical to [`LoopbackTransport`](crate::LoopbackTransport).
 //!   The listener keeps an **idempotency store**: a request carrying a
@@ -32,13 +32,13 @@
 //!   rather than surfacing garbage; exhaustion yields
 //!   [`ServeError::Transport`].
 //!
-//! Graceful shutdown: [`TcpServer::drain`] flips the listener into drain
-//! mode and drains every in-flight per-batch server — queued jobs come
-//! back as typed [`ServeError::ShuttingDown`] rejections, running solves
-//! finish, and later batches are admitted straight into a draining server
-//! (every submission still gets exactly one typed response).
-//! [`TcpServer::shutdown`] drains, stops accepting, joins every handler
-//! and returns the aggregate [`SolverStats`].
+//! Graceful shutdown: [`TcpServer::drain`] starts the drain of the
+//! listener's server — queued jobs come back as typed
+//! [`ServeError::ShuttingDown`] rejections, running solves finish, and
+//! later batches are refused with the same typed error (every request
+//! still gets exactly one typed response).
+//! [`TcpServer::shutdown`] runs the drain, stops accepting, joins every
+//! handler and returns the aggregate [`SolverStats`].
 //!
 //! # Examples
 //!
@@ -226,18 +226,13 @@ enum IdemEntry {
 
 #[derive(Debug)]
 struct TcpShared {
-    serve_config: ServeConfig,
-    cache: SolveCache,
+    /// The one scheduler behind every connection, started at bind.
+    server: Server,
+    /// Transport counters: [`Counter::IdempotentHits`] and frames the
+    /// server dropped ([`Counter::FramesDropped`]).
     stats: Mutex<SolverStats>,
     idem: Mutex<HashMap<u64, IdemEntry>>,
     idem_done: Condvar,
-    /// Once set, per-batch servers are drained on creation and the
-    /// registered in-flight ones have been drained.
-    draining: AtomicBool,
-    /// Drain handles of in-flight per-batch servers, so a drain reaches
-    /// batches that are mid-solve on other threads. A batch removes its
-    /// own handle once its server has shut down.
-    drains: Mutex<Vec<crate::server::DrainHandle>>,
     /// Stops the accept loop and the per-connection read loops.
     stop: AtomicBool,
 }
@@ -250,11 +245,12 @@ impl TcpShared {
 
 /// A TCP listener serving the `letdma-serve/1` protocol.
 ///
-/// One handler thread per connection; each request frame becomes one
-/// per-batch [`Server`] sharing the listener's [`SolveCache`] and
-/// aggregate [`SolverStats`] — the same discipline as
-/// [`LoopbackTransport`](crate::LoopbackTransport), so faults-off solver
-/// trajectories are byte-identical to loopback exchanges.
+/// One handler thread per connection, and one [`Server`] for the
+/// listener's lifetime, started at bind: every decoded request frame goes
+/// through [`Server::solve_batch`], so the worker count and the queue
+/// capacity bound the whole listener, and faults-off solver trajectories
+/// are byte-identical to [`LoopbackTransport`](crate::LoopbackTransport)
+/// exchanges.
 ///
 /// ```no_run
 /// use letdma_serve::{Client, ServeConfig, TcpServer, TcpTransport};
@@ -299,13 +295,10 @@ impl TcpServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(TcpShared {
-            serve_config: config,
-            cache,
+            server: Server::start_with_cache(config, cache),
             stats: Mutex::new(SolverStats::new()),
             idem: Mutex::new(HashMap::new()),
             idem_done: Condvar::new(),
-            draining: AtomicBool::new(false),
-            drains: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
         });
         let accept_shared = Arc::clone(&shared);
@@ -325,30 +318,24 @@ impl TcpServer {
         self.local_addr
     }
 
-    /// Starts a graceful drain: every in-flight per-batch server is
-    /// drained (queued jobs answered with typed
-    /// [`ServeError::ShuttingDown`] rejections, running solves finishing
-    /// normally), and every batch arriving afterwards is admitted straight
-    /// into a draining server — typed rejections, never silence.
-    /// Idempotent; connections stay open so owed responses still flow.
+    /// Starts a graceful drain of the listener's server (see
+    /// [`Server::drain`]): queued jobs are answered with typed
+    /// [`ServeError::ShuttingDown`] rejections, running solves finish
+    /// normally, and every later batch is refused with the same typed
+    /// error — never silence. Idempotent; connections stay open so owed
+    /// responses still flow.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        let handles: Vec<_> = self
-            .shared
-            .drains
-            .lock()
-            .expect("tcp drain registry lock")
-            .clone();
-        for handle in handles {
-            handle.drain();
-        }
+        self.shared.server.drain();
     }
 
-    /// Drains, stops accepting, joins every connection handler and returns
-    /// the aggregate statistics of every batch this listener served
-    /// (admission counters, cache hits, [`Counter::DrainRejections`],
-    /// [`Counter::IdempotentHits`], [`Counter::FramesDropped`] for frames
-    /// the *server* dropped, and the absorbed per-job solver counters).
+    /// Runs the drain, stops accepting, joins every connection handler and
+    /// returns the server's aggregate statistics (admission counters,
+    /// cache hits, [`Counter::DrainRejections`], the queue-depth high
+    /// watermark and the absorbed per-job solver counters) together with
+    /// the listener's transport counters ([`Counter::IdempotentHits`], and
+    /// [`Counter::FramesDropped`] for frames the *server* dropped). The
+    /// server's workers are joined when the listener is dropped, on
+    /// return.
     ///
     /// # Panics
     ///
@@ -357,7 +344,9 @@ impl TcpServer {
     #[must_use]
     pub fn shutdown(mut self) -> SolverStats {
         self.stop();
-        self.shared.stats.lock().expect("tcp stats lock").clone()
+        let mut stats = self.shared.server.stats();
+        stats.absorb(&self.shared.stats.lock().expect("tcp stats lock"));
+        stats
     }
 
     fn stop(&mut self) {
@@ -413,7 +402,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<TcpShared>) {
     }
 }
 
-fn handle_connection(shared: &Arc<TcpShared>, mut stream: TcpStream) {
+fn handle_connection(shared: &TcpShared, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(SERVER_POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
@@ -443,111 +432,58 @@ fn handle_connection(shared: &Arc<TcpShared>, mut stream: TcpStream) {
     }
 }
 
-/// Runs one decoded batch: idempotency partition, a per-batch [`Server`]
-/// for the fresh jobs, then response assembly in batch-position order
-/// (job ids in the reply are batch positions, as over loopback).
-fn run_batch(shared: &Arc<TcpShared>, requests: Vec<SolveRequest>) -> Vec<SolveResponse> {
-    enum Slot {
-        /// Submitted to this batch's server.
-        Fresh,
-        /// Replayed from the idempotency store.
-        Hit(Result<SolveReport, ServeError>),
-        /// Another batch holds this key in flight; wait for its answer.
-        Await(u64),
-    }
-
-    let keys: Vec<Option<u64>> = requests.iter().map(|r| r.request_key).collect();
-    let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
+/// Runs one decoded batch: the idempotency partition, the fresh jobs
+/// through the listener's [`Server`], then response assembly in
+/// batch-position order (job ids in the reply are batch positions, as over
+/// loopback).
+fn run_batch(shared: &TcpShared, requests: Vec<SolveRequest>) -> Vec<SolveResponse> {
+    type Outcome = Result<SolveReport, ServeError>;
+    let mut outcomes: Vec<Option<Outcome>> = (0..requests.len()).map(|_| None).collect();
+    // Batch positions (and keys) of the requests this batch solves itself.
+    let mut fresh: Vec<(usize, Option<u64>)> = Vec::new();
+    let mut fresh_requests: Vec<SolveRequest> = Vec::new();
+    // Keys another batch holds in flight: wait for their answers.
+    let mut awaits: Vec<(usize, u64)> = Vec::new();
     {
         let mut idem = shared.idem.lock().expect("tcp idempotency lock");
         let mut hits = 0;
-        for key in &keys {
-            slots.push(match key {
-                None => Slot::Fresh,
-                Some(key) => match idem.get(key) {
-                    Some(IdemEntry::Done(outcome)) => {
-                        hits += 1;
-                        Slot::Hit(outcome.clone())
+        for (position, request) in requests.into_iter().enumerate() {
+            let key = request.request_key;
+            match (key, key.and_then(|key| idem.get(&key))) {
+                (_, Some(IdemEntry::Done(outcome))) => {
+                    hits += 1;
+                    outcomes[position] = Some(outcome.clone());
+                }
+                (Some(key), Some(IdemEntry::InFlight)) => {
+                    hits += 1;
+                    awaits.push((position, key));
+                }
+                (key, _) => {
+                    // Claim a new key before releasing the lock: a
+                    // concurrent duplicate must wait, not double-admit.
+                    if let Some(key) = key {
+                        idem.insert(key, IdemEntry::InFlight);
                     }
-                    Some(IdemEntry::InFlight) => {
-                        hits += 1;
-                        Slot::Await(*key)
-                    }
-                    None => {
-                        // Claim the key before releasing the lock: a
-                        // concurrent duplicate must wait, not double-admit.
-                        idem.insert(*key, IdemEntry::InFlight);
-                        Slot::Fresh
-                    }
-                },
-            });
+                    fresh.push((position, key));
+                    fresh_requests.push(request);
+                }
+            }
         }
         if hits > 0 {
             shared.count(Counter::IdempotentHits, hits);
         }
     }
 
-    let fresh: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, slot)| matches!(slot, Slot::Fresh))
-        .map(|(i, _)| i)
-        .collect();
-    let mut outcomes: Vec<Option<Result<SolveReport, ServeError>>> =
-        (0..requests.len()).map(|_| None).collect();
-
     if !fresh.is_empty() {
-        let mut server =
-            Server::start_with_cache(shared.serve_config.clone(), shared.cache.clone());
-        let drain_handle = server.drain_handle();
-        shared
-            .drains
-            .lock()
-            .expect("tcp drain registry lock")
-            .push(drain_handle.clone());
-        // Re-check after registering: a drain that raced past the registry
-        // is applied here, so no batch escapes it.
-        if shared.draining.load(Ordering::SeqCst) {
-            server.drain();
-        }
-        let mut requests = requests.into_iter().map(Some).collect::<Vec<_>>();
-        for &position in &fresh {
-            // Rejections stream their own response; nothing extra to do.
-            let _ = server.submit(requests[position].take().expect("each position moves once"));
-        }
-        let mut by_job: HashMap<JobId, Result<SolveReport, ServeError>> = (0..fresh.len())
-            .map(|_| {
-                let response = server.recv();
-                (response.job, response.outcome)
-            })
-            .collect();
-        // The per-batch server numbers jobs 0.. in submission order;
-        // remap them to this batch's positions.
-        for (submit_order, &position) in fresh.iter().enumerate() {
-            let outcome = by_job
-                .remove(&JobId(submit_order as u64))
-                .expect("one response per submission");
-            outcomes[position] = Some(outcome);
-        }
-        let batch_stats = server.shutdown();
-        shared
-            .drains
-            .lock()
-            .expect("tcp drain registry lock")
-            .retain(|h| !h.same_server(&drain_handle));
-        shared
-            .stats
-            .lock()
-            .expect("tcp stats lock")
-            .absorb(&batch_stats);
+        let responses = shared.server.solve_batch(fresh_requests);
         // Publish keyed answers, then wake every waiting duplicate.
         {
             let mut idem = shared.idem.lock().expect("tcp idempotency lock");
-            for &position in &fresh {
-                if let Some(key) = keys[position] {
-                    let outcome = outcomes[position].clone().expect("filled above");
-                    idem.insert(key, IdemEntry::Done(outcome));
+            for (&(position, key), response) in fresh.iter().zip(responses) {
+                if let Some(key) = key {
+                    idem.insert(key, IdemEntry::Done(response.outcome.clone()));
                 }
+                outcomes[position] = Some(response.outcome);
             }
         }
         shared.idem_done.notify_all();
@@ -555,23 +491,15 @@ fn run_batch(shared: &Arc<TcpShared>, requests: Vec<SolveRequest>) -> Vec<SolveR
 
     // Resolve awaits last: every batch publishes its own keys before
     // waiting on anyone else's, so the wait graph is acyclic.
-    for (position, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Slot::Fresh => {}
-            Slot::Hit(outcome) => outcomes[position] = Some(outcome),
-            Slot::Await(key) => {
-                let mut idem = shared.idem.lock().expect("tcp idempotency lock");
-                let outcome = loop {
-                    match idem.get(&key) {
-                        Some(IdemEntry::Done(outcome)) => break outcome.clone(),
-                        _ => {
-                            idem = shared.idem_done.wait(idem).expect("tcp idempotency lock");
-                        }
-                    }
-                };
-                outcomes[position] = Some(outcome);
+    for (position, key) in awaits {
+        let mut idem = shared.idem.lock().expect("tcp idempotency lock");
+        let outcome = loop {
+            match idem.get(&key) {
+                Some(IdemEntry::Done(outcome)) => break outcome.clone(),
+                _ => idem = shared.idem_done.wait(idem).expect("tcp idempotency lock"),
             }
-        }
+        };
+        outcomes[position] = Some(outcome);
     }
 
     outcomes
@@ -779,35 +707,6 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use letdma_model::SystemBuilder;
-    use letdma_opt::OptConfig;
-
-    use crate::Client;
-
-    #[test]
-    fn finished_batches_leave_no_drain_handles_behind() {
-        let mut b = SystemBuilder::new(2);
-        let p = b.task("p").period_ms(5).core_index(0).add().unwrap();
-        let c = b.task("c").period_ms(10).core_index(1).add().unwrap();
-        b.label("l").size(64).writer(p).reader(c).add().unwrap();
-        let system = b.build().unwrap();
-        let server = TcpServer::bind("127.0.0.1:0", ServeConfig::new()).expect("bind");
-        let mut client = Client::new(TcpTransport::connect(server.local_addr()));
-        for _ in 0..4 {
-            let request = SolveRequest::new(system.clone(), OptConfig::new());
-            let responses = client.solve_batch(&[request]).expect("batch answered");
-            assert!(responses[0].outcome.is_ok());
-        }
-        let registered = server
-            .shared
-            .drains
-            .lock()
-            .expect("tcp drain registry lock")
-            .len();
-        assert_eq!(registered, 0, "finished batches must deregister");
-        let _ = server.shutdown();
-    }
 
     #[test]
     fn backoff_is_deterministic_jittered_and_capped() {

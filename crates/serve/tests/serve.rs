@@ -8,8 +8,8 @@ use letdma_core::{Counter, NodeEvent, SolverStats};
 use letdma_model::{System, SystemBuilder};
 use letdma_opt::{optimize_batch, Objective, OptConfig, Resolution};
 use letdma_serve::{
-    wire, Client, JobStatus, LoopbackTransport, ServeConfig, ServeError, Server, SolveCache,
-    SolveRequest,
+    wire, Client, JobId, LoopbackTransport, ServeConfig, ServeError, Server, SolveCache,
+    SolveRequest, SolveResponse, TcpServer, TcpTransport,
 };
 
 /// A small system with real cross-core communication so the MILP pipeline
@@ -167,26 +167,20 @@ fn wire_errors_round_trip() {
 // Admission control and deadlines (satellite: interplay tests)
 // ---------------------------------------------------------------------------
 
-/// A full queue rejects at admission with a typed error — and the
-/// rejection is *also* streamed as a response, so batch accounting stays
-/// one-response-per-submission.
+/// A full queue rejects at admission with a typed error, answered inline
+/// in the batch's response list — one response per request either way.
 #[test]
 fn queue_full_rejects_typed() {
-    let mut server = Server::start(ServeConfig::new().with_workers(1).with_queue_capacity(0));
+    let server = Server::start(ServeConfig::new().with_workers(1).with_queue_capacity(0));
     let request = SolveRequest::new(comm_system(5), base_config());
-    let id = match server.submit(request) {
-        Err(ServeError::QueueFull { capacity }) => {
-            assert_eq!(capacity, 0);
-            // The id of the rejected attempt is observable via status.
-            letdma_serve::JobId(0)
-        }
-        other => panic!("expected QueueFull, got {other:?}"),
-    };
-    assert_eq!(server.status(id), Some(JobStatus::Rejected));
-
-    let response = server.recv();
-    assert_eq!(response.job, id);
-    assert_eq!(response.outcome, Err(ServeError::QueueFull { capacity: 0 }));
+    let responses = server.solve_batch(vec![request]);
+    assert_eq!(
+        responses,
+        [SolveResponse::new(
+            JobId(0),
+            Err(ServeError::QueueFull { capacity: 0 })
+        )]
+    );
 
     let stats = server.shutdown();
     assert_eq!(stats.counter(Counter::JobsRejected), 1);
@@ -198,13 +192,16 @@ fn queue_full_rejects_typed() {
 /// response carries no solve report at all.
 #[test]
 fn queued_expiry_rejected_before_any_work() {
-    let mut server = Server::start(ServeConfig::new().with_workers(1));
+    let server = Server::start(ServeConfig::new().with_workers(1));
     let request = SolveRequest::new(comm_system(5), base_config()).with_deadline(Duration::ZERO);
-    let id = server.submit(request).expect("admitted");
-    let response = server.recv();
-    assert_eq!(response.job, id);
-    assert_eq!(response.outcome, Err(ServeError::DeadlineExpired));
-    assert_eq!(server.status(id), Some(JobStatus::Done));
+    let responses = server.solve_batch(vec![request]);
+    assert_eq!(
+        responses,
+        [SolveResponse::new(
+            JobId(0),
+            Err(ServeError::DeadlineExpired)
+        )]
+    );
 
     let stats = server.shutdown();
     assert_eq!(stats.counter(Counter::JobsAdmitted), 1);
@@ -221,15 +218,14 @@ fn queued_expiry_rejected_before_any_work() {
 /// stays `Ok`.
 #[test]
 fn in_flight_deadline_returns_best_incumbent() {
-    let mut server = Server::start(ServeConfig::new().with_workers(1));
+    let server = Server::start(ServeConfig::new().with_workers(1));
     let request =
         SolveRequest::new(comm_system(5), base_config()).with_deadline(Duration::from_secs(300));
-    let id = server.submit(request).expect("admitted");
-    let response = server.recv();
-    assert_eq!(response.job, id);
+    let mut responses = server.solve_batch(vec![request]);
+    let response = responses.remove(0);
+    assert_eq!(response.job, JobId(0));
     let report = response.outcome.expect("live deadline must not reject");
     assert_eq!(report.resolution, Resolution::Milp);
-    drop(server);
 }
 
 // ---------------------------------------------------------------------------
@@ -243,18 +239,14 @@ fn in_flight_deadline_returns_best_incumbent() {
 /// the same optimum.
 #[test]
 fn cache_hit_on_resubmission() {
-    let mut server = Server::start(ServeConfig::new().with_workers(1));
+    let server = Server::start(ServeConfig::new().with_workers(1));
     let system = comm_system(5);
-    let a = server
-        .submit(SolveRequest::new(system.clone(), base_config()))
-        .expect("admitted");
-    let b = server
-        .submit(SolveRequest::new(system, base_config()))
-        .expect("admitted");
-    let mut responses = [server.recv(), server.recv()];
-    responses.sort_by_key(|r| r.job);
-    assert_eq!(responses[0].job, a);
-    assert_eq!(responses[1].job, b);
+    let responses = server.solve_batch(vec![
+        SolveRequest::new(system.clone(), base_config()),
+        SolveRequest::new(system, base_config()),
+    ]);
+    assert_eq!(responses[0].job, JobId(0));
+    assert_eq!(responses[1].job, JobId(1));
 
     let cold = responses[0].outcome.as_ref().expect("cold solve");
     let warm = responses[1].outcome.as_ref().expect("warm solve");
@@ -293,23 +285,18 @@ fn cache_hit_on_resubmission() {
 /// tallies and the search trajectory is byte-for-byte the same.
 #[test]
 fn cache_hit_without_reuse_matches_cold_trajectory() {
-    let mut server = Server::start(ServeConfig::new().with_workers(1));
+    let server = Server::start(ServeConfig::new().with_workers(1));
     let system = comm_system(5);
     let config = base_config().with_reuse_basis(false);
-    server
-        .submit(SolveRequest::new(system.clone(), config.clone()))
-        .expect("admitted");
-    server
-        .submit(SolveRequest::new(system, config))
-        .expect("admitted");
-    let mut responses = [server.recv(), server.recv()];
-    responses.sort_by_key(|r| r.job);
+    let responses = server.solve_batch(vec![
+        SolveRequest::new(system.clone(), config.clone()),
+        SolveRequest::new(system, config),
+    ]);
 
     let cold = responses[0].outcome.as_ref().expect("cold solve");
     let warm = responses[1].outcome.as_ref().expect("warm solve");
     assert!(warm.cache_hit);
     assert_eq!(trajectory(&warm.stats), trajectory(&cold.stats));
-    drop(server);
 }
 
 /// Different model structures do not collide in the cache.
@@ -336,86 +323,94 @@ fn distinct_structures_do_not_collide() {
 // Graceful drain and the queue-depth gauge (satellites)
 // ---------------------------------------------------------------------------
 
-/// A drain never loses a response: every submission before the drain gets
-/// either its solve report (it was in flight) or the typed shutdown
-/// rejection (it was still queued), every submission after the drain is
-/// refused with the same typed error, and each rejection is counted under
-/// `DrainRejections`. The live depth gauge reads zero afterwards.
+/// A drain from another thread never loses a response: while one thread
+/// is blocked in `solve_batch`, a second starts a drain (twice — the
+/// drain is idempotent). Every request of the blocked batch gets either
+/// its solve report (it was in flight) or the typed shutdown rejection (it
+/// was still queued), every later batch is refused with the same typed
+/// error, each rejection is counted under `DrainRejections`, and the live
+/// depth gauge reads zero afterwards.
 #[test]
 fn drain_rejects_queued_and_later_submissions_typed() {
-    let mut server = Server::start(ServeConfig::new().with_workers(1));
-    let ids: Vec<_> = (0..4)
-        .map(|_| {
-            server
-                .submit(SolveRequest::new(comm_system(5), base_config()))
-                .expect("admitted")
-        })
-        .collect();
-    server.drain();
+    const BATCH: usize = 4;
+    let server = Server::start(ServeConfig::new().with_workers(1));
+    let responses = std::thread::scope(|scope| {
+        let batch = scope.spawn(|| {
+            server.solve_batch(
+                (0..BATCH)
+                    .map(|_| SolveRequest::new(comm_system(5), base_config()))
+                    .collect(),
+            )
+        });
+        // Drain only once the whole batch is admitted, so the counters
+        // below reconcile exactly.
+        while server.stats().counter(Counter::JobsAdmitted) < BATCH as u64 {
+            std::thread::yield_now();
+        }
+        server.drain();
+        server.drain(); // idempotent
+        batch.join().expect("batch thread")
+    });
 
-    // One response per pre-drain submission, each a typed outcome: which
-    // jobs solved versus drained depends on how far the worker got, but
-    // nothing may hang or come back untyped.
+    // One response per request, each a typed outcome: which jobs solved
+    // versus drained depends on how far the worker got, but nothing may
+    // hang or come back untyped.
+    assert_eq!(responses.len(), BATCH);
     let mut drained = 0;
-    for _ in &ids {
-        let response = server.recv();
-        match response.outcome {
+    for (position, response) in responses.iter().enumerate() {
+        assert_eq!(response.job, JobId(position as u64));
+        match &response.outcome {
             Ok(report) => assert_eq!(report.resolution, Resolution::Milp),
-            Err(ServeError::ShuttingDown) => {
-                drained += 1;
-                assert_eq!(server.status(response.job), Some(JobStatus::Rejected));
-            }
+            Err(ServeError::ShuttingDown) => drained += 1,
             other => panic!("expected a report or ShuttingDown, got {other:?}"),
         }
     }
     assert_eq!(server.depth(), 0, "the gauge must return to zero");
 
-    // Post-drain submissions are refused before any work — and still get
-    // their streamed response.
-    let late = match server.submit(SolveRequest::new(comm_system(5), base_config())) {
-        Err(ServeError::ShuttingDown) => letdma_serve::JobId(ids.len() as u64),
-        other => panic!("expected ShuttingDown, got {other:?}"),
-    };
-    let response = server.recv();
-    assert_eq!(response.job, late);
-    assert_eq!(response.outcome, Err(ServeError::ShuttingDown));
-    assert_eq!(server.status(late), Some(JobStatus::Rejected));
+    // Later batches are refused before any work, answered inline.
+    let late = server.solve_batch(vec![SolveRequest::new(comm_system(5), base_config())]);
+    assert_eq!(
+        late,
+        [SolveResponse::new(JobId(0), Err(ServeError::ShuttingDown))]
+    );
 
     let stats = server.shutdown();
-    assert_eq!(stats.counter(Counter::JobsAdmitted), ids.len() as u64);
+    assert_eq!(stats.counter(Counter::JobsAdmitted), BATCH as u64);
     assert_eq!(stats.counter(Counter::DrainRejections), drained + 1);
     assert_eq!(stats.counter(Counter::JobsRejected), 0);
 }
 
-/// Draining twice is idempotent, and a `DrainHandle` works from another
-/// thread while the owner is blocked receiving.
+/// A shared `&Server` is the drain handle: another thread can drain it
+/// (twice — idempotent) while this one is blocked in `solve_batch`, and
+/// the owed response still arrives, later batches are refused typed, and
+/// the depth gauge reads zero.
 #[test]
 fn drain_handle_drains_from_another_thread() {
-    let mut server = Server::start(ServeConfig::new().with_workers(1));
-    let handle = server.drain_handle();
-    let id = server
-        .submit(SolveRequest::new(comm_system(5), base_config()))
-        .expect("admitted");
-    let drainer = std::thread::spawn(move || {
-        handle.drain();
-        handle.drain(); // idempotent
+    let server = Server::start(ServeConfig::new().with_workers(1));
+    let responses = std::thread::scope(|scope| {
+        let drainer = scope.spawn(|| {
+            server.drain();
+            server.drain(); // idempotent
+        });
+        let responses =
+            server.solve_batch(vec![SolveRequest::new(comm_system(5), base_config())]);
+        drainer.join().expect("drainer thread");
+        responses
     });
-    // Whether the drain flushed the job or the worker solved it first, the
-    // owed response arrives.
-    let response = server.recv();
-    assert_eq!(response.job, id);
+    // Whether the drain flushed the job, refused it at admission or the
+    // worker solved it first, the owed response arrives.
+    assert_eq!(responses.len(), 1);
+    assert_eq!(responses[0].job, JobId(0));
     assert!(matches!(
-        response.outcome,
+        responses[0].outcome,
         Ok(_) | Err(ServeError::ShuttingDown)
     ));
-    drainer.join().expect("drainer thread");
-    assert!(matches!(
-        server.submit(SolveRequest::new(comm_system(5), base_config())),
-        Err(ServeError::ShuttingDown)
-    ));
-    let _ = server.recv();
+    assert_eq!(
+        server.solve_batch(vec![SolveRequest::new(comm_system(5), base_config())]),
+        [SolveResponse::new(JobId(0), Err(ServeError::ShuttingDown))]
+    );
     assert_eq!(server.depth(), 0);
-    drop(server);
+    drop(server.shutdown());
 }
 
 /// The queue-depth gauge is a true gauge: it rises at admission, falls on
@@ -424,25 +419,18 @@ fn drain_handle_drains_from_another_thread() {
 /// `QueueDepth`.
 #[test]
 fn depth_gauge_returns_to_zero_on_every_exit_path() {
-    let mut server = Server::start(ServeConfig::new().with_workers(1));
+    let server = Server::start(ServeConfig::new().with_workers(1));
     // A mix of exit paths: a normal solve, a queued expiry (zero deadline)
     // and another normal solve.
-    server
-        .submit(SolveRequest::new(comm_system(5), base_config()))
-        .expect("admitted");
-    server
-        .submit(SolveRequest::new(comm_system(10), base_config()).with_deadline(Duration::ZERO))
-        .expect("admitted");
-    server
-        .submit(SolveRequest::new(comm_system(5), base_config()))
-        .expect("admitted");
-
-    let mut expired = 0;
-    for _ in 0..3 {
-        if server.recv().outcome == Err(ServeError::DeadlineExpired) {
-            expired += 1;
-        }
-    }
+    let responses = server.solve_batch(vec![
+        SolveRequest::new(comm_system(5), base_config()),
+        SolveRequest::new(comm_system(10), base_config()).with_deadline(Duration::ZERO),
+        SolveRequest::new(comm_system(5), base_config()),
+    ]);
+    let expired = responses
+        .iter()
+        .filter(|r| r.outcome == Err(ServeError::DeadlineExpired))
+        .count();
     assert_eq!(expired, 1, "exactly the zero-deadline job expires queued");
     assert_eq!(server.depth(), 0, "all exit paths must decrement the gauge");
 
@@ -452,6 +440,35 @@ fn depth_gauge_returns_to_zero_on_every_exit_path() {
         (1..=3).contains(&watermark),
         "watermark must reflect the deepest the queue actually got, got {watermark}"
     );
+}
+
+/// `QueueDepth` is the deepest the one long-lived queue got, not a sum
+/// over batches: four sequential single-request batches through one
+/// worker never queue more than one job at a time, over loopback and over
+/// TCP alike.
+#[test]
+fn queue_depth_is_a_maximum_not_a_sum_of_batches() {
+    let config = || ServeConfig::new().with_workers(1);
+    let batch = || [SolveRequest::new(comm_system(5), base_config())];
+
+    let mut loopback = Client::new(LoopbackTransport::new(config()));
+    for _ in 0..4 {
+        assert!(loopback.solve_batch(&batch()).expect("loopback")[0]
+            .outcome
+            .is_ok());
+    }
+    let stats = loopback.transport().stats();
+    assert_eq!(stats.counter(Counter::JobsAdmitted), 4);
+    assert_eq!(stats.counter(Counter::QueueDepth), 1, "loopback");
+
+    let server = TcpServer::bind("127.0.0.1:0", config()).expect("bind");
+    let mut tcp = Client::new(TcpTransport::connect(server.local_addr()));
+    for _ in 0..4 {
+        assert!(tcp.solve_batch(&batch()).expect("tcp")[0].outcome.is_ok());
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.counter(Counter::JobsAdmitted), 4);
+    assert_eq!(stats.counter(Counter::QueueDepth), 1, "tcp");
 }
 
 // ---------------------------------------------------------------------------
@@ -512,8 +529,8 @@ fn serve_matches_direct_optimize_batch() {
 // Ordering and lifecycle
 // ---------------------------------------------------------------------------
 
-/// With several workers, responses may complete out of order, but the
-/// client re-establishes submission order; every job reaches `Done`.
+/// With several workers, jobs may complete out of order, but responses
+/// come back in submission order and every job is answered.
 #[test]
 fn sharded_batch_returns_in_submission_order() {
     let mut client = Client::new(LoopbackTransport::new(ServeConfig::new().with_workers(4)));

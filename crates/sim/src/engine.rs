@@ -535,7 +535,7 @@ impl<'a> Engine<'a> {
     fn tb_finish_isr(&mut self, chain: usize, step: usize) {
         let instant = self.chains[chain].instant;
         // The buffer is "being read" from copy end until the ISR retires
-        // (publication drains the slot into the local memories).
+        // (publication empties the slot into the local memories).
         let read_start = self.tb[chain].done_at[step];
         self.rotation
             .record_read(step % TB_SLOTS, read_start, self.now, tb_round(chain, step));

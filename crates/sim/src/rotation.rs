@@ -8,7 +8,7 @@
 //! completion ISR of the previous occupant of `s` has retired); this module
 //! is the *independent* checker that records every write interval (the DMA
 //! copy) and read interval (DMA-done → completion-ISR retirement, the
-//! window in which the ISR publishes and the consumer side drains the
+//! window in which the ISR publishes and the consumer side empties the
 //! buffer) and counts overlaps after the fact — exactly like
 //! `letdma-model::conformance` re-checks the optimizer's output.
 //!
@@ -47,7 +47,7 @@ struct Interval {
 /// let ns = TimeNs::from_ns;
 /// let mut rot = BufferRotation::new(3);
 /// rot.record_write(0, ns(0), ns(100), 0); // round 0 fills slot 0
-/// rot.record_read(0, ns(100), ns(120), 0); // consumer drains it
+/// rot.record_read(0, ns(100), ns(120), 0); // consumer empties it
 /// rot.record_write(0, ns(150), ns(250), 3); // round 3 reuses slot 0 later
 /// assert_eq!(rot.hazards(), 0);
 ///

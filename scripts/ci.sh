@@ -132,6 +132,16 @@ LETDMA_FAULTS="net-corrupt-byte:p=1.0:seed=13:max=2" \
 LETDMA_FAULTS="net-delay:p=0.5:seed=14" \
   cargo run --release -p letdma-bench --bin repro --offline -- serve --tcp --nodes 2
 
+echo "== benchmark serve workload (perfbench, one short pass) =="
+# The benchmark's serve workload drives one TcpServer with single-request
+# batches over a 60-scenario pool and checks every answer: MILP
+# resolution, no more transfers than the heuristic, and the exact cache
+# hit/miss pattern. The last output line is the JSON verdict.
+perf_serve="$(bash perfbench/run.sh --workload serve --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+echo "$perf_serve"
+grep -q '"correct": true' <<<"$perf_serve" && grep -q '"failed": 0,' <<<"$perf_serve" || {
+  echo "perfbench serve workload reported failures"; exit 1; }
+
 echo "== fault-injection smoke (LETDMA_THREADS=1 and 4) =="
 # Arms every deterministic fault site in turn against the WATERS case and
 # asserts the resilience contract — a conformance-valid solution or a typed
