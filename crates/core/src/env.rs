@@ -19,21 +19,6 @@ pub const PRESOLVE_ENV: &str = "LETDMA_PRESOLVE";
 /// [`resolve_size`] with a sequential default of 1).
 pub const THREADS_ENV: &str = "LETDMA_THREADS";
 
-/// Name of the environment variable selecting the simplex basis
-/// representation (see `milp::SolveOptions::with_basis`): `sparse` (the
-/// default factorized LU) or `dense` (the explicit-inverse oracle).
-pub const BASIS_ENV: &str = "LETDMA_BASIS";
-
-/// Name of the environment variable overriding the basis refactorization
-/// cadence in pivots (see `milp::SolveOptions::with_refactor_interval`).
-/// Unset defers to the per-basis default.
-pub const REFACTOR_ENV: &str = "LETDMA_REFACTOR";
-
-/// Name of the environment variable selecting the simplex
-/// entering-variable pricing rule (`dantzig`, `partial`, `devex`); unset
-/// defaults to partial pricing.
-pub const PRICING_ENV: &str = "LETDMA_PRICING";
-
 /// Resolves a boolean feature flag: `requested` if given, else the
 /// environment variable `name`, else `default`.
 ///
@@ -56,27 +41,6 @@ pub fn resolve_flag(name: &str, requested: Option<bool>, default: bool) -> bool 
     }
 }
 
-/// Resolves a typed choice the same way [`resolve_flag`] resolves a
-/// boolean: `requested` if given, else `parse` applied to the (trimmed)
-/// environment variable `name`, else `default`. An unparseable value is
-/// ignored rather than being an error, for the same reason as in
-/// [`resolve_flag`].
-#[must_use]
-pub fn resolve_choice<T>(
-    name: &str,
-    requested: Option<T>,
-    default: T,
-    parse: impl Fn(&str) -> Option<T>,
-) -> T {
-    if let Some(v) = requested {
-        return v;
-    }
-    std::env::var(name)
-        .ok()
-        .and_then(|raw| parse(raw.trim()))
-        .unwrap_or(default)
-}
-
 /// Resolves a positive size (worker counts, queue capacities): `requested`
 /// (clamped to ≥ 1) if given, else the environment variable `name` parsed
 /// as a `usize ≥ 1`, else `default`. Unparsable or zero environment values
@@ -91,21 +55,6 @@ pub fn resolve_size(name: &str, requested: Option<usize>, default: usize) -> usi
         .and_then(|raw| raw.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(default)
-}
-
-/// Resolves an optional positive-integer override: `requested` if given,
-/// else the environment variable `name` parsed as a `u64 ≥ 1`, else
-/// `None` (meaning "use the compiled-in / per-component default").
-/// Zero and junk are ignored like unparseable values in [`resolve_flag`].
-#[must_use]
-pub fn resolve_override(name: &str, requested: Option<u64>) -> Option<u64> {
-    if requested.is_some() {
-        return requested;
-    }
-    std::env::var(name)
-        .ok()
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-        .filter(|&v| v >= 1)
 }
 
 #[cfg(test)]
@@ -130,28 +79,6 @@ mod tests {
     }
 
     #[test]
-    fn choice_explicit_request_wins_and_unset_defaults() {
-        #[derive(Debug, PartialEq, Clone, Copy)]
-        enum Kind {
-            A,
-            B,
-        }
-        let parse = |s: &str| match s {
-            "a" => Some(Kind::A),
-            "b" => Some(Kind::B),
-            _ => None,
-        };
-        assert_eq!(
-            resolve_choice("LETDMA_TEST_CHOICE_UNSET", Some(Kind::A), Kind::B, parse),
-            Kind::A
-        );
-        assert_eq!(
-            resolve_choice("LETDMA_TEST_CHOICE_UNSET", None, Kind::B, parse),
-            Kind::B
-        );
-    }
-
-    #[test]
     fn size_explicit_request_wins_and_clamps() {
         assert_eq!(resolve_size("LETDMA_TEST_SIZE_UNSET", Some(4), 1), 4);
         assert_eq!(
@@ -160,14 +87,5 @@ mod tests {
             "zero clamps to one"
         );
         assert_eq!(resolve_size("LETDMA_TEST_SIZE_UNSET", None, 3), 3);
-    }
-
-    #[test]
-    fn override_explicit_request_wins_and_unset_is_none() {
-        assert_eq!(
-            resolve_override("LETDMA_TEST_OVERRIDE_UNSET", Some(64)),
-            Some(64)
-        );
-        assert_eq!(resolve_override("LETDMA_TEST_OVERRIDE_UNSET", None), None);
     }
 }

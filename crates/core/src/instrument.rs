@@ -94,10 +94,11 @@ pub enum Counter {
     /// Fill-in ratio of the sparse LU refactorizations in permille:
     /// `round(1000 · Σ nnz(L+U) / Σ nnz(B))` over a solve's
     /// refactorizations (1000 = no fill; reported once per solve like
-    /// [`RootGapBps`](Self::RootGapBps), zero for the dense oracle).
+    /// [`RootGapBps`](Self::RootGapBps)).
     FillInRatio,
-    /// Columns examined by entering-variable pricing across all simplex
-    /// iterations (partial pricing examines a block, not all of `n`).
+    /// Columns priced by entering-variable selection across all simplex
+    /// iterations (all `n` per Devex iteration, up to the first improving
+    /// column under Bland's rule).
     PricingCandidates,
     /// The refactorization cadence (pivots between basis rebuilds) the
     /// solve actually ran with, reported once per solve so the bench can

@@ -1,27 +1,22 @@
-//! Factorized basis abstraction of the revised simplex.
+//! Factorized basis of the revised simplex.
 //!
 //! The simplex only ever touches the basis through five operations — a
 //! BTRAN solve over a sparse right-hand side, an FTRAN solve of a sparse
 //! column, a rank-one pivot update, a from-scratch refactorization and a
-//! reset to the signed-identity starting basis — so those form the
-//! [`Basis`] trait. Two implementations live behind it:
+//! reset to the signed-identity starting basis. The solver runs on
+//! [`SparseLu`]: a sparse LU factorization of the basis (Markowitz pivot
+//! selection with Suhl–Suhl threshold partial pivoting, stored as sparse
+//! triangular factors) plus product-form eta updates between
+//! refactorizations. Every operation costs
+//! `O(nnz(L) + nnz(U) + nnz(etas) + m)` instead of the dense `O(m²)`.
 //!
-//! * [`SparseLu`] (the default) — a sparse LU factorization of the basis
-//!   (Markowitz pivot selection with Suhl–Suhl threshold partial
-//!   pivoting, stored as sparse triangular factors) plus product-form eta
-//!   updates between refactorizations. Every operation costs
-//!   `O(nnz(L) + nnz(U) + nnz(etas) + m)` instead of the dense `O(m²)`.
-//! * [`DenseInverse`] — the explicit row-major `m × m` inverse the
-//!   workspace started with, kept alive as the differential oracle
-//!   (`crates/milp/tests/basis_differential.rs` pins the two
-//!   representations against each other to 1e-9).
-//!
-//! Selection is [`BasisKind::resolve`]: an explicit
-//! `SolveOptions::with_basis` request wins, else the `LETDMA_BASIS`
-//! environment variable, else sparse. DESIGN.md §"Sparse LU basis &
+//! The five operations also form the [`Basis`] trait, whose only other
+//! implementation is [`DenseInverse`] — the explicit row-major `m × m`
+//! inverse the workspace started with. The solver never constructs it: it
+//! is the reference oracle that `crates/milp/tests/basis_differential.rs`
+//! pins [`SparseLu`] against to 1e-9. DESIGN.md §"Sparse LU basis &
 //! pricing" documents the data layout and the update formula.
 
-use letdma_core::env::{resolve_choice, BASIS_ENV};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -29,7 +24,8 @@ use std::fmt;
 pub type SparseCol = Vec<(usize, f64)>;
 
 /// The operations the bounded-variable revised simplex needs from a
-/// basis representation.
+/// basis representation: the interface on which [`DenseInverse`] serves
+/// as the reference oracle for [`SparseLu`].
 ///
 /// Implementations maintain a factorization (or inverse) of the current
 /// basis matrix `B` (one column per row of the LP). Dense vectors have
@@ -47,7 +43,7 @@ pub trait Basis: fmt::Debug {
     /// BTRAN: solves `y' B = c'` for a sparse right-hand side `c` indexed
     /// by *basis position* (ascending). `y` has length `m`, is overwritten
     /// and is indexed by row. The pricing duals are `btran` of the basic
-    /// costs; the dual-simplex pivot row is `btran` of `e_r`.
+    /// costs; the Devex pivot row is `btran` of `e_r`.
     fn btran(&self, c: &[(usize, f64)], y: &mut [f64]);
 
     /// FTRAN: solves `B w = a` for a sparse column `a` indexed by row.
@@ -75,76 +71,6 @@ pub trait Basis: fmt::Debug {
 
     /// Total successful refactorizations since construction.
     fn refactorizations(&self) -> u64;
-
-    /// The refactorization cadence (pivot updates between rebuilds) this
-    /// representation wants when the caller does not override it.
-    fn default_refactor_interval(&self) -> u64;
-
-    /// Whether the representation wants a refactorization now, given the
-    /// configured `interval`. The default is the pure pivot-count cadence;
-    /// factorized implementations also trigger on update-file growth.
-    fn wants_refactor(&self, interval: u64) -> bool {
-        self.updates_since_refactor() >= interval
-    }
-
-    /// Total nonzeros appended to update (eta) files by pivots since
-    /// construction (zero for an explicit inverse, which folds updates
-    /// into the dense matrix).
-    fn eta_nonzeros(&self) -> u64 {
-        0
-    }
-
-    /// `(Σ nnz(L+U), Σ nnz(B))` over all successful refactorizations
-    /// since construction — the fill-in ratio numerator/denominator.
-    /// `(0, 0)` for representations without factor sparsity.
-    fn fill_nonzeros(&self) -> (u64, u64) {
-        (0, 0)
-    }
-}
-
-/// Which [`Basis`] implementation a solve runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum BasisKind {
-    /// [`DenseInverse`]: the explicit `m × m` inverse (the differential
-    /// oracle; `O(m²)` per operation).
-    Dense,
-    /// [`SparseLu`]: factorized sparse LU with product-form eta updates
-    /// (the default).
-    #[default]
-    Sparse,
-}
-
-impl BasisKind {
-    /// Parses an environment spelling (case-insensitive): `dense` /
-    /// `inverse` select [`BasisKind::Dense`], `sparse` / `lu` select
-    /// [`BasisKind::Sparse`].
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "dense" | "inverse" => Some(Self::Dense),
-            "sparse" | "lu" => Some(Self::Sparse),
-            _ => None,
-        }
-    }
-
-    /// Resolves the basis selection: `requested` if given, else the
-    /// `LETDMA_BASIS` environment variable, else [`BasisKind::Sparse`]
-    /// (`letdma-core::env::resolve_flag`-style resolution).
-    #[must_use]
-    pub fn resolve(requested: Option<Self>) -> Self {
-        resolve_choice(BASIS_ENV, requested, Self::Sparse, Self::parse)
-    }
-
-    /// Instantiates an empty basis of this kind; call
-    /// [`Basis::reset`] before use.
-    #[must_use]
-    pub fn instantiate(self) -> Box<dyn Basis> {
-        match self {
-            Self::Dense => Box::new(DenseInverse::new()),
-            Self::Sparse => Box::new(SparseLu::new()),
-        }
-    }
 }
 
 /// The workspace's classic representation: an explicit dense row-major
@@ -317,13 +243,6 @@ impl Basis for DenseInverse {
 
     fn refactorizations(&self) -> u64 {
         self.refactorizations
-    }
-
-    fn default_refactor_interval(&self) -> u64 {
-        // The historical cadence: dense Gauss-Jordan updates lose one bit
-        // at a time, and the O(m³) rebuild is expensive enough to
-        // amortize over many pivots.
-        512
     }
 }
 
@@ -836,29 +755,37 @@ impl Basis for SparseLu {
     fn refactorizations(&self) -> u64 {
         self.refactorizations
     }
+}
 
-    fn default_refactor_interval(&self) -> u64 {
-        // A denser cadence than the dense inverse: the rebuild is cheap
-        // (near-linear in nnz) and keeps the eta file short; the fill
-        // trigger in `wants_refactor` handles growth between counts.
-        128
-    }
+impl SparseLu {
+    /// Pivot updates between scheduled refactorizations (the solver's
+    /// default cadence). The rebuild is cheap (near-linear in nnz) and
+    /// keeps the eta file short; an eta-file growth trigger handles growth
+    /// between counts.
+    pub const REFACTOR_INTERVAL: u64 = 128;
 
-    fn wants_refactor(&self, interval: u64) -> bool {
+    /// Whether a refactorization is due: `interval` pivot updates since
+    /// the last rebuild, or an eta file grown past twice the factors.
+    #[must_use]
+    pub(crate) fn wants_refactor(&self, interval: u64) -> bool {
         self.updates_since_refactor >= interval
             || self.eta_nnz_current > 2 * (self.lu_nnz + self.m as u64)
     }
 
-    fn eta_nonzeros(&self) -> u64 {
+    /// Total nonzeros appended to the eta file by pivots since
+    /// construction.
+    #[must_use]
+    pub fn eta_nonzeros(&self) -> u64 {
         self.eta_nnz_total
     }
 
-    fn fill_nonzeros(&self) -> (u64, u64) {
+    /// `(Σ nnz(L+U), Σ nnz(B))` over all successful refactorizations
+    /// since construction — the fill-in ratio numerator/denominator.
+    #[must_use]
+    pub fn fill_nonzeros(&self) -> (u64, u64) {
         (self.lu_nnz_total, self.basis_nnz_total)
     }
-}
 
-impl SparseLu {
     fn lu_of_nnz(&self, lcols: &[Vec<(usize, f64)>]) -> u64 {
         lcols.iter().map(|c| c.len() as u64).sum()
     }
@@ -1045,20 +972,5 @@ mod tests {
             b.pivot(k % 4, &w);
         }
         assert!(b.wants_refactor(128), "fill growth must trigger a rebuild");
-    }
-
-    #[test]
-    fn basis_kind_parses_and_instantiates() {
-        assert_eq!(BasisKind::parse("dense"), Some(BasisKind::Dense));
-        assert_eq!(BasisKind::parse("SPARSE"), Some(BasisKind::Sparse));
-        assert_eq!(BasisKind::parse("lu"), Some(BasisKind::Sparse));
-        assert_eq!(BasisKind::parse("junk"), None);
-        assert_eq!(BasisKind::resolve(Some(BasisKind::Dense)), BasisKind::Dense);
-        let mut b = BasisKind::Sparse.instantiate();
-        b.reset(&[1.0]);
-        assert_eq!(b.default_refactor_interval(), 128);
-        let mut d = BasisKind::Dense.instantiate();
-        d.reset(&[1.0]);
-        assert_eq!(d.default_refactor_interval(), 512);
     }
 }

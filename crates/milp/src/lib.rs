@@ -15,12 +15,12 @@
 //!
 //! Every node LP is a cold **primal** simplex solve
 //! ([`simplex::SimplexSolver::solve`]): artificial-variable phase 1,
-//! pluggable pricing ([`PricingRule`]; partial pricing by default) with
-//! Bland anti-cycling, a Harris-style two-pass ratio test, one basis
-//! representation ([`Basis`]) and one refactorization cadence. The only
-//! warm start is at the root: a sibling scenario's optimal root basis
-//! ([`WarmBasis`], shared through a [`RootBasisSlot`]) is installed and,
-//! when primal feasible, phase 2 runs directly from it.
+//! Devex pricing with Bland anti-cycling, a Harris-style two-pass ratio
+//! test, one basis representation (the sparse LU of [`SparseLu`]) and one
+//! refactorization cadence. The only warm start is at the root: a sibling
+//! scenario's optimal root basis ([`WarmBasis`], shared through a
+//! [`RootBasisSlot`]) is installed and, when primal feasible, phase 2
+//! runs directly from it.
 //!
 //! # Examples
 //!
@@ -57,15 +57,14 @@ mod expr;
 mod lp_format;
 mod model;
 pub mod presolve;
-pub mod pricing;
+mod pricing;
 pub mod simplex;
 mod solver;
 
-pub use basis::{Basis, BasisKind, DenseInverse, SparseLu};
+pub use basis::{Basis, DenseInverse, SparseLu};
 pub use expr::{LinExpr, Var};
 pub use model::{Comparison, Constraint, Model, ObjectiveSense, Sense, VarDef, VarType};
 pub use presolve::{Lift, LiftEntry, PresolveInfeasible, PresolveStats, Presolved};
-pub use pricing::{Pricing, PricingRule};
 pub use simplex::WarmBasis;
 pub use solver::{
     MilpSolution, RootBasisSlot, SolveError, SolveOptions, SolveStats, SolveStatus, Solver,

@@ -38,18 +38,17 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use letdma_core::env::{resolve_flag, resolve_override, PRESOLVE_ENV, REFACTOR_ENV};
+use letdma_core::env::{resolve_flag, PRESOLVE_ENV};
 use letdma_core::fault::{self, FaultSite};
 use letdma_core::instrument::{
     timed_phase, Counter, IncumbentRecord, Instrument, NodeEvent, NoopInstrument,
 };
 use letdma_core::parallel::resolve_threads;
 
-use crate::basis::BasisKind;
+use crate::basis::SparseLu;
 use crate::expr::Var;
 use crate::model::{Model, ObjectiveSense};
 use crate::presolve;
-use crate::pricing::PricingRule;
 use crate::simplex::{LpOutcome, SimplexSolver, WarmBasis};
 
 /// Options controlling a [`Model::solver`] session.
@@ -108,23 +107,11 @@ pub struct SolveOptions {
     /// improvement as `Counter::RootGapBps` (off by default: it costs one
     /// extra LP per solve and is a measurement, not part of the search).
     pub measure_root_gap: bool,
-    /// Simplex basis representation for every node LP. `None` (default)
-    /// defers to the `LETDMA_BASIS` environment variable, else sparse LU
-    /// ([`BasisKind::Sparse`]); [`BasisKind::Dense`] selects the explicit
-    /// inverse retained as the differential oracle. The choice is resolved
-    /// once per solve, so every node runs on the same representation.
-    pub basis: Option<BasisKind>,
     /// Basis refactorization cadence in pivot updates. `None` (default)
-    /// defers to the `LETDMA_REFACTOR` environment variable, else to the
-    /// per-basis default (sparse LU rebuilds every 128 updates plus a
-    /// fill-in-growth trigger; the dense inverse every 512). The resolved
-    /// value is reported as `Counter::RefactorCadence`.
+    /// uses [`SparseLu::REFACTOR_INTERVAL`] (plus the LU's fill-in-growth
+    /// trigger). The resolved value is reported as
+    /// `Counter::RefactorCadence`.
     pub refactor_interval: Option<u64>,
-    /// Simplex entering-variable pricing rule. `None` (default) defers to
-    /// the `LETDMA_PRICING` environment variable, else partial pricing
-    /// ([`PricingRule::Partial`]). Resolved once per solve; the rule never
-    /// changes *which* optimum is found, only the pivot path to it.
-    pub pricing: Option<PricingRule>,
     /// Absolute wall-clock deadline for the whole solve. Checked before
     /// any presolve or simplex work: an already-expired deadline returns
     /// [`SolveError::DeadlineExpired`] without touching the model.
@@ -154,9 +141,7 @@ impl Default for SolveOptions {
             speculation: 8,
             presolve: None,
             measure_root_gap: false,
-            basis: None,
             refactor_interval: None,
-            pricing: None,
             deadline: None,
         }
     }
@@ -251,28 +236,11 @@ impl SolveOptions {
         self
     }
 
-    /// Pins the simplex basis representation (overriding the
-    /// `LETDMA_BASIS` environment variable; see [`basis`](Self::basis)).
-    #[must_use]
-    pub fn with_basis(mut self, basis: BasisKind) -> Self {
-        self.basis = Some(basis);
-        self
-    }
-
     /// Pins the basis refactorization cadence in pivot updates, clamped to
-    /// ≥ 1 (overriding the `LETDMA_REFACTOR` environment variable; see
-    /// [`refactor_interval`](Self::refactor_interval)).
+    /// ≥ 1 (see [`refactor_interval`](Self::refactor_interval)).
     #[must_use]
     pub fn with_refactor_interval(mut self, interval: u64) -> Self {
         self.refactor_interval = Some(interval.max(1));
-        self
-    }
-
-    /// Pins the simplex pricing rule (overriding the `LETDMA_PRICING`
-    /// environment variable; see [`pricing`](Self::pricing)).
-    #[must_use]
-    pub fn with_pricing(mut self, pricing: PricingRule) -> Self {
-        self.pricing = Some(pricing);
         self
     }
 
@@ -285,37 +253,28 @@ impl SolveOptions {
     }
 }
 
-/// The per-node LP knobs of one solve, resolved once by the coordinator
-/// (explicit option > environment variable > default) so every node —
-/// inline, worker-pool or retry — runs the same configuration.
+/// The per-node LP configuration of one solve, resolved once by the
+/// coordinator so every node — inline, worker-pool or retry — runs the
+/// same refactorization cadence.
 #[derive(Debug, Clone, Copy)]
 struct LpConfig {
-    basis: BasisKind,
-    pricing: PricingRule,
     refactor_interval: u64,
 }
 
 impl LpConfig {
     fn resolve(options: &SolveOptions) -> Self {
-        let basis = BasisKind::resolve(options.basis);
-        let pricing = PricingRule::resolve(options.pricing);
-        let refactor_interval = resolve_override(REFACTOR_ENV, options.refactor_interval)
-            .unwrap_or_else(|| basis.instantiate().default_refactor_interval());
         Self {
-            basis,
-            pricing,
-            refactor_interval,
+            refactor_interval: options
+                .refactor_interval
+                .unwrap_or(SparseLu::REFACTOR_INTERVAL),
         }
     }
 
     /// Builds a node LP solver on this configuration.
     fn solver(&self, model: &Model) -> SimplexSolver {
-        SimplexSolver::from_model_configured(
-            model,
-            self.basis,
-            self.pricing,
-            Some(self.refactor_interval),
-        )
+        let mut lp = SimplexSolver::from_model(model);
+        lp.refactor_interval = self.refactor_interval;
+        lp
     }
 }
 
@@ -1109,7 +1068,7 @@ struct LpShard {
     pricing_candidates: u64,
     eta_nonzeros: u64,
     /// Fill-in ratio numerator/denominator (`Σ nnz(L+U)` / `Σ nnz(B)`
-    /// over this node's refactorizations; zero for the dense inverse).
+    /// over this node's refactorizations).
     lu_nonzeros: u64,
     basis_nonzeros: u64,
     /// Wall-clock breakdown of this node's simplex work (refactorization /

@@ -392,8 +392,7 @@ fn drain_handle_drains_from_another_thread() {
             server.drain();
             server.drain(); // idempotent
         });
-        let responses =
-            server.solve_batch(vec![SolveRequest::new(comm_system(5), base_config())]);
+        let responses = server.solve_batch(vec![SolveRequest::new(comm_system(5), base_config())]);
         drainer.join().expect("drainer thread");
         responses
     });

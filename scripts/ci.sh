@@ -27,16 +27,6 @@ echo "== milp + opt suites with presolve off (LETDMA_THREADS=1 and 4) =="
 LETDMA_PRESOLVE=0 LETDMA_THREADS=1 cargo test -p milp -p letdma-opt --quiet --offline
 LETDMA_PRESOLVE=0 LETDMA_THREADS=4 cargo test -p milp -p letdma-opt --quiet --offline
 
-echo "== milp + opt suites across the basis matrix (dense/sparse x threads 1/4) =="
-# The sparse LU basis is the default; the dense explicit inverse stays
-# alive as the differential oracle, and every solver assertion must hold
-# on both representations at both thread counts (DESIGN.md §"Sparse LU
-# basis & pricing"). Scoped like the presolve matrix above.
-LETDMA_BASIS=dense  LETDMA_THREADS=1 cargo test -p milp -p letdma-opt --quiet --offline
-LETDMA_BASIS=dense  LETDMA_THREADS=4 cargo test -p milp -p letdma-opt --quiet --offline
-LETDMA_BASIS=sparse LETDMA_THREADS=1 cargo test -p milp -p letdma-opt --quiet --offline
-LETDMA_BASIS=sparse LETDMA_THREADS=4 cargo test -p milp -p letdma-opt --quiet --offline
-
 echo "== benchmark package (perfbench/, a separate cargo workspace) =="
 # `cargo build --workspace` never compiles perfbench/: it has its own
 # [workspace]. Build and test it here so a change to the public names it
