@@ -9,8 +9,7 @@
 //! cargo run --release -p letdma-bench --bin repro -- bench-milp --nodes 12 --out BENCH_milp.json
 //! cargo run --release -p letdma-bench --bin repro -- corpus --scenarios 64 --out BENCH_corpus.json
 //! cargo run --release -p letdma-bench --bin repro -- fault-smoke --budget 5
-//! cargo run --release -p letdma-bench --bin repro -- serve
-//! cargo run --release -p letdma-bench --bin repro -- serve-bench --workers 1,4,16 --out BENCH_serve.json
+//! cargo run --release -p letdma-bench --bin repro -- serve --tcp
 //! ```
 //!
 //! `--budget <seconds>` bounds each MILP solve (default 30 s; the paper
@@ -19,25 +18,24 @@
 //! scenario-level fan-out for the multi-scenario commands, MILP node-level
 //! parallelism for `fig1`; results are bit-identical at any thread count.
 //! `--stats` appends the solver statistics accumulated across every solve
-//! of the command: the deterministic aggregate (per-phase wall clock,
-//! simplex/branch-and-bound counters and the presolve reductions, node outcome breakdown, incumbent
-//! timeline), the per-scenario shards and the timing-dependent per-worker
-//! loads. It also switches on the presolve root-gap measurement, so each
-//! shard line reports how much the presolved root LP tightened
-//! (`RootGapBps`; one extra root LP per solve).
+//! of the command: the aggregate (per-phase wall clock, simplex and
+//! branch-and-bound counters, the presolve reductions, node outcome
+//! breakdown, incumbent timeline) and the per-scenario shards. It also
+//! switches on the presolve root-gap measurement, so each shard line
+//! reports how much the presolved root LP tightened (`RootGapBps`; one
+//! extra root LP per solve).
 //!
 //! `bench-milp` solves the six Table I scenarios in the default
 //! configuration under a node budget (`--nodes`, default 12 — each WATERS
 //! node LP costs thousands of simplex iterations; deterministic, so the
 //! counters repeat exactly), prints the per-scenario work and writes the
 //! machine-readable report to `--out` (default `BENCH_milp.json`, schema
-//! `letdma-bench-milp/5`; DESIGN.md §"Warm-start architecture"). Each
+//! `letdma-bench-milp/6`; DESIGN.md §"Warm-start architecture"). Each
 //! scenario carries its nodes, simplex iterations with the phase-1 share,
-//! a `time_breakdown` block (factorize / solve / pricing wall clock), the
-//! presolve reductions and a `reuse` block measuring cross-scenario root
-//! reuse. When `--baseline <path>` (default `BENCH_milp.json`) names a
-//! readable previous report, each scenario records its wall-clock
-//! speedup against it.
+//! the presolve reductions and a `reuse` block measuring cross-scenario
+//! root reuse. The report carries no timing fields, so it is
+//! byte-identical across reruns and thread counts; time is measured by
+//! `perfbench/`.
 //!
 //! `corpus` runs the scenario-diversity campaign: `--scenarios` (default
 //! 64) specs expanded from `--seed` (default `0xDAC22021`), each solved
@@ -51,19 +49,17 @@
 //! reruns and thread counts; a Properties-1–3 violation or a
 //! worse-than-heuristic MILP objective is a nonzero exit.
 //!
-//! `serve-bench` pushes the six Table I scenarios through the in-process
-//! solve service (wire codec, admission queue, worker shards, shared
-//! formulation/presolve cache) once per `--workers` entry (comma list,
-//! default `1,4,16`), prints scenarios/sec per round and writes the report
-//! to `--out` (default `BENCH_serve.json`, schema `letdma-bench-serve/1`;
-//! DESIGN.md §"Service architecture"). `serve` is the CI smoke: the same
-//! batch at workers 1 and 4, asserting every response is a full MILP
-//! solve and the warm round hits the cache, without writing a file.
-//! `--tcp` switches either command onto a real `TcpServer` over OS
-//! loopback (length-prefixed frames, retrying client, per-request
-//! idempotency keys; DESIGN.md §"Network transport & failure model") —
-//! combined with `LETDMA_FAULTS="net-…:max=2"` this is the CI chaos
-//! smoke, and `--stats` then also reports the transport counters
+//! `serve` is the solve-service smoke: the six Table I scenarios through
+//! the in-process service (wire codec, admission queue, worker shards,
+//! shared formulation/presolve cache) at 1 worker and then at 4, checking
+//! that every response is a full MILP solve and that the cache is hit 0
+//! times on the cold round and 6 times on the warm one (DESIGN.md
+//! §"Service architecture"); a broken invariant is a nonzero exit.
+//! `--tcp` switches it onto a real `TcpServer` over OS loopback
+//! (length-prefixed frames, retrying client, per-request idempotency keys;
+//! DESIGN.md §"Network transport & failure model") — combined with
+//! `LETDMA_FAULTS="net-…:max=2"` this is the CI chaos smoke, and
+//! `--stats` then also reports the service and transport counters
 //! (retries attempted, frames dropped, drain rejections, idempotent
 //! hits).
 //!
@@ -80,9 +76,8 @@ use std::time::Duration;
 
 use letdma::core::fault;
 use letdma::core::Counter;
-use letdma_bench::json::Json;
 use letdma_bench::{
-    alpha_sweep, corpus_bench, fault_smoke, fig2, milp_bench, serve_bench, table1, Session,
+    alpha_sweep, corpus_bench, fault_smoke, fig2, milp_bench, serve_smoke, table1, Session,
 };
 
 fn main() -> ExitCode {
@@ -100,8 +95,6 @@ fn main() -> ExitCode {
     let mut scenarios: usize = 64;
     let mut seed: u64 = 0xDAC2_2021;
     let mut out_path: Option<String> = None;
-    let mut baseline_path = String::from("BENCH_milp.json");
-    let mut workers: Vec<usize> = vec![1, 4, 16];
     let mut tcp = false;
     let mut command: Option<String> = None;
     let mut iter = args.iter();
@@ -184,32 +177,6 @@ fn main() -> ExitCode {
                 };
                 out_path = Some(value.clone());
             }
-            "--workers" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--workers needs a comma-separated list, e.g. 1,4,16");
-                    return ExitCode::FAILURE;
-                };
-                match value
-                    .split(',')
-                    .map(|w| w.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                {
-                    Ok(list) if !list.is_empty() && list.iter().all(|&w| w >= 1) => {
-                        workers = list;
-                    }
-                    _ => {
-                        eprintln!("invalid worker list `{value}`");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--baseline" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--baseline needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                baseline_path = value.clone();
-            }
             other if command.is_none() => command = Some(other.to_owned()),
             other => {
                 eprintln!("unexpected argument `{other}`");
@@ -229,19 +196,7 @@ fn main() -> ExitCode {
         "table1" => print!("{}", table1::render(&session.table1())),
         "alpha-sweep" => print!("{}", alpha_sweep::render(&session.alpha_sweep())),
         "bench-milp" => {
-            // A previous report (typically the committed baseline) gives
-            // the wall-clock speedups; its absence is fine — first runs and
-            // fresh checkouts just record null speedups.
-            let baseline = std::fs::read_to_string(&baseline_path)
-                .ok()
-                .and_then(|text| match Json::parse(&text) {
-                    Ok(v) => Some(v),
-                    Err(e) => {
-                        eprintln!("ignoring unparseable baseline `{baseline_path}`: {e}");
-                        None
-                    }
-                });
-            let bench = milp_bench::run(nodes.unwrap_or(12), baseline.as_ref());
+            let bench = milp_bench::run(nodes.unwrap_or(12));
             print!("{}", bench.render());
             let value = bench.to_json();
             if let Err(problem) = milp_bench::validate(&value) {
@@ -256,49 +211,27 @@ fn main() -> ExitCode {
             println!("wrote {out_path}");
         }
         "serve" => {
-            // CI smoke: the six-scenario WATERS batch through the
-            // in-process service at 1 worker (cold cache) and 4 workers
-            // (warm); with `--tcp` the same batch crosses a real socket
-            // (and `LETDMA_FAULTS="net-…:max=2"` turns it into the chaos
-            // smoke — fire caps below the retry budget keep it
-            // deterministic). `serve_bench::run_over` panics on any
-            // broken service invariant; the explicit checks below keep
-            // the failure a clean nonzero exit with a message.
-            let bench = serve_bench::run_over(nodes.unwrap_or(12), &[1, 4], tcp);
-            print!("{}", bench.render());
-            if let Err(problem) = serve_bench::validate(&bench.to_json()) {
-                eprintln!("serve smoke: report fails its own schema: {problem}");
-                return ExitCode::FAILURE;
-            }
-            let warm_hits = bench.rounds.last().map_or(0, |r| r.cache_hits);
-            if warm_hits == 0 {
-                eprintln!("serve smoke: warm round produced no cache hits");
-                return ExitCode::FAILURE;
-            }
+            // The six-scenario WATERS batch through the solve service at 1
+            // worker (cold cache) and 4 workers (warm); with `--tcp` the
+            // same batch crosses a real socket (and
+            // `LETDMA_FAULTS="net-…:max=2"` turns it into the chaos smoke —
+            // fire caps below the retry budget keep it deterministic).
+            let smoke = match serve_smoke::run(nodes.unwrap_or(12), tcp) {
+                Ok(smoke) => smoke,
+                Err(problem) => {
+                    eprintln!("serve smoke: {problem}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            print!("{}", smoke.render());
             if stats {
-                println!("\n== Serve statistics — {} transport", bench.transport);
-                print!("{}", bench.stats.render());
+                println!("\n== Serve statistics — {} transport", smoke.transport);
+                print!("{}", smoke.stats.render());
             }
-            println!("serve smoke OK ({warm_hits} cache hits on the warm round)");
-        }
-        "serve-bench" => {
-            let bench = serve_bench::run_over(nodes.unwrap_or(12), &workers, tcp);
-            print!("{}", bench.render());
-            let value = bench.to_json();
-            if let Err(problem) = serve_bench::validate(&value) {
-                eprintln!("internal error: benchmark report fails its own schema: {problem}");
-                return ExitCode::FAILURE;
-            }
-            let out_path = out_path.unwrap_or_else(|| "BENCH_serve.json".to_owned());
-            if let Err(e) = std::fs::write(&out_path, value.render()) {
-                eprintln!("cannot write `{out_path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-            if stats {
-                println!("\n== Serve statistics — {} transport", bench.transport);
-                print!("{}", bench.stats.render());
-            }
-            println!("wrote {out_path}");
+            println!(
+                "serve smoke OK ({} cache hits on the warm round)",
+                smoke.warm_hits()
+            );
         }
         "corpus" => {
             // The scenario-corpus campaign: every generated scenario solved
@@ -348,7 +281,7 @@ fn main() -> ExitCode {
         }
         other => {
             eprintln!(
-                "unknown command `{other}` (use fig1|fig2|table1|alpha-sweep|bench-milp|corpus|serve|serve-bench|fault-smoke|all)"
+                "unknown command `{other}` (use fig1|fig2|table1|alpha-sweep|bench-milp|corpus|serve|fault-smoke|all)"
             );
             return ExitCode::FAILURE;
         }
@@ -387,15 +320,6 @@ fn main() -> ExitCode {
                     count(Counter::PricingCandidates),
                     count(Counter::FillInRatio),
                     count(Counter::RefactorCadence),
-                );
-            }
-        }
-        if !session.worker_loads().is_empty() {
-            println!("\n-- per-worker loads (timing-dependent: which worker got which node) --");
-            for w in session.worker_loads() {
-                println!(
-                    "worker {:<3} {:>8} jobs ({} skipped)  {:>10} LP iterations  busy {:.2?}",
-                    w.worker, w.jobs, w.skipped, w.lp_iterations, w.busy
                 );
             }
         }

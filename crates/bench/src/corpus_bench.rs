@@ -17,13 +17,13 @@
 //! thread counts. Latencies are simulated worst cases (nanoseconds of
 //! model time), not wall clock.
 
+use letdma::core::Json;
 use letdma::model::conformance::{verify, VerifyOptions};
 use letdma::model::System;
 use letdma::opt::{heuristic_solution, Batch, Objective, OptConfig};
 use letdma::waters::corpus::{corpus, ScenarioSpec};
 use letdma::waters::gen::{system_fingerprint, try_generate};
 
-use crate::json::Json;
 use crate::{simulate_all, ApproachReports};
 
 /// Schema identifier of `BENCH_corpus.json`; bump on breaking layout

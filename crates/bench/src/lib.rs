@@ -1,7 +1,7 @@
 //! # letdma-bench
 //!
-//! Shared harness behind the benchmark targets and the `repro` binary that
-//! regenerates every table and figure of the paper's evaluation (§VII):
+//! The library behind the `repro` binary that regenerates every table and
+//! figure of the paper's evaluation (§VII):
 //!
 //! * **Fig. 1** — the worked scheduling example ([`Session::fig1`]);
 //! * **Fig. 2** — per-task latency ratios of the proposed approach against
@@ -13,11 +13,15 @@
 //! * the **α sensitivity sweep** described in the §VII text
 //!   ([`Session::alpha_sweep`]);
 //! * the **MILP benchmark** ([`milp_bench`]) behind
-//!   `repro bench-milp` and the committed `BENCH_milp.json` baseline;
+//!   `repro bench-milp` and the committed `BENCH_milp.json` artifact;
 //! * the **scenario-corpus campaign** ([`corpus_bench`]) behind
 //!   `repro corpus` and the committed `BENCH_corpus.json` artifact —
 //!   every generated scenario solved end-to-end (heuristic → MILP →
-//!   conformance) with the protocol variants compared per scenario.
+//!   conformance) with the protocol variants compared per scenario;
+//! * the **solve-service smoke** ([`serve_smoke`]) behind `repro serve`.
+//!
+//! Both committed artifacts carry deterministic counts only; timing is
+//! measured by the separate `perfbench/` package, with repeated samples.
 //!
 //! All experiments run through one [`Session`], which owns the solve
 //! budget, the thread count and the per-scenario [`SolverStats`] shards
@@ -32,10 +36,8 @@
 
 pub mod corpus_bench;
 pub mod fault_smoke;
-pub mod harness;
-pub mod json;
 pub mod milp_bench;
-pub mod serve_bench;
+pub mod serve_smoke;
 
 use std::time::Duration;
 
@@ -43,7 +45,6 @@ use letdma::core::instrument::Instrument;
 use letdma::core::SolverStats;
 
 use letdma::analysis::{apply_gammas, derive_gammas, let_task_segments};
-use letdma::milp::WorkerLoad;
 use letdma::model::System;
 use letdma::opt::{
     heuristic_solution, Batch, BatchOutcome, LetDmaSolution, Objective, OptConfig, Optimizer,
@@ -133,7 +134,6 @@ pub struct Session {
     threads: Option<usize>,
     measure_root_gap: bool,
     shards: Vec<(String, SolverStats)>,
-    workers: Vec<WorkerLoad>,
 }
 
 impl Default for Session {
@@ -143,7 +143,6 @@ impl Default for Session {
             threads: None,
             measure_root_gap: false,
             shards: Vec::new(),
-            workers: Vec::new(),
         }
     }
 }
@@ -182,14 +181,6 @@ impl Session {
     #[must_use]
     pub fn shards(&self) -> &[(String, SolverStats)] {
         &self.shards
-    }
-
-    /// Per-worker load totals accumulated over every MILP solve. These are
-    /// timing-dependent (which worker grabbed which node) and are *not*
-    /// part of the deterministic trajectory.
-    #[must_use]
-    pub fn worker_loads(&self) -> &[WorkerLoad] {
-        &self.workers
     }
 
     /// All shards merged into one collector (counters and phase durations
@@ -233,7 +224,6 @@ impl Session {
             .instrument(&mut stats)
             .run()
             .expect("Fig. 1 example solves");
-        self.absorb_workers(&solution);
         self.shards.push(("fig1".to_owned(), stats));
         fig1::render(&system, &solution)
     }
@@ -412,34 +402,9 @@ impl Session {
         }
         let outcomes = batch.run();
         for (name, outcome) in names.into_iter().zip(&outcomes) {
-            if let Ok(solution) = &outcome.result {
-                self.absorb_workers(solution);
-            }
             self.shards.push((name, outcome.stats.clone()));
         }
         outcomes
-    }
-
-    fn absorb_workers(&mut self, solution: &LetDmaSolution) {
-        let Provenance::Milp { stats, .. } = &solution.provenance else {
-            return;
-        };
-        for w in &stats.workers {
-            while self.workers.len() <= w.worker {
-                self.workers.push(WorkerLoad {
-                    worker: self.workers.len(),
-                    ..Default::default()
-                });
-            }
-            let mine = &mut self.workers[w.worker];
-            mine.jobs += w.jobs;
-            mine.skipped += w.skipped;
-            mine.lp_iterations += w.lp_iterations;
-            mine.pivots += w.pivots;
-            mine.bound_flips += w.bound_flips;
-            mine.refactorizations += w.refactorizations;
-            mine.busy += w.busy;
-        }
     }
 }
 

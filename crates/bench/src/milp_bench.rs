@@ -1,75 +1,31 @@
 //! The MILP benchmark behind `repro bench-milp` and the committed
-//! `BENCH_milp.json` baseline.
+//! `BENCH_milp.json` artifact.
 //!
 //! Each Table I scenario ({NO-OBJ, OBJ-DMAT, OBJ-DEL} × α ∈ {0.2, 0.4})
 //! is solved once in the default configuration under a *node budget* with
-//! no wall-clock limit, so the search trajectory and every work counter
-//! are deterministic; only the wall clocks vary between runs.
+//! no wall-clock limit and one thread, so the search trajectory and every
+//! work counter are deterministic. The report carries no timing fields:
+//! like `BENCH_corpus.json` it is byte-identical across reruns and
+//! `LETDMA_THREADS` values. Per-layer time is measured by `perfbench/`
+//! (`milp.{factorize,solve,pricing}_ms`), with repeated samples.
 //!
 //! Per scenario the report (schema [`SCHEMA`]) records:
 //!
-//! * `solve` — nodes, simplex iterations with their phase-1 share, the
-//!   pipeline wall clock and its `time_breakdown` (factorize / solve /
-//!   pricing, the solver's `simplex-*` phase durations);
+//! * `solve` — nodes and simplex iterations with their phase-1 share;
 //! * `presolve` — the reductions and the root-gap tightening
 //!   ([`Counter::RootGapBps`]);
 //! * `reuse` — the scenario solved twice through one [`prepare`]d entry:
 //!   the second run imports the first run's optimal root basis and skips
-//!   phase 1 at the root ([`Counter::Phase1IterationsSaved`]);
-//! * `wall_clock_speedup` — the `--baseline` file's wall clock over this
-//!   run's, `null` without a baseline.
+//!   phase 1 at the root ([`Counter::Phase1IterationsSaved`]).
 //!
 //! DESIGN.md §"Removed: value-free dual re-solves and the crash basis"
 //! records what earlier schemas measured (the warm/cold split of
 //! `/1`–`/4` and the crash A/B of `/4`) and why those blocks are gone.
 
-use std::time::{Duration, Instant};
-
-use letdma::core::{Counter, SolverStats};
+use letdma::core::{Counter, Json, SolverStats};
 use letdma::opt::{prepare, Objective, OptConfig, Optimizer};
 
-use crate::json::Json;
 use crate::waters_with_alpha;
-
-/// Where the simplex wall clock of one run went, accumulated over every
-/// node LP (the `simplex-factorize` / `simplex-solve` / `simplex-pricing`
-/// phase durations the solver reports). Timing-dependent, like
-/// `wall_clock`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimeBreakdown {
-    /// Basis refactorizations (LU rebuilds / Gauss-Jordan inversions).
-    pub factorize: Duration,
-    /// FTRAN/BTRAN solves and pivot updates.
-    pub solve: Duration,
-    /// Reduced-cost pricing scans.
-    pub pricing: Duration,
-}
-
-impl TimeBreakdown {
-    fn from_stats(stats: &SolverStats) -> Self {
-        let phase = |name: &str| {
-            stats
-                .phases()
-                .iter()
-                .find(|(p, ..)| *p == name)
-                .map_or(Duration::ZERO, |&(_, d, _)| d)
-        };
-        Self {
-            factorize: phase("simplex-factorize"),
-            solve: phase("simplex-solve"),
-            pricing: phase("simplex-pricing"),
-        }
-    }
-
-    fn to_json(self) -> Json {
-        let ms = |d: Duration| Json::Float(d.as_secs_f64() * 1e3);
-        Json::obj(vec![
-            ("factorize_ms", ms(self.factorize)),
-            ("solve_ms", ms(self.solve)),
-            ("pricing_ms", ms(self.pricing)),
-        ])
-    }
-}
 
 /// Solver counters of one scenario's default-configuration run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -81,22 +37,14 @@ pub struct SolveReport {
     /// The phase-1 share of `simplex_iterations`: pivots spent driving
     /// artificial variables out of the basis before any optimization.
     pub phase1_iterations: u64,
-    /// Wall clock of the full pipeline (heuristic + formulation + search +
-    /// validation). Timing-dependent; everything else here is
-    /// deterministic.
-    pub wall_clock: Duration,
-    /// Simplex wall-clock split (factorize / solve / pricing).
-    pub time_breakdown: TimeBreakdown,
 }
 
 impl SolveReport {
-    fn from_stats(stats: &SolverStats, wall_clock: Duration) -> Self {
+    fn from_stats(stats: &SolverStats) -> Self {
         Self {
             nodes: stats.counter(Counter::Nodes),
             simplex_iterations: stats.counter(Counter::SimplexIterations),
             phase1_iterations: stats.counter(Counter::Phase1Iterations),
-            wall_clock,
-            time_breakdown: TimeBreakdown::from_stats(stats),
         }
     }
 
@@ -111,11 +59,6 @@ impl SolveReport {
                 "phase1_iterations",
                 Json::Int(self.phase1_iterations as i64),
             ),
-            (
-                "wall_clock_ms",
-                Json::Float(self.wall_clock.as_secs_f64() * 1e3),
-            ),
-            ("time_breakdown", self.time_breakdown.to_json()),
         ])
     }
 }
@@ -206,10 +149,6 @@ pub struct ScenarioReport {
     pub presolve: PresolveReport,
     /// The donate-then-import root-reuse measurement.
     pub reuse: ReuseReport,
-    /// Baseline wall clock divided by this run's wall clock
-    /// (> 1 means this run was faster); `None` without a baseline.
-    /// Timing-dependent, like the wall clocks it is derived from.
-    pub wall_clock_speedup: Option<f64>,
 }
 
 impl ScenarioReport {
@@ -221,10 +160,6 @@ impl ScenarioReport {
             ("solve", self.solve.to_json()),
             ("presolve", self.presolve.to_json()),
             ("reuse", self.reuse.to_json()),
-            (
-                "wall_clock_speedup",
-                self.wall_clock_speedup.map_or(Json::Null, Json::Float),
-            ),
         ])
     }
 }
@@ -295,20 +230,16 @@ impl MilpBench {
             self.node_limit
         ));
         out.push_str(
-            "scenario                        nodes   simplex iters   phase-1   root-gap  wall clock (speedup)  reuse-saved\n",
+            "scenario                        nodes   simplex iters   phase-1   root-gap  reuse-saved\n",
         );
         for s in &self.scenarios {
-            let speedup = s
-                .wall_clock_speedup
-                .map_or_else(|| "no baseline".into(), |x| format!("{x:.2}x"));
             out.push_str(&format!(
-                "{:<30} {:>6} {:>15} {:>9} {:>6}bps  {:>9.2?} ({speedup})  {:>11}\n",
+                "{:<30} {:>6} {:>15} {:>9} {:>6}bps  {:>11}\n",
                 s.name,
                 s.solve.nodes,
                 s.solve.simplex_iterations,
                 s.solve.phase1_iterations,
                 s.presolve.root_gap_bps,
-                s.solve.wall_clock,
                 s.reuse.phase1_iterations_saved,
             ));
         }
@@ -323,38 +254,15 @@ impl MilpBench {
 
 /// Schema identifier of `BENCH_milp.json`; bump on breaking layout change.
 /// `/2` added per-scenario `presolve` counters and the `warm_fathoms_delta`
-/// comparison against a prior baseline file. `/3` added the per-mode
-/// `time_breakdown` block (factorize / solve / pricing wall clock) and the
-/// per-scenario `wall_clock_speedup` against the baseline file. `/4` added
-/// the per-mode `phase1_iterations` split and the per-scenario `crash` and
-/// `reuse` blocks (plus `phase1_iterations_saved_total` in `totals`).
-/// `/5` keeps one run per scenario (the default configuration, under
-/// `solve`) and drops the cold run, the crash block and the warm-fathom
-/// fields.
-pub const SCHEMA: &str = "letdma-bench-milp/5";
-
-/// Finds `scenarios[name]` in a prior baseline file.
-fn baseline_scenario<'a>(baseline: &'a Json, name: &str) -> Option<&'a Json> {
-    let Json::Arr(scenarios) = baseline.get("scenarios")? else {
-        return None;
-    };
-    scenarios
-        .iter()
-        .find(|s| matches!(s.get("name"), Some(Json::Str(n)) if n == name))
-}
-
-/// Looks up a scenario's wall clock in a prior baseline file: under
-/// `solve` (`/5`), else under `warm` (the default configuration of
-/// `/3`–`/4`).
-fn baseline_wall_clock_ms(baseline: &Json, name: &str) -> Option<f64> {
-    let scenario = baseline_scenario(baseline, name)?;
-    let run = scenario.get("solve").or_else(|| scenario.get("warm"))?;
-    match run.get("wall_clock_ms")? {
-        Json::Float(ms) => Some(*ms),
-        Json::Int(ms) => Some(*ms as f64),
-        _ => None,
-    }
-}
+/// comparison against a prior baseline file. `/3` added per-mode
+/// factorize / solve / pricing wall clocks and a per-scenario speedup
+/// against the baseline file. `/4` added the per-mode `phase1_iterations`
+/// split and the per-scenario `crash` and `reuse` blocks (plus
+/// `phase1_iterations_saved_total` in `totals`). `/5` keeps one run per
+/// scenario (the default configuration, under `solve`) and drops the cold
+/// run, the crash block and the warm-fathom fields. `/6` drops every
+/// timing field, so the file is deterministic.
+pub const SCHEMA: &str = "letdma-bench-milp/6";
 
 /// Runs the benchmark: the six Table I scenarios, each under
 /// `node_limit` nodes with no wall-clock limit and the presolve root-gap
@@ -362,16 +270,13 @@ fn baseline_wall_clock_ms(baseline: &Json, name: &str) -> Option<f64> {
 /// donate-then-import pair through one prepared cache entry for the
 /// `reuse` block.
 ///
-/// `baseline` is a previously written `BENCH_milp.json` value; when
-/// given, each scenario's `wall_clock_speedup` compares against it.
-///
 /// # Panics
 ///
 /// Panics if a scenario fails to produce a solution (cannot happen: the
 /// constructive heuristic is feasible on the WATERS case study, so a
 /// node-limited search always has the heuristic fallback).
 #[must_use]
-pub fn run(node_limit: u64, baseline: Option<&Json>) -> MilpBench {
+pub fn run(node_limit: u64) -> MilpBench {
     let mut scenarios = Vec::new();
     for objective in [
         Objective::None,
@@ -387,14 +292,11 @@ pub fn run(node_limit: u64, baseline: Option<&Json>) -> MilpBench {
                 .with_threads(1);
 
             let mut stats = SolverStats::new();
-            let started = Instant::now();
             let result = Optimizer::new(&system)
                 .config(config.clone().with_measure_root_gap(true))
                 .instrument(&mut stats)
                 .run();
-            let wall_clock = started.elapsed();
             assert!(result.is_ok(), "scenario must solve: {result:?}");
-            let solve = SolveReport::from_stats(&stats, wall_clock);
 
             // Solve the scenario twice through one prepared cache entry:
             // the first run donates its optimal root basis, the second
@@ -416,18 +318,13 @@ pub fn run(node_limit: u64, baseline: Option<&Json>) -> MilpBench {
                 import_phase1_iterations: import_stats.counter(Counter::Phase1Iterations),
             };
 
-            let name = format!("table1/alpha=0.{}/{objective}", alpha_pct / 10);
-            let wall_clock_speedup = baseline
-                .and_then(|b| baseline_wall_clock_ms(b, &name))
-                .map(|old_ms| old_ms / (solve.wall_clock.as_secs_f64() * 1e3).max(1e-6));
             scenarios.push(ScenarioReport {
-                name,
+                name: format!("table1/alpha=0.{}/{objective}", alpha_pct / 10),
                 alpha_pct,
                 objective,
-                solve,
+                solve: SolveReport::from_stats(&stats),
                 presolve: PresolveReport::from_stats(&stats),
                 reuse,
-                wall_clock_speedup,
             });
         }
     }
@@ -442,7 +339,7 @@ pub fn run(node_limit: u64, baseline: Option<&Json>) -> MilpBench {
 ///
 /// This runs on every `repro bench-milp` invocation before the file is
 /// written (and in the CI smoke run), so a drifting emitter fails loudly
-/// instead of silently producing an unparseable baseline.
+/// instead of silently producing an unparseable report.
 ///
 /// # Errors
 ///
@@ -494,22 +391,10 @@ pub fn validate(value: &Json) -> Result<(), String> {
                 return Err(format!("reuse.{key} must be an integer"));
             }
         }
-        if !matches!(need(s, "wall_clock_speedup")?, Json::Float(_) | Json::Null) {
-            return Err("scenario wall_clock_speedup must be a number or null".into());
-        }
         let m = need(s, "solve")?;
         for key in ["nodes", "simplex_iterations", "phase1_iterations"] {
             if !matches!(need(&m, key)?, Json::Int(_)) {
                 return Err(format!("solve.{key} must be an integer"));
-            }
-        }
-        if !matches!(need(&m, "wall_clock_ms")?, Json::Float(_)) {
-            return Err("solve.wall_clock_ms must be a number".into());
-        }
-        let tb = need(&m, "time_breakdown")?;
-        for key in ["factorize_ms", "solve_ms", "pricing_ms"] {
-            if !matches!(need(&tb, key)?, Json::Float(_)) {
-                return Err(format!("solve.time_breakdown.{key} must be a number"));
             }
         }
     }
@@ -537,12 +422,6 @@ mod tests {
                     nodes: 4,
                     simplex_iterations: 60,
                     phase1_iterations: 45,
-                    wall_clock: Duration::from_millis(12),
-                    time_breakdown: TimeBreakdown {
-                        factorize: Duration::from_millis(3),
-                        solve: Duration::from_millis(5),
-                        pricing: Duration::from_millis(2),
-                    },
                 },
                 presolve: PresolveReport {
                     rows_dropped: 7,
@@ -555,7 +434,6 @@ mod tests {
                     phase1_iterations_saved: 45,
                     import_phase1_iterations: 0,
                 },
-                wall_clock_speedup: Some(4.0),
             }],
         }
     }
@@ -565,38 +443,6 @@ mod tests {
         let b = sample();
         assert_eq!(b.total_iterations(), 60);
         assert_eq!(b.phase1_iterations_saved_total(), 45);
-    }
-
-    #[test]
-    fn baseline_lookup_matches_by_name() {
-        let rendered = sample().to_json();
-        let ms = baseline_wall_clock_ms(&rendered, "table1/alpha=0.2/NO-OBJ");
-        assert!((ms.unwrap() - 12.0).abs() < 1e-9);
-        assert_eq!(baseline_wall_clock_ms(&rendered, "nope"), None);
-        assert_eq!(baseline_wall_clock_ms(&Json::Null, "x"), None);
-    }
-
-    #[test]
-    fn baseline_lookup_reads_the_warm_block_of_older_files() {
-        let old = Json::parse(r#"{"scenarios": [{"name": "s", "warm": {"wall_clock_ms": 7.5}}]}"#)
-            .expect("parses");
-        assert_eq!(baseline_wall_clock_ms(&old, "s"), Some(7.5));
-    }
-
-    #[test]
-    fn time_breakdown_round_trips_through_json() {
-        let v = sample().to_json();
-        let Json::Arr(scenarios) = v.get("scenarios").unwrap() else {
-            panic!("scenarios must be an array");
-        };
-        let tb = scenarios[0]
-            .get("solve")
-            .unwrap()
-            .get("time_breakdown")
-            .unwrap();
-        assert!(matches!(tb.get("factorize_ms"), Some(Json::Float(x)) if (*x - 3.0).abs() < 1e-9));
-        assert!(matches!(tb.get("solve_ms"), Some(Json::Float(x)) if (*x - 5.0).abs() < 1e-9));
-        assert!(matches!(tb.get("pricing_ms"), Some(Json::Float(x)) if (*x - 2.0).abs() < 1e-9));
     }
 
     #[test]
@@ -621,13 +467,6 @@ mod tests {
             totals.get("phase1_iterations_saved_total"),
             Some(Json::Int(45))
         ));
-    }
-
-    #[test]
-    fn null_speedup_stays_schema_valid() {
-        let mut b = sample();
-        b.scenarios[0].wall_clock_speedup = None;
-        validate(&b.to_json()).expect("a null speedup must stay schema-valid");
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //! §"Dependency policy").
 //!
 //! The workspace builds with the crates-io registry unreachable, so the
-//! machine-readable benchmark output (`BENCH_milp.json`, `BENCH_serve.json`)
+//! machine-readable benchmark output (`BENCH_milp.json`, `BENCH_corpus.json`)
 //! and the serve wire format are produced by this ~100-line tree-of-values
 //! writer instead of a serialization framework. It emits pretty-printed,
 //! deterministic output: object keys appear in insertion order and floats
 //! are formatted with a fixed number of decimals, so two runs with
 //! identical counters produce byte-identical files. The matching
-//! [`Json::parse`] reads such files back (used to diff a fresh benchmark
-//! run against the committed baseline, and by the serve transport to decode
-//! requests); it is a strict subset parser for our own output, not a
-//! general validator.
+//! [`Json::parse`] reads such documents back (used by the serve transport
+//! to decode requests); it is a strict subset parser for our own output,
+//! not a general validator.
 //!
 //! [`Json::Float`] deliberately renders at three decimals (report files are
 //! for humans and diffs, not for round-tripping doubles); a layer that

@@ -13,9 +13,8 @@
 //!
 //! The default is deliberately `1`, not the machine's core count: the
 //! deterministic solver produces byte-identical trajectories at any
-//! thread count, but per-worker load reports and wall-clock numbers do
-//! depend on it, and a reproduction harness should opt *into*
-//! parallelism, not discover it.
+//! thread count, but wall-clock numbers do depend on it, and a
+//! reproduction harness should opt *into* parallelism, not discover it.
 
 /// Name of the environment variable consulted by [`resolve_threads`]
 /// (re-exported from [`crate::env`], where all knob names live).

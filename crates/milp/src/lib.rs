@@ -68,7 +68,6 @@ pub use presolve::{Lift, LiftEntry, PresolveInfeasible, PresolveStats, Presolved
 pub use simplex::WarmBasis;
 pub use solver::{
     MilpSolution, RootBasisSlot, SolveError, SolveOptions, SolveStats, SolveStatus, Solver,
-    WorkerLoad,
 };
 
 #[cfg(test)]

@@ -3,9 +3,8 @@
 //! objective, incumbent timeline and solution vector as the sequential
 //! solver — bit for bit.
 //!
-//! Wall-clock durations (and the per-worker load breakdown) are the only
-//! thread-count-dependent outputs, so the comparisons below exclude them
-//! and pin everything else.
+//! Wall-clock durations are the only thread-count-dependent outputs, so
+//! the comparisons below exclude them and pin everything else.
 
 use letdma_core::{Cases, Rng, SolverStats};
 use milp::{LinExpr, Model, ObjectiveSense, SolveError};
@@ -41,7 +40,7 @@ fn random_milp(rng: &mut impl Rng) -> Model {
 /// Everything a solve reports that must be invariant across thread counts.
 #[derive(Debug, PartialEq)]
 struct Trajectory {
-    outcome: Result<(Vec<u64>, u64, u64, u64, u64), String>,
+    outcome: Result<(Vec<u64>, u64, u64, u64), String>,
     counters: Vec<(letdma_core::Counter, u64)>,
     incumbents: Vec<(u64, u64)>,
 }
@@ -55,7 +54,6 @@ fn trajectory(model: &Model, threads: usize) -> Trajectory {
             s.objective().to_bits(),
             s.stats().nodes,
             s.stats().lp_iterations,
-            s.stats().pivots,
         )),
         Err(SolveError::Infeasible) => Err("infeasible".to_string()),
         Err(e) => Err(format!("{e}")),

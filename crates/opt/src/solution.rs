@@ -111,14 +111,13 @@ impl LetDmaSolution {
     }
 }
 
-/// Zeroes the wall-clock fields of a solution's provenance (elapsed time
-/// and the per-worker load breakdown) so trajectory comparisons in tests
-/// ignore the only run-to-run nondeterminism.
+/// Zeroes the wall-clock field of a solution's provenance (elapsed time)
+/// so trajectory comparisons in tests ignore the only run-to-run
+/// nondeterminism.
 #[cfg(test)]
 pub(crate) fn scrub_timing(mut s: LetDmaSolution) -> LetDmaSolution {
     if let Provenance::Milp { stats, .. } = &mut s.provenance {
         stats.elapsed = std::time::Duration::ZERO;
-        stats.workers.clear();
     }
     s
 }

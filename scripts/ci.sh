@@ -43,27 +43,28 @@ cargo test --workspace --doc --quiet --offline
 echo "== cargo doc --no-deps =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== bench-milp smoke (BENCH_milp.json) =="
-# A tiny node budget keeps this fast; the run itself validates the JSON
-# against the letdma-bench-milp/5 schema before writing (milp_bench::validate),
-# so a nonzero exit or a missing file is the failure signal. The committed
-# BENCH_milp.json serves as the wall-clock baseline, exercising the
-# Json::parse + speedup path.
-smoke_out="$(mktemp -t bench_milp_smoke.XXXXXX.json)"
-trap 'rm -f "$smoke_out"' EXIT
-cargo run --release -p letdma-bench --bin repro --offline -- \
-  bench-milp --nodes 2 --baseline BENCH_milp.json --out "$smoke_out"
-test -s "$smoke_out" || { echo "bench-milp produced no BENCH_milp.json"; exit 1; }
-grep -q '"schema": "letdma-bench-milp/5"' "$smoke_out" || {
+echo "== bench-milp smoke (LETDMA_THREADS=1 and 4, byte-identical) =="
+# The six Table I scenarios under a tiny node budget. The run validates the
+# letdma-bench-milp/6 schema before writing (milp_bench::validate), so a
+# nonzero exit or a missing file is the failure signal. The report carries
+# no timing fields and pins every solve to one thread, so the two runs
+# below must be byte-identical — `cmp` fails if a wall clock creeps back
+# into the file. Time is measured by perfbench/, with repeated samples.
+milp_t1="$(mktemp -t bench_milp_t1.XXXXXX.json)"
+milp_t4="$(mktemp -t bench_milp_t4.XXXXXX.json)"
+trap 'rm -f "$milp_t1" "$milp_t4"' EXIT
+LETDMA_THREADS=1 cargo run --release -p letdma-bench --bin repro --offline -- \
+  bench-milp --nodes 2 --out "$milp_t1"
+LETDMA_THREADS=4 cargo run --release -p letdma-bench --bin repro --offline -- \
+  bench-milp --nodes 2 --out "$milp_t4"
+cmp "$milp_t1" "$milp_t4" || {
+  echo "bench-milp report differs across thread counts"; exit 1; }
+grep -q '"schema": "letdma-bench-milp/6"' "$milp_t1" || {
   echo "bench-milp output lacks the schema tag"; exit 1; }
-grep -q '"phase1_iterations_saved"' "$smoke_out" || {
+grep -q '"phase1_iterations_saved"' "$milp_t1" || {
   echo "bench-milp output lacks the reuse phase-1 block"; exit 1; }
-grep -q '"root_gap_bps"' "$smoke_out" || {
+grep -q '"root_gap_bps"' "$milp_t1" || {
   echo "bench-milp output lacks the presolve root-gap field"; exit 1; }
-grep -q '"time_breakdown"' "$smoke_out" || {
-  echo "bench-milp output lacks the time_breakdown block"; exit 1; }
-grep -q '"factorize_ms"' "$smoke_out" || {
-  echo "bench-milp time_breakdown lacks the factorize split"; exit 1; }
 
 echo "== corpus smoke (8 scenarios, LETDMA_THREADS=1 and 4, byte-identical) =="
 # The scenario-corpus campaign end-to-end on a small slice: generator →
@@ -75,7 +76,7 @@ echo "== corpus smoke (8 scenarios, LETDMA_THREADS=1 and 4, byte-identical) =="
 # byte-identical — `cmp` enforces the thread-count-invariance claim.
 corpus_t1="$(mktemp -t bench_corpus_t1.XXXXXX.json)"
 corpus_t4="$(mktemp -t bench_corpus_t4.XXXXXX.json)"
-trap 'rm -f "$smoke_out" "$corpus_t1" "$corpus_t4"' EXIT
+trap 'rm -f "$milp_t1" "$milp_t4" "$corpus_t1" "$corpus_t4"' EXIT
 LETDMA_THREADS=1 cargo run --release -p letdma-bench --bin repro --offline -- \
   corpus --scenarios 8 --nodes 8 --out "$corpus_t1"
 LETDMA_THREADS=4 cargo run --release -p letdma-bench --bin repro --offline -- \
@@ -89,14 +90,13 @@ grep -q '"all_properties_pass": true' "$corpus_t1" || {
 grep -q '"triple_buffered"' "$corpus_t1" || {
   echo "corpus output lacks the triple-buffered latency column"; exit 1; }
 
-echo "== serve smoke (workers 1 and 4, BENCH_serve schema) =="
+echo "== serve smoke (workers 1 and 4, cold then warm cache) =="
 # The WATERS batch through the in-process solve service at 1 worker (cold
-# cache) and 4 workers (warm). `repro serve` asserts every response is a
-# full MILP solve and that the warm round hits the formulation/presolve
-# cache (CacheHits > 0), and validates the report against the
-# letdma-bench-serve/1 schema (serve_bench::validate) — a nonzero exit is
-# the failure signal (DESIGN.md §"Service architecture"). A tiny node
-# budget keeps this fast.
+# cache) and 4 workers (warm). `repro serve` checks that every response is
+# a full MILP solve and that the formulation/presolve cache is hit exactly
+# 0 times on the cold round and 6 times on the warm one
+# (serve_smoke::check) — a nonzero exit is the failure signal (DESIGN.md
+# §"Service architecture"). A tiny node budget keeps this fast.
 cargo run --release -p letdma-bench --bin repro --offline -- serve --nodes 2
 
 echo "== serve TCP smoke (LETDMA_THREADS=1 and 4) =="

@@ -28,13 +28,11 @@ use letdma::opt::{
 };
 use std::time::Duration;
 
-/// Zeroes wall-clock time and the timing-dependent worker-load breakdown —
-/// the only fields allowed to differ between a batch solve and the same
-/// solve run sequentially.
+/// Zeroes wall-clock time — the only field allowed to differ between a
+/// batch solve and the same solve run sequentially.
 fn scrub(mut s: LetDmaSolution) -> LetDmaSolution {
     if let Provenance::Milp { stats, .. } = &mut s.provenance {
         stats.elapsed = Duration::ZERO;
-        stats.workers.clear();
     }
     s
 }
