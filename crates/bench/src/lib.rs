@@ -41,7 +41,6 @@ pub mod serve_smoke;
 
 use std::time::Duration;
 
-use letdma::core::instrument::Instrument;
 use letdma::core::SolverStats;
 
 use letdma::analysis::{apply_gammas, derive_gammas, let_task_segments};
@@ -192,13 +191,6 @@ impl Session {
             total.absorb(shard);
         }
         total
-    }
-
-    /// Replays every collected shard, in run order, into `instrument`.
-    pub fn replay_into(&self, instrument: &mut dyn Instrument) {
-        for (_, shard) in &self.shards {
-            shard.replay(instrument);
-        }
     }
 
     /// Runs the Fig. 1 example; returns the rendered report.

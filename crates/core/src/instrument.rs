@@ -22,7 +22,6 @@ use std::time::Duration;
 
 /// Monotonic counters reported by the solver layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Counter {
     /// Simplex iterations (pricing loops entered), both phases.
@@ -235,7 +234,6 @@ impl Counter {
 
 /// Branch-and-bound node outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum NodeEvent {
     /// The node's LP bound could not beat the incumbent.
@@ -282,7 +280,6 @@ impl NodeEvent {
 
 /// One accepted incumbent, in discovery order.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IncumbentRecord {
     /// Objective value in the model's own sense.
     pub objective: f64,
@@ -326,13 +323,11 @@ impl Instrument for NoopInstrument {}
 /// branch-and-bound node sums across nodes). Iteration order of the
 /// reports is deterministic (`BTreeMap`, discovery-ordered lists).
 ///
-/// Only `Serialize` is derived behind the `serde` feature: phase names are
-/// `&'static str`, which cannot be deserialized into. A receiver rebuilds
-/// a collector by replaying decoded events through the [`Instrument`]
-/// impl, mapping phase names against a known-phase table — that is what
-/// the serve wire codec does.
+/// Phase names are `&'static str`, so a receiver rebuilds a collector by
+/// replaying decoded events through the [`Instrument`] impl, mapping phase
+/// names against a known-phase table — that is what the serve wire codec
+/// does.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct SolverStats {
     counters: BTreeMap<Counter, u64>,
     node_events: BTreeMap<NodeEvent, u64>,

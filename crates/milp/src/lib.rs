@@ -42,8 +42,8 @@
 //!
 //! Node LP relaxations can be evaluated by a worker pool
 //! (`m.solver().threads(4)`, or the `LETDMA_THREADS` environment
-//! variable); the default deterministic mode merges results in node-id
-//! order, so the search trajectory is byte-identical at any thread count.
+//! variable); results merge in node-id order, so the search trajectory is
+//! byte-identical at any thread count.
 //!
 //! Models can also be exported in CPLEX LP format for cross-checking with
 //! external solvers — see [`Model::to_lp_format`].
@@ -68,6 +68,7 @@ pub use presolve::{Lift, LiftEntry, PresolveInfeasible, PresolveStats, Presolved
 pub use simplex::WarmBasis;
 pub use solver::{
     MilpSolution, RootBasisSlot, SolveError, SolveOptions, SolveStats, SolveStatus, Solver,
+    INTEGRALITY_TOL,
 };
 
 #[cfg(test)]

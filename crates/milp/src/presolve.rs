@@ -395,8 +395,8 @@ impl Work {
 /// out.
 ///
 /// `integrality_tol` is the tolerance within which a fractional bound is
-/// considered to sit on an integer (the caller passes
-/// `SolveOptions::integrality_tol`).
+/// considered to sit on an integer (the solver passes
+/// [`INTEGRALITY_TOL`](crate::INTEGRALITY_TOL)).
 ///
 /// # Errors
 ///

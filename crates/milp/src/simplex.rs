@@ -408,13 +408,6 @@ impl SimplexSolver {
         self.obj_scale * min_obj + self.obj_offset
     }
 
-    /// Total remaining bound violation absorbed by the artificials (zero at
-    /// a feasible basis). Exposed for diagnostics.
-    #[must_use]
-    pub fn infeasibility(&self) -> f64 {
-        self.artificial_columns().map(|j| self.x[j].max(0.0)).sum()
-    }
-
     fn artificial_columns(&self) -> impl Iterator<Item = usize> {
         let start = self.n_struct + self.m;
         let end = self.n;

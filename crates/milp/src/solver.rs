@@ -18,16 +18,13 @@
 //! coordinator merges the results — fathoming, accepting incumbents,
 //! branching — strictly in node-id order.
 //!
-//! Because the batch width ([`SolveOptions::speculation`]) is fixed
-//! independently of the worker count, and because a worker-side skip is only
-//! taken when the merge-time fathoming test is already guaranteed to discard
-//! the node (the incumbent objective only ever improves), the merge sequence
-//! — and with it every counter, node event, incumbent record and the
-//! returned solution vector — is a pure function of the model and options.
-//! Equal seeds yield byte-identical trajectories at 1, 2 or 64 threads.
-//! Setting [`SolveOptions::deterministic`] to `false` merges results in
-//! arrival order instead, which can propagate incumbents to the pruning
-//! bound a little earlier at the cost of reproducibility.
+//! Because the batch width (eight nodes per round) is fixed independently of
+//! the worker count, and because a worker-side skip is only taken when the
+//! merge-time fathoming test is already guaranteed to discard the node (the
+//! incumbent objective only ever improves), the merge sequence — and with
+//! it every counter, node event, incumbent record and the returned solution
+//! vector — is a pure function of the model and options. Equal seeds yield
+//! byte-identical trajectories at 1, 2 or 64 threads.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -51,6 +48,18 @@ use crate::model::{Model, ObjectiveSense};
 use crate::presolve;
 use crate::simplex::{LpOutcome, SimplexSolver, WarmBasis};
 
+/// A value within this distance of an integer counts as integral.
+pub const INTEGRALITY_TOL: f64 = 1e-6;
+
+/// Absolute optimality gap: a node whose bound comes within this distance
+/// of the incumbent is fathomed.
+const GAP_ABS: f64 = 1e-6;
+
+/// Nodes popped per scheduling round, the window of node LPs solved
+/// concurrently. It is part of the trajectory: the merge order, and so
+/// every solve's bytes, depend on it (but not on the thread count).
+const ROUND_WIDTH: usize = 8;
+
 /// Options controlling a [`Model::solver`] session.
 ///
 /// The struct is `#[non_exhaustive]`: build it with
@@ -66,36 +75,20 @@ use crate::simplex::{LpOutcome, SimplexSolver, WarmBasis};
 ///     .with_threads(4);
 /// assert_eq!(opts.threads, Some(4));
 /// ```
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct SolveOptions {
     /// Wall-clock budget; `None` means unlimited.
     pub time_limit: Option<Duration>,
     /// Maximum number of branch-and-bound nodes; `None` means unlimited.
     pub node_limit: Option<u64>,
-    /// A value within this distance of an integer counts as integral.
-    pub integrality_tol: f64,
-    /// Stop when `|incumbent − bound| ≤ gap_abs`.
-    pub gap_abs: f64,
     /// A known-feasible assignment used as the initial incumbent.
     pub warm_start: Option<Vec<f64>>,
-    /// Emit progress lines on stderr.
-    pub log: bool,
     /// Worker threads evaluating node LPs. `None` defers to the
     /// `LETDMA_THREADS` environment variable (default: sequential). The
-    /// trajectory does not depend on this value in deterministic mode.
+    /// trajectory does not depend on this value; more than eight threads
+    /// never help, since a round solves at most eight node LPs.
     pub threads: Option<usize>,
-    /// Merge node results in node-id order (`true`, default), making the
-    /// search trajectory independent of thread count and timing; `false`
-    /// merges in arrival order (faster incumbent propagation, not
-    /// reproducible across runs).
-    pub deterministic: bool,
-    /// Nodes popped per scheduling round — the window of LP relaxations
-    /// solved concurrently (and hence the useful upper bound on
-    /// [`threads`](Self::threads)). Part of the trajectory: two solves
-    /// agree byte-for-byte only when their widths agree. Clamped to ≥ 1.
-    pub speculation: usize,
     /// Run the presolve/tightening pass ([`crate::presolve`]) ahead of
     /// branch and bound. `None` (default) defers to the `LETDMA_PRESOLVE`
     /// environment variable, else on. Presolve runs on the coordinator
@@ -121,30 +114,9 @@ pub struct SolveOptions {
     /// incumbent is returned. Set by the serve admission layer, which
     /// stamps each request's deadline at admission.
     ///
-    /// Not serialized: an `Instant` is process-local. A wire layer ships
-    /// the *remaining* duration and re-stamps on receipt.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// An `Instant` is process-local: a wire layer ships the *remaining*
+    /// duration and re-stamps on receipt.
     pub deadline: Option<Instant>,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        Self {
-            time_limit: None,
-            node_limit: None,
-            integrality_tol: 1e-6,
-            gap_abs: 1e-6,
-            warm_start: None,
-            log: false,
-            threads: None,
-            deterministic: true,
-            speculation: 8,
-            presolve: None,
-            measure_root_gap: false,
-            refactor_interval: None,
-            deadline: None,
-        }
-    }
 }
 
 impl SolveOptions {
@@ -169,20 +141,6 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the integrality tolerance.
-    #[must_use]
-    pub fn with_integrality_tol(mut self, tol: f64) -> Self {
-        self.integrality_tol = tol;
-        self
-    }
-
-    /// Sets the absolute optimality gap.
-    #[must_use]
-    pub fn with_gap_abs(mut self, gap: f64) -> Self {
-        self.gap_abs = gap;
-        self
-    }
-
     /// Seeds the search with a known-feasible assignment.
     #[must_use]
     pub fn with_warm_start(mut self, assignment: Vec<f64>) -> Self {
@@ -190,32 +148,10 @@ impl SolveOptions {
         self
     }
 
-    /// Enables or disables stderr progress lines.
-    #[must_use]
-    pub fn with_log(mut self, log: bool) -> Self {
-        self.log = log;
-        self
-    }
-
     /// Requests an explicit worker-thread count (clamped to ≥ 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Selects deterministic (node-id-ordered) or opportunistic
-    /// (arrival-ordered) result merging.
-    #[must_use]
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
-        self
-    }
-
-    /// Sets the per-round speculation window (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_speculation(mut self, width: usize) -> Self {
-        self.speculation = width.max(1);
         self
     }
 
@@ -513,7 +449,7 @@ struct Node {
     /// created node is explored first (LIFO), turning tie regions into
     /// depth-first dives — crucial for finding incumbents in feasibility
     /// problems. The same id orders result merging (and hence incumbent
-    /// tie-breaking) in deterministic mode.
+    /// tie-breaking).
     seq: u64,
 }
 
@@ -670,7 +606,7 @@ fn solve_entry(
                 return BranchAndBound::new(model, options, root, instrument).run();
             }
             live = match timed_phase(instrument, "presolve", |_| {
-                presolve::presolve(model, options.integrality_tol)
+                presolve::presolve(model, INTEGRALITY_TOL)
             }) {
                 Ok(red) => red,
                 Err(_proof) => return Err(SolveError::Infeasible),
@@ -690,7 +626,7 @@ fn solve_entry(
     // Everything fixed (or an originally empty model): no search needed.
     if red.model.num_vars() == 0 {
         let values = red.lift.lift_values(&[]);
-        if !model.is_feasible(&values, options.integrality_tol.max(1e-9)) {
+        if !model.is_feasible(&values, INTEGRALITY_TOL) {
             return Err(SolveError::Infeasible);
         }
         let objective = model.objective().evaluate(&values);
@@ -712,7 +648,7 @@ fn solve_entry(
     reduced_options.warm_start = options
         .warm_start
         .as_ref()
-        .and_then(|w| red.lift.project_values(w, options.integrality_tol));
+        .and_then(|w| red.lift.project_values(w, INTEGRALITY_TOL));
     let sol = BranchAndBound::new(&red.model, &reduced_options, root, instrument).run()?;
     let values = red.lift.lift_values(&sol.values);
     // Re-evaluate on the original objective: bit-equal to the reduced
@@ -804,21 +740,9 @@ impl<'m, 'i> Solver<'m, 'i> {
         self
     }
 
-    /// Enables stderr progress lines.
-    pub fn log(mut self, log: bool) -> Self {
-        self.options.log = log;
-        self
-    }
-
     /// Requests an explicit worker-thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Selects deterministic or arrival-ordered result merging.
-    pub fn deterministic(mut self, deterministic: bool) -> Self {
-        self.options.deterministic = deterministic;
         self
     }
 
@@ -1144,7 +1068,6 @@ struct BranchAndBound<'a> {
     scale: f64,
     start: Instant,
     threads: usize,
-    batch_width: usize,
     nodes: u64,
     lp_iterations: u64,
     /// Fill-in ratio numerator/denominator summed over consumed shards
@@ -1194,7 +1117,6 @@ impl<'a> BranchAndBound<'a> {
             scale,
             start: Instant::now(),
             threads: resolve_threads(options.threads),
-            batch_width: options.speculation.max(1),
             nodes: 0,
             lp_iterations: 0,
             lu_nonzeros: 0,
@@ -1247,7 +1169,7 @@ impl<'a> BranchAndBound<'a> {
     /// still beat the incumbent?
     fn fathomed(&self, bound: f64) -> bool {
         match &self.incumbent {
-            Some((_, inc)) => bound >= *inc - self.options.gap_abs,
+            Some((_, inc)) => bound >= *inc - GAP_ABS,
             None => false,
         }
     }
@@ -1268,14 +1190,6 @@ impl<'a> BranchAndBound<'a> {
             None => true,
         };
         if better {
-            if self.options.log {
-                eprintln!(
-                    "[milp] incumbent {:.6} after {} nodes, {:?}",
-                    model_obj,
-                    self.nodes,
-                    self.start.elapsed()
-                );
-            }
             self.instrument.count(Counter::Incumbents, 1);
             self.instrument.incumbent(IncumbentRecord {
                 objective: model_obj,
@@ -1302,7 +1216,6 @@ impl<'a> BranchAndBound<'a> {
 
     /// Most fractional integral variable of an LP point.
     fn pick_branch_var(&self, lp_values: &[f64]) -> Option<(Var, f64)> {
-        let tol = self.options.integrality_tol;
         let mut best: Option<(Var, f64, f64)> = None; // (var, value, frac dist)
         for (j, def) in self.model.vars.iter().enumerate() {
             if !def.is_integral() {
@@ -1310,7 +1223,7 @@ impl<'a> BranchAndBound<'a> {
             }
             let v = lp_values[j];
             let frac = (v - v.round()).abs();
-            if frac > tol {
+            if frac > INTEGRALITY_TOL {
                 let dist_to_half = (frac - 0.5).abs();
                 match best {
                     Some((_, _, d)) if dist_to_half >= d => {}
@@ -1522,10 +1435,10 @@ impl<'a> BranchAndBound<'a> {
             }
         }
 
-        // Main loop: rounds of up to `batch_width` node LPs.
+        // Main loop: rounds of up to `ROUND_WIDTH` node LPs.
         loop {
-            let mut batch = Vec::with_capacity(self.batch_width);
-            while batch.len() < self.batch_width {
+            let mut batch = Vec::with_capacity(ROUND_WIDTH);
+            while batch.len() < ROUND_WIDTH {
                 match self.open.pop() {
                     None => break,
                     Some(node) => {
@@ -1703,17 +1616,15 @@ impl<'a> BranchAndBound<'a> {
 
     /// The parallel path: workers race through the batch (skipping jobs
     /// the published incumbent already fathoms), the coordinator merges in
-    /// node-id order (deterministic mode) or arrival order.
+    /// node-id order.
     fn run_round_parallel(&mut self, batch: Vec<Node>) -> Result<RoundControl, SolveError> {
         let threads = self.threads.min(batch.len());
         // Shared refs copied out of `self` so worker closures borrow
         // nothing of the coordinator's mutable state.
         let model = self.model;
         let lp_config = self.lp_config;
-        let gap_abs = self.options.gap_abs;
         let deadline = self.deadline();
         let scale = self.scale;
-        let deterministic = self.options.deterministic;
         let inc_bits = AtomicU64::new(self.incumbent_bits());
         let next_job = AtomicUsize::new(0);
         let jobs = &batch;
@@ -1743,7 +1654,7 @@ impl<'a> BranchAndBound<'a> {
                         }
                         let node = &jobs[i];
                         let threshold = f64::from_bits(inc_bits.load(AtomicOrdering::Relaxed));
-                        let outcome = if node.bound >= threshold - gap_abs {
+                        let outcome = if node.bound >= threshold - GAP_ABS {
                             JobOutcome::Skipped
                         } else {
                             let (lp, shard) = solve_node_lp_guarded(
@@ -1793,37 +1704,24 @@ impl<'a> BranchAndBound<'a> {
                 }
             };
 
-            if deterministic {
-                let mut pending: BTreeMap<usize, JobOutcome> = BTreeMap::new();
-                let mut next_merge = 0usize;
-                for (i, outcome) in rx {
-                    pending.insert(i, outcome);
-                    while let Some(outcome) = pending.remove(&next_merge) {
-                        merge_one(self, next_merge, Some(outcome));
-                        next_merge += 1;
-                    }
-                }
-                // The channel is closed, so every worker has exited its
-                // loop. A gap in the merge order is a job some worker
-                // claimed but never delivered (its thread died mid-node);
-                // completing the remainder inline — in node-id order —
-                // keeps the trajectory identical to the no-failure run.
-                while next_merge < jobs.len() {
-                    let outcome = pending.remove(&next_merge);
-                    merge_one(self, next_merge, outcome);
+            let mut pending: BTreeMap<usize, JobOutcome> = BTreeMap::new();
+            let mut next_merge = 0usize;
+            for (i, outcome) in rx {
+                pending.insert(i, outcome);
+                while let Some(outcome) = pending.remove(&next_merge) {
+                    merge_one(self, next_merge, Some(outcome));
                     next_merge += 1;
                 }
-            } else {
-                let mut delivered = vec![false; jobs.len()];
-                for (i, outcome) in rx {
-                    delivered[i] = true;
-                    merge_one(self, i, Some(outcome));
-                }
-                for (i, done) in delivered.iter().enumerate() {
-                    if !done {
-                        merge_one(self, i, None);
-                    }
-                }
+            }
+            // The channel is closed, so every worker has exited its loop. A
+            // gap in the merge order is a job some worker claimed but never
+            // delivered (its thread died mid-node); completing the
+            // remainder inline — in node-id order — keeps the trajectory
+            // identical to the no-failure run.
+            while next_merge < jobs.len() {
+                let outcome = pending.remove(&next_merge);
+                merge_one(self, next_merge, outcome);
+                next_merge += 1;
             }
 
             for handle in handles {
@@ -2220,30 +2118,15 @@ mod tests {
     }
 
     #[test]
-    fn opportunistic_mode_still_finds_the_optimum() {
-        let (m, _) = assignment_model(4);
-        let s = m.solver().threads(4).deterministic(false).run().unwrap();
-        assert_eq!(s.status(), SolveStatus::Optimal);
-        assert!((s.objective() - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn options_chain() {
         let o = SolveOptions::new()
             .with_time_limit(Duration::from_secs(7))
             .with_node_limit(9)
-            .with_gap_abs(1e-3)
-            .with_integrality_tol(1e-5)
             .with_warm_start(vec![1.0])
-            .with_log(false)
-            .with_threads(0)
-            .with_deterministic(false)
-            .with_speculation(0);
+            .with_threads(0);
         assert_eq!(o.time_limit, Some(Duration::from_secs(7)));
         assert_eq!(o.node_limit, Some(9));
         assert_eq!(o.threads, Some(1), "threads clamp to ≥ 1");
-        assert_eq!(o.speculation, 1, "speculation clamps to ≥ 1");
-        assert!(!o.deterministic);
     }
 
     /// A model whose `≥` rows feed phase 1 from a cold start, so a root

@@ -18,7 +18,6 @@ use crate::transfer::{global_slot, local_slot, MemoryLayout, TransferSchedule};
 
 /// One violation of the protocol requirements found by [`verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Violation {
     /// A communication of `𝓒(s_0)` is not scheduled in any transfer.
@@ -138,7 +137,6 @@ impl std::fmt::Display for Violation {
 
 /// Options controlling [`verify`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VerifyOptions {
     /// Whether labels that never cross cores must occupy private slots in
     /// the layout (mirrors the formulation option of `letdma-opt`).

@@ -21,7 +21,6 @@ use std::fmt;
 /// assert_eq!(core.to_string(), "P1");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreId(u16);
 
 impl CoreId {
@@ -59,7 +58,6 @@ impl fmt::Display for CoreId {
 /// assert_eq!(task.to_string(), "τ3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskId(u32);
 
 impl TaskId {
@@ -97,7 +95,6 @@ impl fmt::Display for TaskId {
 /// assert_eq!(label.to_string(), "ℓ7");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LabelId(u32);
 
 impl LabelId {
@@ -138,7 +135,6 @@ impl fmt::Display for LabelId {
 /// assert_eq!(MemoryId::Global.to_string(), "MG");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemoryId {
     /// The private scratchpad of one core.
     Local(CoreId),

@@ -15,7 +15,6 @@ use crate::ids::{LabelId, TaskId};
 ///
 /// Construct labels through [`crate::SystemBuilder::label`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Label {
     pub(crate) id: LabelId,
     pub(crate) name: String,

@@ -29,7 +29,6 @@ use crate::time::{div_ceil_u64, TimeNs};
 
 /// Direction of a LET communication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CommKind {
     /// `W(τ_p, ℓ)`: copy from the producer's local copy to the shared label
     /// in global memory.
@@ -49,7 +48,6 @@ pub enum CommKind {
 /// the deterministic ordering used to index `𝓒(s_0)` everywhere in this
 /// workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Communication {
     /// Write or read.
     pub kind: CommKind,
@@ -187,7 +185,6 @@ pub fn read_needed_at(t: TimeNs, t_p: TimeNs, t_c: TimeNs) -> bool {
 /// The LET writes `G^W(t, τ_i)` and reads `G^R(t, τ_i)` required by task
 /// `τ_i` at instant `t` — the output of Algorithm 1.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LetGroup {
     /// `G^W(t, τ_i)`: writes issued by the task at `t`, sorted.
     pub writes: Vec<Communication>,

@@ -24,7 +24,6 @@ use crate::time::TimeNs;
 /// assert_eq!(platform.memories().count(), 3); // M0, M1, MG
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Platform {
     core_count: u16,
     cluster_count: u16,
@@ -133,7 +132,6 @@ impl Platform {
 /// # Ok::<(), letdma_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CopyCost {
     /// Numerator of the ns-per-byte rational.
     num: u64,
@@ -244,7 +242,6 @@ impl fmt::Display for CopyCost {
 /// # Ok::<(), letdma_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostModel {
     o_dp: TimeNs,
     o_isr: TimeNs,

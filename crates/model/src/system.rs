@@ -33,7 +33,6 @@ use crate::time::TimeNs;
 /// # Ok::<(), letdma_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct System {
     platform: Platform,
     tasks: Vec<Task>,

@@ -15,7 +15,6 @@ use crate::time::TimeNs;
 /// Construct tasks through [`crate::SystemBuilder::task`]; the fields are
 /// read through accessors so internal representation can evolve.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Task {
     pub(crate) id: TaskId,
     pub(crate) name: String,

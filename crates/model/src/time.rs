@@ -29,7 +29,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 /// assert_eq!(TimeNs::from_us(10) + TimeNs::from_us(5), TimeNs::from_us(15));
 /// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeNs(u64);
 
 impl TimeNs {

@@ -14,7 +14,6 @@ use crate::time::TimeNs;
 /// task in that task's local memory; a label that never crosses cores
 /// occupies a single private slot in its writer's local memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Slot {
     /// The shared label `ℓ_l` itself, resident in global memory.
     Global(LabelId),
@@ -80,7 +79,6 @@ pub fn global_slot(comm: Communication) -> Slot {
 /// Slot addresses follow from the order by prefix sums of slot sizes, so the
 /// layout is *packed*: slot `i+1` starts exactly where slot `i` ends.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryLayout {
     orders: BTreeMap<MemoryId, Vec<Slot>>,
 }
@@ -215,7 +213,6 @@ impl MemoryLayout {
 /// whose slots are contiguous (in the same order) in both the source and the
 /// destination memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DmaTransfer {
     kind: CommKind,
     local: MemoryId,
@@ -323,7 +320,6 @@ impl DmaTransfer {
 /// order). Schedules for later instants `t ∈ 𝓣*` are derived by restriction
 /// ([`TransferSchedule::transfers_at`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransferSchedule {
     transfers: Vec<DmaTransfer>,
 }

@@ -4,7 +4,6 @@ use std::time::{Duration, Instant};
 
 /// The objective function variants evaluated in §VII of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Objective {
     /// `NO-OBJ`: pure feasibility — stop at the first solution satisfying
     /// Constraints 1–10.
@@ -45,7 +44,6 @@ impl std::fmt::Display for Objective {
 /// assert_eq!(config.objective, Objective::MinTransfers);
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub struct OptConfig {
     /// Which objective to optimize.
@@ -69,16 +67,10 @@ pub struct OptConfig {
     /// disable to measure pure feasibility-search time as in Table I's
     /// `NO-OBJ` row).
     pub warm_start: bool,
-    /// Emit solver progress on stderr.
-    pub log: bool,
     /// Worker threads for the MILP node evaluator. `None` defers to the
     /// `LETDMA_THREADS` environment variable (default: sequential). The
-    /// solution is identical at any thread count in deterministic mode.
+    /// solution is identical at any thread count.
     pub threads: Option<usize>,
-    /// Deterministic (node-id-ordered, default) vs. arrival-ordered merge
-    /// in the parallel MILP search — see
-    /// [`milp::SolveOptions::deterministic`].
-    pub deterministic: bool,
     /// MILP presolve (bound propagation, fixing, big-M tightening) ahead
     /// of branch-and-bound — see [`milp::SolveOptions::presolve`]. `None`
     /// (the default) defers to the `LETDMA_PRESOLVE` environment variable
@@ -109,9 +101,8 @@ pub struct OptConfig {
     /// [`milp::SolveOptions::deadline`]). Stamped per request by the serve
     /// admission layer.
     ///
-    /// Not serialized: an `Instant` is process-local. A wire layer ships
-    /// the *remaining* duration and re-stamps on receipt.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// An `Instant` is process-local: a wire layer ships the *remaining*
+    /// duration and re-stamps on receipt.
     pub deadline: Option<Instant>,
 }
 
@@ -124,9 +115,7 @@ impl Default for OptConfig {
             time_limit: Some(Duration::from_secs(60)),
             node_limit: None,
             warm_start: true,
-            log: false,
             threads: None,
-            deterministic: true,
             presolve: None,
             reuse_basis: true,
             measure_root_gap: false,
@@ -194,25 +183,10 @@ impl OptConfig {
         self
     }
 
-    /// Enables or disables solver progress on stderr.
-    #[must_use]
-    pub fn with_log(mut self, log: bool) -> Self {
-        self.log = log;
-        self
-    }
-
     /// Requests an explicit MILP worker-thread count (clamped to ≥ 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Selects deterministic or arrival-ordered merging in the parallel
-    /// MILP search.
-    #[must_use]
-    pub fn with_deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = deterministic;
         self
     }
 
@@ -268,7 +242,6 @@ mod tests {
         assert!(c.warm_start);
         assert!(c.max_transfers.is_none());
         assert!(c.threads.is_none());
-        assert!(c.deterministic);
     }
 
     #[test]
@@ -281,7 +254,6 @@ mod tests {
             .with_node_limit(50)
             .with_warm_start(false)
             .with_threads(0)
-            .with_deterministic(false)
             .with_presolve(false)
             .with_reuse_basis(false)
             .with_measure_root_gap(true);

@@ -44,8 +44,7 @@
 //! Independent scenarios parallelize at the batch level with
 //! [`Batch`]/[`optimize_batch`]; a single large solve parallelizes at the
 //! node level via [`OptConfig::with_threads`] (or `LETDMA_THREADS`), with
-//! bit-identical results at any thread count in the default deterministic
-//! mode.
+//! bit-identical results at any thread count.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -66,32 +65,3 @@ pub use improve::{ImproveGoal, Reorder};
 pub use optimizer::{formulation_lp, formulation_model, heuristic_solution, OptError, Optimizer};
 pub use prepare::{prepare, structure_key, Prepared};
 pub use solution::{LetDmaSolution, Provenance, Resolution};
-
-/// Diagnostics used by development probes; not part of the public API.
-#[doc(hidden)]
-pub mod debug {
-    use crate::config::OptConfig;
-    use letdma_model::System;
-    use milp::simplex::{LpOutcome, SimplexSolver};
-
-    /// Solves only the root LP relaxation and reports
-    /// `(phase1_iterations, total_iterations, outcome-tag)`.
-    #[must_use]
-    pub fn root_lp_stats(system: &System, config: &OptConfig) -> (u64, u64, String) {
-        let f = crate::formulation::build(system, config);
-        let mut lp = SimplexSolver::from_model(&f.model);
-        lp.deadline = Some(std::time::Instant::now() + std::time::Duration::from_secs(120));
-        let outcome = lp.solve();
-        let infeas = lp.infeasibility();
-        let _ = &infeas;
-        let tag = match outcome {
-            LpOutcome::Optimal { objective, .. } => format!("optimal({objective:.4})"),
-            LpOutcome::Infeasible => "infeasible".into(),
-            LpOutcome::Unbounded => "unbounded".into(),
-            LpOutcome::IterationLimit => "iteration-limit".into(),
-            LpOutcome::TimedOut => format!("timed-out(infeas={:.6})", lp.infeasibility()),
-            LpOutcome::Numerical => "numerical".into(),
-        };
-        (lp.phase1_iterations, lp.iterations, tag)
-    }
-}

@@ -231,22 +231,9 @@ impl<'s, 'i> Optimizer<'s, 'i> {
         self
     }
 
-    /// Emits solver progress on stderr.
-    pub fn log(mut self, log: bool) -> Self {
-        self.config = self.config.with_log(log);
-        self
-    }
-
     /// Requests an explicit MILP worker-thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config = self.config.with_threads(threads);
-        self
-    }
-
-    /// Selects deterministic (default) or arrival-ordered merging in the
-    /// parallel MILP search.
-    pub fn deterministic(mut self, deterministic: bool) -> Self {
-        self.config = self.config.with_deterministic(deterministic);
         self
     }
 
@@ -495,9 +482,7 @@ fn run_pipeline(
         // `SolveOptions` is non-exhaustive in a foreign crate, so the
         // `Option`-valued budgets are assigned field-wise instead of
         // threading them through the `with_*` chain.
-        let mut solve_options = SolveOptions::new()
-            .with_log(config.log)
-            .with_deterministic(config.deterministic);
+        let mut solve_options = SolveOptions::new();
         solve_options.time_limit = config.time_limit;
         solve_options.node_limit = config.node_limit;
         solve_options.warm_start = warm;

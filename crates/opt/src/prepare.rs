@@ -114,17 +114,16 @@ impl Prepared {
 /// Builds the cacheable prefix of a solve: the §VI formulation for
 /// `(system, config)` and, when presolve resolves on, its reduction.
 ///
-/// The integrality tolerance fed to the presolve pass is the solver
-/// default (the optimizer never overrides it), so the cached reduction is
-/// the one a live solve would compute.
+/// The integrality tolerance fed to the presolve pass is the solver's
+/// [`milp::INTEGRALITY_TOL`], so the cached reduction is the one a live
+/// solve would compute.
 #[must_use]
 pub fn prepare(system: &System, config: &OptConfig) -> Prepared {
     let key = structure_key(system, config);
     let formulation = formulation::build(system, config);
     let presolve = resolve_flag(PRESOLVE_ENV, config.presolve, true);
     let reduction = if presolve {
-        let tol = milp::SolveOptions::default().integrality_tol;
-        milp::presolve::presolve(&formulation.model, tol)
+        milp::presolve::presolve(&formulation.model, milp::INTEGRALITY_TOL)
             .ok()
             .map(Arc::new)
     } else {

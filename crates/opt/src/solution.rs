@@ -37,7 +37,6 @@ pub enum Provenance {
 /// panic, or the pipeline fell back to the conformance-verified
 /// heuristic after the search failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Resolution {
     /// The first MILP attempt returned the solution.

@@ -21,7 +21,6 @@ pub const PROTOCOL: &str = "letdma-serve/1";
 /// whether the job was admitted or rejected. A batch's responses come back
 /// in request order, so `responses[i].job == JobId(i)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {
@@ -32,7 +31,6 @@ impl fmt::Display for JobId {
 
 /// One solve scenario submitted to the service.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub struct SolveRequest {
     /// The system to allocate and schedule.
@@ -98,7 +96,6 @@ impl SolveRequest {
 /// cache hits replay the recorded formulation/presolve tallies instead of
 /// skipping them silently (pinned by the determinism regression).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 #[non_exhaustive]
 pub struct SolveReport {
     /// Which rung of the degradation ladder produced the solution.
@@ -118,7 +115,6 @@ pub struct SolveReport {
 
 /// The response to one [`SolveRequest`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 #[non_exhaustive]
 pub struct SolveResponse {
     /// Which job this answers.
@@ -138,7 +134,6 @@ impl SolveResponse {
 
 /// Typed failures of the solve service.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ServeError {
     /// Admission control refused the job: the queue already holds

@@ -280,9 +280,7 @@ fn config_json(config: &OptConfig) -> Json {
         ),
         ("node_limit", opt_u64_json(config.node_limit)),
         ("warm_start", Json::Bool(config.warm_start)),
-        ("log", Json::Bool(config.log)),
         ("threads", opt_u64_json(config.threads.map(|n| n as u64))),
-        ("deterministic", Json::Bool(config.deterministic)),
         ("presolve", config.presolve.map_or(Json::Null, Json::Bool)),
         ("measure_root_gap", Json::Bool(config.measure_root_gap)),
         ("reuse_basis", Json::Bool(config.reuse_basis)),
@@ -302,9 +300,7 @@ fn config_from(value: &Json) -> Result<OptConfig, String> {
     config.time_limit = opt_u64_field(value, "time_limit_ns")?.map(Duration::from_nanos);
     config.node_limit = opt_u64_field(value, "node_limit")?;
     config.warm_start = bool_field(value, "warm_start")?;
-    config.log = bool_field(value, "log")?;
     config.threads = opt_u64_field(value, "threads")?.map(|n| n as usize);
-    config.deterministic = bool_field(value, "deterministic")?;
     config.presolve = match field(value, "presolve")? {
         Json::Null => None,
         Json::Bool(b) => Some(*b),

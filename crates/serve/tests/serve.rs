@@ -49,7 +49,6 @@ fn base_config() -> OptConfig {
     OptConfig::new()
         .with_objective(Objective::MinTransfers)
         .with_threads(1)
-        .with_deterministic(true)
 }
 
 /// Counters, node events, phase `(name, count)`s and incumbent
@@ -110,15 +109,20 @@ fn wire_requests_round_trip() {
 }
 
 /// Request documents from older clients carry config fields this version
-/// no longer has (the removed warm-basis and `crash` knobs); the decoder
-/// ignores unknown fields instead of rejecting the document.
+/// no longer has (the removed warm-basis, `crash`, `log` and
+/// `deterministic` knobs); the decoder ignores unknown fields instead of
+/// rejecting the document.
 #[test]
 fn wire_requests_from_older_clients_still_decode() {
     let config = base_config().with_node_limit(77);
     let text = wire::encode_requests(&[SolveRequest::new(comm_system(5), config)]);
+    for retired in ["\"crash\"", "\"log\"", "\"deterministic\""] {
+        assert!(!text.contains(retired), "{retired} is no longer encoded");
+    }
     let older = text.replacen(
-        "\"deterministic\"",
-        "\"crash\": true, \"retired_knob\": false, \"deterministic\"",
+        "\"presolve\"",
+        "\"crash\": true, \"log\": true, \"deterministic\": false, \
+         \"retired_knob\": false, \"presolve\"",
         1,
     );
     assert_ne!(older, text, "the config object must have been extended");

@@ -59,7 +59,6 @@ fn base_config() -> OptConfig {
     OptConfig::new()
         .with_objective(Objective::MinTransfers)
         .with_threads(1)
-        .with_deterministic(true)
 }
 
 /// The reproducible fields of a solve trajectory (everything except

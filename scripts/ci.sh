@@ -10,12 +10,18 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --workspace --release --offline
 
+echo "== cargo check --all-features =="
+# No crate declares a Cargo feature today. Checking with every feature on
+# makes one that is added later and cannot build fail here, instead of
+# sitting unnoticed behind its off-by-default gate.
+cargo check --workspace --all-features --offline
+
 echo "== cargo test (LETDMA_THREADS=1, presolve on) =="
 LETDMA_PRESOLVE=1 LETDMA_THREADS=1 cargo test --workspace --quiet --offline
 
 echo "== cargo test (LETDMA_THREADS=4, presolve on) =="
-# Same suite on a multi-threaded solver pool: deterministic mode must make
-# every assertion thread-count-invariant (DESIGN.md §"Concurrency
+# Same suite on a multi-threaded solver pool: the node-id-ordered merge
+# makes every assertion thread-count-invariant (DESIGN.md §"Concurrency
 # architecture").
 LETDMA_PRESOLVE=1 LETDMA_THREADS=4 cargo test --workspace --quiet --offline
 
