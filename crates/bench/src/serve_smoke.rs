@@ -11,8 +11,8 @@
 //! latency and throughput are the `serve` workload of `perfbench/`.
 //!
 //! Scenario *results* are not checked here — the serve determinism
-//! regression (crate `letdma-serve`, `serve_matches_direct_optimize_batch`)
-//! pins them to direct [`letdma::opt::optimize_batch`].
+//! regression (crate `letdma-serve`, `serve_matches_sequential_run_prepared`)
+//! pins them to direct [`letdma::opt::Optimizer::run_prepared`] solves.
 
 use letdma::core::{Counter, SolverStats};
 use letdma::opt::{Objective, OptConfig, Resolution};

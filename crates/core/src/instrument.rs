@@ -117,9 +117,9 @@ pub enum Counter {
     /// [`RootGapBps`](Self::RootGapBps) is reported once per solve).
     /// Merging two collectors keeps the larger watermark.
     QueueDepth,
-    /// Root LPs warm-started from a sibling scenario's exported root basis
-    /// (the cross-scenario reuse ladder rung; see `letdma-opt`'s
-    /// `OptConfig::with_reuse_basis`).
+    /// Root LPs warm-started from the root basis an earlier solve of the
+    /// same structure exported into its cache entry (`letdma-opt`'s
+    /// `Optimizer::run_prepared` with `OptConfig::reuse_basis` on).
     CrossScenarioWarmStarts,
     /// Phase-1 iterations avoided by successful cross-scenario root warm
     /// starts: the donor root LP's phase-1 count, charged once per
@@ -376,53 +376,7 @@ impl SolverStats {
     /// Merges another collector into this one (phase totals and counters
     /// add, except the [`Counter::QueueDepth`] watermark, which keeps the
     /// larger value; incumbent timelines concatenate in order).
-    ///
-    /// This is the *sequential* merge: use it when `other` records work
-    /// that happened after this collector's (two solves back to back).
-    /// For work that ran concurrently, use [`absorb_concurrent`]: summing
-    /// wall-clock phases of overlapping workers would overstate elapsed
-    /// time.
-    ///
-    /// [`absorb_concurrent`]: Self::absorb_concurrent
     pub fn absorb(&mut self, other: &SolverStats) {
-        self.absorb_events(other);
-        for &(name, dur, entries) in &other.phase_totals {
-            match self.phase_totals.iter_mut().find(|(n, _, _)| *n == name) {
-                Some((_, d, e)) => {
-                    *d += dur;
-                    *e += entries;
-                }
-                None => self.phase_totals.push((name, dur, entries)),
-            }
-        }
-    }
-
-    /// Merges a collector recorded *concurrently* with this one (another
-    /// worker's shard, a scenario solved in parallel).
-    ///
-    /// Counters, node events and incumbent timelines still sum and
-    /// concatenate — work is work; the [`Counter::QueueDepth`] watermark
-    /// still keeps the larger value — but each wall-clock phase takes the
-    /// **maximum** of the two totals instead of their sum: concurrent
-    /// phases overlap, so the larger shard bounds the elapsed time. Entry
-    /// counts still add (they count events, not time).
-    pub fn absorb_concurrent(&mut self, other: &SolverStats) {
-        self.absorb_events(other);
-        for &(name, dur, entries) in &other.phase_totals {
-            match self.phase_totals.iter_mut().find(|(n, _, _)| *n == name) {
-                Some((_, d, e)) => {
-                    *d = (*d).max(dur);
-                    *e += entries;
-                }
-                None => self.phase_totals.push((name, dur, entries)),
-            }
-        }
-    }
-
-    /// Shared part of [`absorb`](Self::absorb) and
-    /// [`absorb_concurrent`](Self::absorb_concurrent): everything except
-    /// the phase-duration policy.
-    fn absorb_events(&mut self, other: &SolverStats) {
         for (&c, &n) in &other.counters {
             let total = self.counters.entry(c).or_insert(0);
             // A watermark merges as the deeper of the two, not their sum.
@@ -436,38 +390,14 @@ impl SolverStats {
             *self.node_events.entry(e).or_insert(0) += n;
         }
         self.incumbents.extend_from_slice(&other.incumbents);
-    }
-
-    /// Replays everything this collector recorded into another
-    /// [`Instrument`], preserving deterministic order (counters and node
-    /// events in `BTreeMap` order, phases and incumbents in discovery
-    /// order).
-    ///
-    /// This is what makes `SolverStats` a *shard*: a worker thread records
-    /// into its own collector (`SolverStats` is `Send + Sync`, so shards
-    /// move freely across a `thread::scope`), and the coordinator replays
-    /// consumed shards into the user's instrument in a deterministic merge
-    /// order — the user-visible trajectory then never depends on worker
-    /// timing.
-    pub fn replay(&self, into: &mut dyn Instrument) {
-        for (&c, &n) in &self.counters {
-            into.count(c, n);
-        }
-        for (&e, &n) in &self.node_events {
-            for _ in 0..n {
-                into.node_event(e);
+        for &(name, dur, entries) in &other.phase_totals {
+            match self.phase_totals.iter_mut().find(|(n, _, _)| *n == name) {
+                Some((_, d, e)) => {
+                    *d += dur;
+                    *e += entries;
+                }
+                None => self.phase_totals.push((name, dur, entries)),
             }
-        }
-        for &(name, dur, entries) in &self.phase_totals {
-            // The first entry carries the accumulated duration; the rest
-            // close with zero so per-phase entry counts are preserved.
-            for i in 0..entries.max(1) {
-                into.phase_started(name);
-                into.phase_finished(name, if i == 0 { dur } else { Duration::ZERO });
-            }
-        }
-        for &r in &self.incumbents {
-            into.incumbent(r);
         }
     }
 
@@ -622,54 +552,9 @@ mod tests {
     }
 
     #[test]
-    fn absorb_concurrent_takes_phase_max_and_sums_counts() {
-        let mut a = SolverStats::new();
-        a.count(Counter::Pivots, 2);
-        a.count(Counter::Refactorizations, 1);
-        a.phase_finished("lp", Duration::from_millis(5));
-        let mut b = SolverStats::new();
-        b.count(Counter::Pivots, 3);
-        b.count(Counter::BoundFlips, 4);
-        b.phase_finished("lp", Duration::from_millis(2));
-        b.phase_finished("validate", Duration::from_millis(1));
-        a.absorb_concurrent(&b);
-        // Counters sum across workers...
-        assert_eq!(a.counter(Counter::Pivots), 5);
-        assert_eq!(a.counter(Counter::BoundFlips), 4);
-        assert_eq!(a.counter(Counter::Refactorizations), 1);
-        // ...while overlapping wall-clock phases take the max.
-        assert_eq!(a.phases()[0], ("lp", Duration::from_millis(5), 2));
-        assert_eq!(a.phases()[1], ("validate", Duration::from_millis(1), 1));
-    }
-
-    #[test]
-    fn replay_reproduces_the_collector_exactly() {
-        let mut src = SolverStats::new();
-        src.count(Counter::SimplexIterations, 12);
-        src.count(Counter::Nodes, 3);
-        src.node_event(NodeEvent::Branched);
-        src.node_event(NodeEvent::Branched);
-        src.node_event(NodeEvent::Integral);
-        src.phase_finished("lp", Duration::from_millis(3));
-        src.phase_finished("lp", Duration::from_millis(4));
-        src.incumbent(IncumbentRecord {
-            objective: 2.0,
-            nodes: 1,
-            elapsed: Duration::from_millis(1),
-        });
-        let mut dst = SolverStats::new();
-        src.replay(&mut dst);
-        assert_eq!(src, dst, "replay into an empty collector is a copy");
-        // Replaying again behaves like a second absorb.
-        src.replay(&mut dst);
-        assert_eq!(dst.counter(Counter::SimplexIterations), 24);
-        assert_eq!(dst.phases()[0].2, 4);
-    }
-
-    #[test]
     fn solver_stats_shards_move_across_threads() {
-        // The shard workflow the parallel solver relies on: collectors are
-        // Send + Sync, recorded on workers, merged on the coordinator.
+        // The shard workflow of the batch and serve workers: collectors are
+        // Send + Sync, recorded on a worker thread, merged by the caller.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SolverStats>();
         let shard = std::thread::spawn(|| {
@@ -680,7 +565,7 @@ mod tests {
         .join()
         .expect("worker shard");
         let mut total = SolverStats::new();
-        total.absorb_concurrent(&shard);
+        total.absorb(&shard);
         assert_eq!(total.counter(Counter::LpSolves), 1);
     }
 

@@ -1,9 +1,9 @@
 //! Thread-count resolution for the workspace's parallel facilities.
 //!
 //! Every layer that can fan work out over `std::thread` (the MILP
-//! branch-and-bound worker pool, the scenario-level `optimize_batch`
-//! driver, the bench panels, the serve worker fleet) resolves its worker
-//! count through [`resolve_threads`], which routes through the shared
+//! branch-and-bound worker pool, the scenario-level `Batch` driver, the
+//! bench panels, the serve worker fleet) resolves its worker count
+//! through [`resolve_threads`], which routes through the shared
 //! [`crate::env::resolve_size`] precedence helper so one environment
 //! variable governs them all:
 //!

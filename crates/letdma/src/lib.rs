@@ -51,46 +51,49 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! # Warm-started batches
+//! # Warm-started re-solves
 //!
-//! Parameter studies solve many variants of one topology — same model
-//! *shape*, different coefficients. A [`Batch`](opt::Batch) detects that
-//! and reuses the first sibling's optimal root basis for the rest,
-//! skipping simplex phase 1 (DESIGN.md §"Warm-start architecture"):
-//! same optima, deterministic at any worker count, and
-//! [`OptConfig::with_reuse_basis(false)`](opt::OptConfig::with_reuse_basis)
-//! restores the byte-identical cold trajectory.
+//! A [`Prepared`](opt::Prepared) cache entry holds the formulation and
+//! presolve reduction of one structure ([`structure_key`](opt::structure_key))
+//! plus a root-basis slot. With
+//! [`OptConfig::reuse_basis`](opt::OptConfig::reuse_basis) on (the
+//! default), the first [`run_prepared`](opt::Optimizer::run_prepared) of an
+//! entry publishes its optimal root basis there, and later solves of the
+//! entry start their root LP from it, skipping simplex phase 1 (DESIGN.md
+//! §"Warm-start architecture"). The serve cache works this way. The
+//! optimum is the same; only the pivot path differs.
 //!
 //! ```
 //! use letdma::core::Counter;
+//! use letdma::opt::prepare;
 //! use letdma::prelude::*;
 //!
-//! // Three same-shape scenarios: one topology, seed-varied label sizes.
-//! let scenario = |frame: u64, state: u64| -> Result<System, ModelError> {
-//!     let mut b = SystemBuilder::new(2);
-//!     let p = b.task("p").period_ms(5).core_index(0).add()?;
-//!     let q = b.task("q").period_ms(10).core_index(0).add()?;
-//!     let c = b.task("c").period_ms(10).core_index(1).add()?;
-//!     b.label("frame").size(frame).writer(p).reader(c).add()?;
-//!     b.label("state").size(state).writer(q).reader(c).add()?;
-//!     b.label("ack").size(32).writer(c).reader(p).add()?;
-//!     b.build()
-//! };
+//! let mut b = SystemBuilder::new(2);
+//! let p = b.task("p").period_ms(5).core_index(0).add()?;
+//! let q = b.task("q").period_ms(10).core_index(0).add()?;
+//! let c = b.task("c").period_ms(10).core_index(1).add()?;
+//! b.label("frame").size(256).writer(p).reader(c).add()?;
+//! b.label("state").size(64).writer(q).reader(c).add()?;
+//! b.label("ack").size(32).writer(c).reader(p).add()?;
+//! let system = b.build()?;
 //!
 //! let config = OptConfig::new().with_objective(Objective::MinTransfers);
-//! let outcomes = Batch::new()
-//!     .scenario(scenario(256, 64)?, config.clone())
-//!     .scenario(scenario(512, 128)?, config.clone())
-//!     .scenario(scenario(384, 96)?, config)
-//!     .run();
+//! let prepared = prepare(&system, &config);
+//! let solve = |stats: &mut SolverStats| {
+//!     Optimizer::new(&system)
+//!         .config(config.clone())
+//!         .instrument(stats)
+//!         .run_prepared(&prepared)
+//! };
 //!
-//! // The first scenario donated its optimal root basis; its siblings
-//! // imported it instead of re-deriving feasibility from scratch.
-//! let imports: u64 = outcomes
-//!     .iter()
-//!     .map(|o| o.stats.counter(Counter::CrossScenarioWarmStarts))
-//!     .sum();
-//! assert!(imports >= 1);
+//! // The first solve donates its optimal root basis; the second imports
+//! // it instead of re-deriving feasibility from scratch.
+//! let (mut donor, mut warm) = (SolverStats::new(), SolverStats::new());
+//! let first = solve(&mut donor)?;
+//! let second = solve(&mut warm)?;
+//! assert_eq!(first.objective_value, second.objective_value);
+//! assert_eq!(donor.counter(Counter::CrossScenarioWarmStarts), 0);
+//! assert_eq!(warm.counter(Counter::CrossScenarioWarmStarts), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -165,8 +168,7 @@ pub mod prelude {
     pub use letdma_core::{Counter, Instrument, SolverStats};
     pub use letdma_model::{CoreId, LabelId, ModelError, System, SystemBuilder, TaskId, TimeNs};
     pub use letdma_opt::{
-        optimize_batch, Batch, BatchOutcome, LetDmaSolution, Objective, OptConfig, OptError,
-        Optimizer, Resolution,
+        Batch, BatchOutcome, LetDmaSolution, Objective, OptConfig, OptError, Optimizer, Resolution,
     };
     pub use letdma_serve::{
         Client, LoopbackTransport, RetryPolicy, ServeConfig, ServeError, Server, SolveRequest,

@@ -827,12 +827,12 @@ impl SimplexSolver {
     /// leaves no observable state beyond the work counters, so the cold
     /// fallback is exactly a from-scratch [`solve`](Self::solve).
     ///
-    /// This is the cross-scenario rung of the warm ladder (see DESIGN.md
-    /// §"Warm-start architecture"): it serves *sibling scenarios* at the
-    /// root, where full primal values are required. On a resubmission of
-    /// the same structure the donor's optimal basis is primal feasible by
-    /// construction and phase 2 terminates in a handful of iterations; on an α-sibling (same shape, scaled data)
-    /// the install is opportunistic.
+    /// This is cross-scenario root reuse (see DESIGN.md §"Warm-start
+    /// architecture"): it serves re-solves of one structure at the root,
+    /// where full primal values are required. There the donor's optimal
+    /// basis is primal feasible by construction and phase 2 terminates in
+    /// a handful of iterations; on a model of the same shape with other
+    /// data the install is opportunistic.
     pub fn solve_from_basis(&mut self, warm: &WarmBasis) -> Option<LpOutcome> {
         let m = self.m;
         if m == 0

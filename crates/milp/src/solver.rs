@@ -214,42 +214,26 @@ impl LpConfig {
     }
 }
 
-/// A once-written, many-read slot through which sibling scenarios share a
-/// root-basis snapshot (the cross-scenario rung of the warm ladder; see
-/// DESIGN.md §"Warm-start architecture").
+/// A once-written, many-read slot through which solves of one structure
+/// share a root-basis snapshot (cross-scenario root reuse; see DESIGN.md
+/// §"Warm-start architecture").
 ///
 /// The **donor** solve publishes its root LP's optimal basis through
-/// [`Solver::root_export`] (or `publish(None)` when the root never reached
-/// an exportable basis — the owner of the slot must guarantee a publish so
-/// waiters cannot hang). **Beneficiary** solves pass the published basis to
-/// [`Solver::root_import`], after reading it with [`wait`](Self::wait)
-/// (deterministic batch pipelines, where the donor is known to be running)
-/// or [`get`](Self::get) (opportunistic serve reuse, which never blocks a
-/// request on another one).
+/// [`Solver::root_export`]; later solves read it with [`get`](Self::get)
+/// and pass it to [`Solver::root_import`]. Reading never blocks: an
+/// unpublished slot just means "no donor yet", and the reader becomes a
+/// donor itself.
 ///
 /// The first publish wins and later publishes are ignored, so racing
 /// donors are harmless: every reader observes the same basis forever.
-pub struct RootBasisSlot {
-    state: std::sync::Mutex<Option<Option<Arc<WarmBasis>>>>,
-    cond: std::sync::Condvar,
-}
+#[derive(Default)]
+pub struct RootBasisSlot(std::sync::OnceLock<Arc<WarmBasis>>);
 
 impl fmt::Debug for RootBasisSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.state.lock().expect("slot poisoned");
         f.debug_struct("RootBasisSlot")
-            .field("published", &state.is_some())
-            .field(
-                "basis",
-                &state.as_ref().map(|b| b.is_some()).unwrap_or(false),
-            )
+            .field("published", &self.0.get().is_some())
             .finish()
-    }
-}
-
-impl Default for RootBasisSlot {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -257,41 +241,20 @@ impl RootBasisSlot {
     /// An empty (unpublished) slot.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            state: std::sync::Mutex::new(None),
-            cond: std::sync::Condvar::new(),
-        }
+        Self::default()
     }
 
-    /// Publishes the donor's root basis (or `None` when the donor's root
-    /// LP produced no exportable basis) and wakes every waiter. The first
-    /// publish wins; later calls are ignored.
-    pub fn publish(&self, basis: Option<Arc<WarmBasis>>) {
-        let mut state = self.state.lock().expect("slot poisoned");
-        if state.is_none() {
-            *state = Some(basis);
-            self.cond.notify_all();
-        }
+    /// Publishes the donor's root basis. The first publish wins; later
+    /// calls are ignored.
+    pub fn publish(&self, basis: Arc<WarmBasis>) {
+        // A lost race is not an error: the winner's basis serves as well.
+        let _ = self.0.set(basis);
     }
 
-    /// Non-blocking read: `None` while unpublished, otherwise the
-    /// published value (which is itself `None` for a failed donor).
+    /// The published basis, or `None` while no donor has published.
     #[must_use]
-    pub fn get(&self) -> Option<Option<Arc<WarmBasis>>> {
-        self.state.lock().expect("slot poisoned").clone()
-    }
-
-    /// Blocks until the donor publishes, then returns the published basis
-    /// (`None` for a failed donor). Only safe where the donor is known to
-    /// be running or finished — the deterministic batch pipeline
-    /// guarantees this by dispensing the donor before its beneficiaries.
-    #[must_use]
-    pub fn wait(&self) -> Option<Arc<WarmBasis>> {
-        let mut state = self.state.lock().expect("slot poisoned");
-        while state.is_none() {
-            state = self.cond.wait(state).expect("slot poisoned");
-        }
-        state.as_ref().expect("just checked").clone()
+    pub fn get(&self) -> Option<Arc<WarmBasis>> {
+        self.0.get().cloned()
     }
 }
 
@@ -805,11 +768,10 @@ impl<'m, 'i> Solver<'m, 'i> {
 
     /// Publishes this solve's optimal root basis into `slot` right after
     /// the root LP solves (before any branching), making this solve the
-    /// **donor** of a cross-scenario reuse group. When the root never
-    /// reaches an exportable basis (infeasible, unbounded or timed out)
-    /// nothing is published — the slot's owner must seal it with
-    /// [`RootBasisSlot::publish`]`(None)` after the solve returns so
-    /// waiters cannot hang.
+    /// **donor** for later solves of the same structure. When the root
+    /// never reaches an exportable basis (infeasible, unbounded or timed
+    /// out) nothing is published, and the slot stays open for the next
+    /// donor.
     pub fn root_export(mut self, slot: Arc<RootBasisSlot>) -> Self {
         self.root_export = Some(slot);
         self
@@ -1424,10 +1386,10 @@ impl<'a> BranchAndBound<'a> {
                     min_obj,
                     basis,
                 } => {
-                    // Publish the optimal root basis for sibling scenarios
-                    // of the same structure.
-                    if let Some(slot) = &self.root_export {
-                        slot.publish(basis.map(Arc::new));
+                    // Publish the optimal root basis for later solves of
+                    // the same structure.
+                    if let (Some(slot), Some(basis)) = (&self.root_export, basis) {
+                        slot.publish(Arc::new(basis));
                     }
                     self.root_bound = Some(min_obj);
                     self.process_lp(values, min_obj, Vec::new(), 0);
@@ -2161,9 +2123,7 @@ mod tests {
             donor_stats.counter(Counter::Phase1Iterations) > 0,
             "the donor must have paid a phase-1 bill worth saving"
         );
-        let basis = slot
-            .wait()
-            .expect("donor solved, so the slot holds a basis");
+        let basis = slot.get().expect("donor solved, so the slot holds a basis");
         let mut imp_stats = letdma_core::SolverStats::new();
         let imported = m
             .solver()
@@ -2195,7 +2155,7 @@ mod tests {
             .root_export(Arc::clone(&slot))
             .run()
             .unwrap();
-        let basis = slot.wait().expect("donor solved");
+        let basis = slot.get().expect("donor solved");
         let (other, _) = assignment_model(3);
         let cold = other.solver().presolve(false).run().unwrap();
         let mut stats = letdma_core::SolverStats::new();
@@ -2220,9 +2180,6 @@ mod tests {
     fn root_basis_slot_first_publish_wins() {
         let slot = RootBasisSlot::new();
         assert!(slot.get().is_none(), "unpublished reads as None");
-        slot.publish(None);
-        assert!(matches!(slot.get(), Some(None)), "sealed empty");
-        // A later publish must not overwrite the seal.
         let m = phase1_model();
         let export = Arc::new(RootBasisSlot::new());
         m.solver()
@@ -2230,10 +2187,12 @@ mod tests {
             .root_export(Arc::clone(&export))
             .run()
             .unwrap();
-        let basis = export.wait().expect("donor solved");
-        slot.publish(Some(Arc::clone(&basis)));
-        assert!(matches!(slot.get(), Some(None)), "first publish wins");
-        assert!(slot.wait().is_none(), "wait observes the sealed value");
+        let first = export.get().expect("donor solved");
+        slot.publish(Arc::clone(&first));
+        // A later publish must not overwrite the first.
+        slot.publish(Arc::new((*first).clone()));
+        let kept = slot.get().expect("published");
+        assert!(Arc::ptr_eq(&kept, &first), "first publish wins");
     }
 
     #[test]

@@ -7,52 +7,23 @@
 //! run scenarios concurrently with sequential solvers than the other way
 //! around.
 //!
-//! Each scenario gets a private [`SolverStats`] collector, so per-scenario
-//! phase timings and counters survive the fan-out; outcomes are returned in
-//! scenario submission order regardless of completion order, making
-//! `Batch::run` deterministic whenever the underlying solves are.
-//!
-//! # Cross-scenario root-basis reuse
-//!
-//! Scenarios whose MILPs share a *shape* (same search-model dimensions and
-//! objective) usually differ only in coefficients — a utilization sweep, an
-//! objective A/B — and their root LPs land on closely related bases. With
-//! [`OptConfig::reuse_basis`] on (the default), the batch plans reuse ahead
-//! of the fan-out: scenarios are deduplicated into shared [`prepare`]d
-//! formulations by [`structure_key`], grouped by shape, and the
-//! lowest-submission-index scenario of each group becomes the *donor* — it
-//! solves cold and publishes its optimal root basis; every other group
-//! member waits for the publication and starts its root LP from the donor
-//! basis, skipping simplex phase 1 when the basis transfers (cold fallback
-//! when it does not — see [`Counter::CrossScenarioWarmStarts`]).
-//!
-//! Donor election is by submission index and beneficiaries *block* on the
-//! donor's slot, so the outcome of every scenario is deterministic at any
-//! worker count (the dispenser hands out indices in submission order, and
-//! a donor always precedes its beneficiaries, so no worker set can
-//! deadlock). Reuse changes the work counters — and possibly which of
-//! several optimal vertices a beneficiary reports — but never objective
-//! values or validity; disable [`OptConfig::reuse_basis`] to reproduce the
-//! sequential cold trajectories byte-for-byte (pinned by the batch
-//! determinism regression).
-//!
-//! [`Counter::CrossScenarioWarmStarts`]: letdma_core::Counter::CrossScenarioWarmStarts
+//! Each scenario runs the plain [`Optimizer::run`] pipeline with a private
+//! [`SolverStats`] collector, and outcomes come back in submission order
+//! regardless of completion order. No state crosses scenarios, so a batch
+//! returns exactly what a sequential loop of `Optimizer::run` returns, at
+//! any worker count; only the wall clock differs. Cross-scenario root-basis
+//! reuse lives in one place: the [`Prepared`](crate::Prepared) cache entry
+//! solved through [`Optimizer::run_prepared`].
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use letdma_core::hash::Fnv64;
 use letdma_core::{resolve_threads, SolverStats};
-use letdma_model::{let_semantics, System};
-use milp::RootBasisSlot;
+use letdma_model::System;
 
 use crate::config::OptConfig;
-use crate::optimizer::{OptError, Optimizer, RootReuse};
-use crate::prepare::{prepare, structure_key, Prepared};
+use crate::optimizer::{OptError, Optimizer};
 use crate::solution::LetDmaSolution;
 
 /// The result of one scenario in a [`Batch`] run.
@@ -130,18 +101,15 @@ impl Batch {
     #[must_use]
     pub fn run(self) -> Vec<BatchOutcome> {
         let threads = resolve_threads(self.threads).min(self.scenarios.len().max(1));
-        let plan = plan_reuse(&self.scenarios);
         if threads <= 1 {
             return self
                 .scenarios
                 .iter()
-                .zip(plan)
-                .map(|((system, config), role)| solve_one(system, config.clone(), role))
+                .map(|(system, config)| solve_one(system, config.clone()))
                 .collect();
         }
 
         let scenarios = &self.scenarios;
-        let plan = &plan;
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, BatchOutcome)>();
         let mut outcomes: Vec<Option<BatchOutcome>> = Vec::new();
@@ -151,15 +119,11 @@ impl Batch {
                 let tx = tx.clone();
                 let next = &next;
                 scope.spawn(move || loop {
-                    // Indices are dispensed in submission order, so a reuse
-                    // donor is always taken up before any of its (blocking)
-                    // beneficiaries — the no-deadlock invariant of
-                    // `plan_reuse`.
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some((system, config)) = scenarios.get(i) else {
                         break;
                     };
-                    let outcome = solve_one(system, config.clone(), plan[i].clone());
+                    let outcome = solve_one(system, config.clone());
                     if tx.send((i, outcome)).is_err() {
                         break;
                     }
@@ -177,113 +141,18 @@ impl Batch {
     }
 }
 
-/// One scenario's part in the batch reuse plan: the shared preparation and
-/// this scenario's role on its shape group's slot.
-#[derive(Clone)]
-struct ReusePlan {
-    prepared: Arc<Prepared>,
-    slot: Arc<RootBasisSlot>,
-    /// The group donor exports into the slot; everyone else waits on it.
-    donor: bool,
-}
-
-/// Plans cross-scenario reuse: deduplicates preparations by
-/// [`structure_key`], groups them by search-model shape, and elects the
-/// first (lowest submission index) participating scenario of each group as
-/// its donor. Scenarios with [`OptConfig::reuse_basis`] off — or without
-/// inter-core communications, which never reach a formulation — get `None`
-/// and run the plain cold pipeline.
-fn plan_reuse(scenarios: &[(System, OptConfig)]) -> Vec<Option<ReusePlan>> {
-    let mut by_key: HashMap<u64, Arc<Prepared>> = HashMap::new();
-    let mut group_slots: HashMap<u64, Arc<RootBasisSlot>> = HashMap::new();
-    scenarios
-        .iter()
-        .map(|(system, config)| {
-            if !config.reuse_basis || let_semantics::comms_at_start(system).is_empty() {
-                return None;
-            }
-            let key = structure_key(system, config);
-            let prepared = Arc::clone(
-                by_key
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(prepare(system, config))),
-            );
-            let shape = shape_key(&prepared, config);
-            match group_slots.get(&shape) {
-                Some(slot) => Some(ReusePlan {
-                    prepared,
-                    slot: Arc::clone(slot),
-                    donor: false,
-                }),
-                None => {
-                    let slot = Arc::new(RootBasisSlot::new());
-                    group_slots.insert(shape, Arc::clone(&slot));
-                    Some(ReusePlan {
-                        prepared,
-                        slot,
-                        donor: true,
-                    })
-                }
-            }
-        })
-        .collect()
-}
-
-/// The shape fingerprint deciding which scenarios *can* share a root
-/// basis: the dimensions of the model branch and bound will actually
-/// search (the presolve reduction when one is cached, the raw formulation
-/// otherwise) plus the objective variant. Coefficients deliberately do not
-/// enter — α-sweep siblings share a shape — and a donor basis that still
-/// fails to transfer (e.g. primal infeasible under the sibling's bounds)
-/// falls back to a cold root solve inside the MILP layer.
-fn shape_key(prepared: &Prepared, config: &OptConfig) -> u64 {
-    let model = match prepared.reduction.as_deref() {
-        Some(red) => &red.model,
-        None => &prepared.formulation.model,
-    };
-    let mut h = Fnv64::new();
-    write!(
-        h,
-        "{}|{}|{:?}",
-        model.num_constraints(),
-        model.num_vars(),
-        config.objective,
-    )
-    .expect("hashing never fails");
-    h.finish()
-}
-
-fn solve_one(system: &System, config: OptConfig, plan: Option<ReusePlan>) -> BatchOutcome {
+fn solve_one(system: &System, config: OptConfig) -> BatchOutcome {
     let mut stats = SolverStats::new();
     let t0 = Instant::now();
-    let optimizer = Optimizer::new(system).config(config).instrument(&mut stats);
-    let result = match plan {
-        None => optimizer.run(),
-        Some(plan) => {
-            let role = if plan.donor {
-                RootReuse::Export(Arc::clone(&plan.slot))
-            } else {
-                RootReuse::WaitOn(Arc::clone(&plan.slot))
-            };
-            optimizer.run_prepared_with_root(&plan.prepared, role)
-        }
-    };
+    let result = Optimizer::new(system)
+        .config(config)
+        .instrument(&mut stats)
+        .run();
     BatchOutcome {
         result,
         stats,
         elapsed: t0.elapsed(),
     }
-}
-
-/// Solves a list of `(System, OptConfig)` scenarios concurrently with the
-/// thread count taken from `LETDMA_THREADS` — the convenience form of
-/// [`Batch`].
-#[must_use]
-pub fn optimize_batch(scenarios: Vec<(System, OptConfig)>) -> Vec<BatchOutcome> {
-    scenarios
-        .into_iter()
-        .fold(Batch::new(), |b, (s, c)| b.scenario(s, c))
-        .run()
 }
 
 #[cfg(test)]
@@ -321,106 +190,9 @@ mod tests {
         }
     }
 
-    /// Three tasks, three labels, two of them groupable into one transfer:
-    /// a scenario whose MILP actually searches (the pair system of
-    /// [`scenario`] is decided by presolve or the heuristic seed alone).
-    fn rich_scenario(period: u64) -> (System, OptConfig) {
-        let mut b = SystemBuilder::new(2);
-        let p = b.task("p").period_ms(period).core_index(0).add().unwrap();
-        let q = b
-            .task("q")
-            .period_ms(period * 2)
-            .core_index(0)
-            .add()
-            .unwrap();
-        let c = b
-            .task("c")
-            .period_ms(period * 2)
-            .core_index(1)
-            .add()
-            .unwrap();
-        b.label("frame")
-            .size(256)
-            .writer(p)
-            .reader(c)
-            .add()
-            .unwrap();
-        b.label("state").size(64).writer(q).reader(c).add().unwrap();
-        b.label("ack").size(32).writer(c).reader(p).add().unwrap();
-        (
-            b.build().unwrap(),
-            OptConfig::new().with_objective(crate::Objective::MinTransfers),
-        )
-    }
-
-    #[test]
-    fn cross_scenario_reuse_preserves_optima_and_skips_phase1() {
-        use letdma_core::Counter;
-        // Indices 0 and 1 are the *same* structure: 0 donates its optimal
-        // root basis and 1 imports it (the basis is optimal as-is, so the
-        // import always lands). Index 2 shares the shape but not the
-        // coefficients — the import either transfers or falls back cold,
-        // and either way the optimum is unchanged.
-        let scenarios: Vec<_> = [5u64, 5, 7].iter().map(|&p| rich_scenario(p)).collect();
-        let cold: Vec<_> = scenarios
-            .iter()
-            .map(|(s, c)| {
-                Optimizer::new(s)
-                    .config(c.clone().with_reuse_basis(false))
-                    .run()
-                    .expect("feasible scenario")
-            })
-            .collect();
-        for threads in [1usize, 3] {
-            let outcomes = scenarios
-                .iter()
-                .cloned()
-                .fold(Batch::new().threads(threads), |b, (s, c)| b.scenario(s, c))
-                .run();
-            for (outcome, cold) in outcomes.iter().zip(&cold) {
-                let sol = outcome.result.as_ref().expect("feasible scenario");
-                assert_eq!(
-                    sol.objective_value.map(f64::to_bits),
-                    cold.objective_value.map(f64::to_bits),
-                    "reuse never changes the optimum ({threads} threads)"
-                );
-            }
-            // The donor solves cold: exporting the basis is a side effect,
-            // not a trajectory change.
-            let donor = outcomes[0].result.as_ref().unwrap();
-            assert_eq!(
-                crate::solution::scrub_timing(donor.clone()),
-                crate::solution::scrub_timing(cold[0].clone()),
-                "a donor's solve is byte-identical to a cold solve"
-            );
-            assert_eq!(
-                outcomes[0].stats.counter(Counter::CrossScenarioWarmStarts),
-                0
-            );
-            assert_eq!(
-                outcomes[1].stats.counter(Counter::CrossScenarioWarmStarts),
-                1,
-                "the same-structure sibling imports the donor basis"
-            );
-            assert!(
-                outcomes[1].stats.counter(Counter::Phase1IterationsSaved) > 0,
-                "the import skips the donor's phase-1 work"
-            );
-        }
-    }
-
     #[test]
     fn concurrent_batch_matches_the_sequential_loop() {
-        // Reuse off pins byte-identity: with cross-scenario root reuse on,
-        // a beneficiary that successfully imports a donor basis follows a
-        // different (still deterministic) trajectory than a cold solve.
-        let scenarios: Vec<_> = [5u64, 7, 10]
-            .iter()
-            .map(|&p| {
-                let (s, c) = scenario(p);
-                (s, c.with_reuse_basis(false))
-            })
-            .collect();
+        let scenarios: Vec<_> = [5u64, 7, 10].iter().map(|&p| scenario(p)).collect();
         let sequential: Vec<_> = scenarios
             .iter()
             .map(|(s, c)| Optimizer::new(s).config(c.clone()).run())

@@ -78,14 +78,16 @@ pub struct OptConfig {
     /// the coordinator before any worker spawns, so the search trajectory
     /// stays byte-identical at any thread count either way.
     pub presolve: Option<bool>,
-    /// Cross-scenario root-basis reuse (default on): sibling solves of the
-    /// same model structure start their root LP from the first solve's
-    /// optimal basis, skipping phase 1 — see
+    /// Cross-scenario root-basis reuse (default on), read only by
+    /// [`Optimizer::run_prepared`](crate::Optimizer::run_prepared): solves
+    /// of one [`Prepared`](crate::Prepared) entry start their root LP from
+    /// the first solve's optimal basis, skipping phase 1 — see
     /// [`Counter::CrossScenarioWarmStarts`](letdma_core::Counter::CrossScenarioWarmStarts).
     /// Reuse changes the work spent, and may change *which* optimal vertex
-    /// a sibling reports, but never objective values or validity; disable
-    /// it to reproduce cold solver trajectories byte-for-byte (pinned by
-    /// the batch determinism regression).
+    /// a later solve reports, but never objective values or validity;
+    /// disable it to reproduce cold solver trajectories byte-for-byte.
+    /// [`Optimizer::run`](crate::Optimizer::run) and
+    /// [`Batch`](crate::Batch) always solve cold.
     pub reuse_basis: bool,
     /// Solve the root LP of both the original and the presolved model and
     /// report the relative tightening under

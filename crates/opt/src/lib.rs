@@ -41,10 +41,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Independent scenarios parallelize at the batch level with
-//! [`Batch`]/[`optimize_batch`]; a single large solve parallelizes at the
-//! node level via [`OptConfig::with_threads`] (or `LETDMA_THREADS`), with
-//! bit-identical results at any thread count.
+//! Independent scenarios parallelize at the batch level with [`Batch`]; a
+//! single large solve parallelizes at the node level via
+//! [`OptConfig::with_threads`] (or `LETDMA_THREADS`), with bit-identical
+//! results at any thread count. Solves of one structure share their
+//! formulation, presolve reduction and optimal root basis through a
+//! [`prepare`]d entry and [`Optimizer::run_prepared`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -59,7 +61,7 @@ mod optimizer;
 mod prepare;
 mod solution;
 
-pub use batch::{optimize_batch, Batch, BatchOutcome};
+pub use batch::{Batch, BatchOutcome};
 pub use config::{Objective, OptConfig};
 pub use improve::{ImproveGoal, Reorder};
 pub use optimizer::{formulation_lp, formulation_model, heuristic_solution, OptError, Optimizer};

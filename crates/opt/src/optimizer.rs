@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use letdma_core::instrument::{timed_phase, Counter, Instrument, NoopInstrument};
 use letdma_model::conformance::{verify, VerifyOptions, Violation};
 use letdma_model::System;
-use milp::{RootBasisSlot, SolveError, SolveOptions};
+use milp::{SolveError, SolveOptions};
 
 use crate::config::{Objective, OptConfig};
 use crate::formulation;
@@ -85,47 +85,6 @@ impl Error for OptError {
             Self::Solver(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-/// How one pipeline run participates in cross-scenario root-basis reuse
-/// (the top rung of the warm-start ladder, DESIGN.md §"Warm-start
-/// architecture").
-///
-/// Crate-private: callers select reuse through
-/// [`OptConfig::reuse_basis`]; the batch and serve layers pick the
-/// concrete role per solve.
-pub(crate) enum RootReuse {
-    /// No cross-scenario reuse: the canonical cold pipeline.
-    Off,
-    /// Consult the slot without blocking: unpublished → this solve becomes
-    /// the donor (exports its root basis), published → import it, sealed
-    /// empty → solve cold. The serve cache's per-structure policy — job
-    /// timing decides the donor, and nobody ever waits.
-    Slot(Arc<RootBasisSlot>),
-    /// Export this solve's optimal root basis into the slot (a batch
-    /// donor). The slot is *always* resolved by the end of the pipeline:
-    /// if the root never reaches a basis (deadline, infeasibility, panic)
-    /// the guard below seals it empty so waiters fall back cold instead of
-    /// blocking forever.
-    Export(Arc<RootBasisSlot>),
-    /// Block until the slot resolves, then import the donor basis (or
-    /// solve cold when the donor sealed it empty) — a batch beneficiary.
-    /// Deterministic at any worker count: the import depends only on the
-    /// donor's (deterministic) solve, never on scheduling timing.
-    WaitOn(Arc<RootBasisSlot>),
-}
-
-/// Seals a [`RootBasisSlot`] empty on drop (publish is first-wins, so a
-/// donor that already exported its basis is unaffected). Held across the
-/// whole pipeline of an [`RootReuse::Export`] solve, including the early
-/// error returns and unwinding — the no-deadlock guarantee for
-/// [`RootReuse::WaitOn`] beneficiaries.
-struct SealOnDrop(Arc<RootBasisSlot>);
-
-impl Drop for SealOnDrop {
-    fn drop(&mut self) {
-        self.0.publish(None);
     }
 }
 
@@ -316,16 +275,8 @@ impl<'s, 'i> Optimizer<'s, 'i> {
     ///    the caller.
     pub fn run(self) -> Result<LetDmaSolution, OptError> {
         match self.instrument {
-            Some(instrument) => {
-                run_pipeline(self.system, &self.config, None, RootReuse::Off, instrument)
-            }
-            None => run_pipeline(
-                self.system,
-                &self.config,
-                None,
-                RootReuse::Off,
-                &mut NoopInstrument,
-            ),
+            Some(instrument) => run_pipeline(self.system, &self.config, None, instrument),
+            None => run_pipeline(self.system, &self.config, None, &mut NoopInstrument),
         }
     }
 
@@ -356,35 +307,15 @@ impl<'s, 'i> Optimizer<'s, 'i> {
     /// different system or configuration (checked via
     /// [`structure_key`]); otherwise as [`run`](Optimizer::run).
     pub fn run_prepared(self, prepared: &Prepared) -> Result<LetDmaSolution, OptError> {
-        let root = if self.config.reuse_basis {
-            RootReuse::Slot(Arc::clone(&prepared.root_slot))
-        } else {
-            RootReuse::Off
-        };
-        self.run_prepared_with_root(prepared, root)
-    }
-
-    /// [`run_prepared`](Optimizer::run_prepared) with an explicit reuse
-    /// role — the batch layer assigns donor ([`RootReuse::Export`]) and
-    /// beneficiary ([`RootReuse::WaitOn`]) roles itself to keep its
-    /// outcomes deterministic at any worker count.
-    pub(crate) fn run_prepared_with_root(
-        self,
-        prepared: &Prepared,
-        root: RootReuse,
-    ) -> Result<LetDmaSolution, OptError> {
         if prepared.key() != structure_key(self.system, &self.config) {
             return Err(OptError::PreparedMismatch);
         }
         match self.instrument {
-            Some(instrument) => {
-                run_pipeline(self.system, &self.config, Some(prepared), root, instrument)
-            }
+            Some(instrument) => run_pipeline(self.system, &self.config, Some(prepared), instrument),
             None => run_pipeline(
                 self.system,
                 &self.config,
                 Some(prepared),
-                root,
                 &mut NoopInstrument,
             ),
         }
@@ -395,18 +326,8 @@ fn run_pipeline(
     system: &System,
     config: &OptConfig,
     prepared: Option<&Prepared>,
-    root: RootReuse,
     instrument: &mut dyn Instrument,
 ) -> Result<LetDmaSolution, OptError> {
-    // A batch donor must resolve its slot no matter how this pipeline
-    // exits — early typed errors, a panic unwinding through, or a search
-    // that never reaches an optimal root — or its beneficiaries would
-    // block forever. The guard's seal is first-wins, so a successful
-    // export wins over it.
-    let _seal = match &root {
-        RootReuse::Export(slot) => Some(SealOnDrop(Arc::clone(slot))),
-        _ => None,
-    };
     // An already-expired deadline fails before any work — the serve layer
     // relies on this to reject queue-expired jobs without simplex effort.
     if let Some(deadline) = config.deadline {
@@ -511,25 +432,18 @@ fn run_pipeline(
         if let Some(red) = reduction.clone() {
             solver = solver.reduction(red);
         }
-        // Cross-scenario root reuse: attach the import/export hooks to the
-        // *first* search only — the panic-retry below always solves cold
-        // (a donor that panicked has its slot sealed by the guard above).
-        match &root {
-            RootReuse::Off => {}
-            RootReuse::Slot(slot) => match slot.get() {
-                None => solver = solver.root_export(Arc::clone(slot)),
-                Some(Some(basis)) => solver = solver.root_import(basis),
-                Some(None) => {}
-            },
-            RootReuse::Export(slot) => solver = solver.root_export(Arc::clone(slot)),
-            RootReuse::WaitOn(slot) => {
-                // Blocks until the donor publishes or seals; `None` means
-                // the donor never reached an optimal root basis — solve
-                // cold, exactly like a donor-less run.
-                if let Some(basis) = slot.wait() {
-                    solver = solver.root_import(basis);
-                }
-            }
+        // Cross-scenario root reuse through the preparation's slot, on the
+        // *first* search only — the panic-retry below always solves cold.
+        // Never blocks: a published basis is imported, an empty slot makes
+        // this solve the donor.
+        if let Some(slot) = prepared
+            .filter(|_| config.reuse_basis)
+            .map(|p| &p.root_slot)
+        {
+            solver = match slot.get() {
+                Some(basis) => solver.root_import(basis),
+                None => solver.root_export(Arc::clone(slot)),
+            };
         }
         solver.instrument(ins).run()
     });

@@ -75,12 +75,12 @@ pub struct Prepared {
     /// solve options so a later environment change cannot make the solve
     /// disagree with the preparation.
     pub(crate) presolve: bool,
-    /// The cross-scenario root-basis slot shared by every solve of this
-    /// structure: the first [`run_prepared`](crate::Optimizer::run_prepared)
-    /// with [`reuse_basis`](crate::OptConfig::reuse_basis) on publishes its
+    /// The root-basis slot shared by every solve of this structure: the
+    /// first [`run_prepared`](crate::Optimizer::run_prepared) with
+    /// [`reuse_basis`](crate::OptConfig::reuse_basis) on publishes its
     /// optimal root basis here, and later solves of the same structure
     /// start from it, skipping simplex phase 1 (see DESIGN.md
-    /// §"Warm-start architecture").
+    /// §"Warm-start architecture"). The only cross-scenario reuse path.
     pub(crate) root_slot: Arc<milp::RootBasisSlot>,
     key: u64,
 }
@@ -91,7 +91,7 @@ impl fmt::Debug for Prepared {
             .field("key", &format_args!("{:#018x}", self.key))
             .field("presolve", &self.presolve)
             .field("cached_reduction", &self.reduction.is_some())
-            .field("root_basis", &self.root_slot.get().map(|b| b.is_some()))
+            .field("root_basis", &self.root_slot.get().is_some())
             .finish_non_exhaustive()
     }
 }

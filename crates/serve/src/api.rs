@@ -92,9 +92,10 @@ impl SolveRequest {
 /// per-scenario solver trajectory.
 ///
 /// The trajectory ([`stats`](Self::stats)) is byte-identical to what a
-/// direct [`letdma_opt::optimize_batch`] of the same scenario records —
-/// cache hits replay the recorded formulation/presolve tallies instead of
-/// skipping them silently (pinned by the determinism regression).
+/// direct [`letdma_opt::Optimizer::run_prepared`] of the same scenario on
+/// the same cache entry records — cache hits replay the recorded
+/// formulation/presolve tallies instead of skipping them silently (pinned
+/// by the determinism regression).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct SolveReport {

@@ -1,12 +1,13 @@
 //! Integration tests for the solve service: typed admission/deadline
 //! semantics, the wire codec round-trip, cache-hit behavior, and the
-//! determinism regression against direct `optimize_batch`.
+//! determinism regression against direct `Optimizer::run_prepared` solves.
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 use letdma_core::{Counter, NodeEvent, SolverStats};
 use letdma_model::{System, SystemBuilder};
-use letdma_opt::{optimize_batch, Objective, OptConfig, Resolution};
+use letdma_opt::{prepare, structure_key, Objective, OptConfig, Optimizer, Resolution};
 use letdma_serve::{
     wire, Client, JobId, LoopbackTransport, ServeConfig, ServeError, Server, SolveCache,
     SolveRequest, SolveResponse, TcpServer, TcpTransport,
@@ -479,11 +480,12 @@ fn queue_depth_is_a_maximum_not_a_sum_of_batches() {
 // ---------------------------------------------------------------------------
 
 /// The service is a transparent wrapper: per-scenario solver trajectories
-/// coming back from the server — including cache-hit re-solves — are
-/// identical to a direct `optimize_batch` of the same scenarios, modulo
-/// wall-clock durations.
+/// coming back from a one-worker server — including cache-hit re-solves
+/// that import the cached root basis — are identical to a sequential loop
+/// of `Optimizer::run_prepared` over one `prepare`d entry per structure,
+/// modulo wall-clock durations.
 #[test]
-fn serve_matches_direct_optimize_batch() {
+fn serve_matches_sequential_run_prepared() {
     let scenarios: Vec<(System, OptConfig)> = vec![
         (comm_system(5), base_config()),
         (
@@ -491,11 +493,31 @@ fn serve_matches_direct_optimize_batch() {
             base_config().with_objective(Objective::MinDelayRatio),
         ),
         // Same structure as the first scenario: exercises the cached
-        // formulation + presolve path against a cold direct solve.
+        // formulation, presolve and root basis.
         (comm_system(5), base_config()),
     ];
 
-    let direct = optimize_batch(scenarios.clone());
+    let mut entries = HashMap::new();
+    let direct: Vec<_> = scenarios
+        .iter()
+        .map(|(system, config)| {
+            let entry = entries
+                .entry(structure_key(system, config))
+                .or_insert_with(|| prepare(system, config));
+            let mut stats = SolverStats::new();
+            let solution = Optimizer::new(system)
+                .config(config.clone())
+                .instrument(&mut stats)
+                .run_prepared(entry)
+                .expect("direct solve");
+            (solution, stats)
+        })
+        .collect();
+    assert_eq!(
+        direct[2].1.counter(Counter::CrossScenarioWarmStarts),
+        1,
+        "the repeated structure imports the first solve's root basis"
+    );
 
     let mut client = Client::new(LoopbackTransport::new(ServeConfig::new().with_workers(1)));
     let requests: Vec<SolveRequest> = scenarios
@@ -510,9 +532,8 @@ fn serve_matches_direct_optimize_batch() {
         "the repeated structure must hit the cache"
     );
 
-    for (response, outcome) in responses.iter().zip(&direct) {
+    for (response, (solution, stats)) in responses.iter().zip(&direct) {
         let report = response.outcome.as_ref().expect("served solve");
-        let solution = outcome.result.as_ref().expect("direct solve");
         assert_eq!(report.resolution, solution.resolution);
         assert_eq!(report.num_transfers, solution.num_transfers());
         assert_eq!(
@@ -522,7 +543,7 @@ fn serve_matches_direct_optimize_batch() {
         );
         assert_eq!(
             trajectory(&report.stats),
-            trajectory(&outcome.stats),
+            trajectory(stats),
             "served trajectory must be identical to the direct solve"
         );
     }

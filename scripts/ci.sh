@@ -146,6 +146,15 @@ echo "== fault-injection smoke (LETDMA_THREADS=1 and 4) =="
 LETDMA_THREADS=1 cargo run --release -p letdma-bench --bin repro --offline -- fault-smoke --budget 5
 LETDMA_THREADS=4 cargo run --release -p letdma-bench --bin repro --offline -- fault-smoke --budget 5
 
+echo "== paper reproduction (repro all --budget 1, LETDMA_THREADS=1 and 4) =="
+# Fig. 1, Fig. 2, Table I and the α sweep end to end. Fig. 2, Table I and
+# the α sweep fan their scenarios out through `Batch` at the env-resolved
+# worker count, so this is the one CI step that runs the multi-scenario
+# path of the repro CLI. A scenario with no solution panics, which exits
+# nonzero.
+LETDMA_THREADS=1 cargo run --release -p letdma-bench --bin repro --offline -- all --budget 1
+LETDMA_THREADS=4 cargo run --release -p letdma-bench --bin repro --offline -- all --budget 1
+
 echo "== deprecated shims are gone =="
 # The PR 2 #[deprecated] compatibility shims (optimize/optimize_with and
 # the free-function bench entry points) were removed two PRs after their
