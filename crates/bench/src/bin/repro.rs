@@ -14,9 +14,10 @@
 //!
 //! `--budget <seconds>` bounds each MILP solve (default 30 s; the paper
 //! used a 1 h CPLEX timeout on a 40-core Xeon). `--threads <n>` sets the
-//! worker-thread count (default: `LETDMA_THREADS`, else sequential) —
-//! scenario-level fan-out for the multi-scenario commands, MILP node-level
-//! parallelism for `fig1`; results are bit-identical at any thread count.
+//! worker-thread count of the MILP node pool in every solve (default:
+//! `LETDMA_THREADS`, else sequential). Scenarios are solved one at a time,
+//! so each Table I running time is one cell's own; results are
+//! bit-identical at any thread count.
 //! `--stats` appends the solver statistics accumulated across every solve
 //! of the command: the aggregate (per-phase wall clock, simplex and
 //! branch-and-bound counters, the presolve reductions, node outcome
@@ -44,9 +45,9 @@
 //! solutions — and simulated under every protocol variant (the four §VII
 //! approaches plus the triple-buffered pipeline with its rotation
 //! counters). The report (schema `letdma-bench-corpus/1`, default out
-//! `BENCH_corpus.json`) carries no timing fields and every inner solve is
-//! node-limited and single-threaded, so the file is byte-identical across
-//! reruns and thread counts; a Properties-1–3 violation or a
+//! `BENCH_corpus.json`) carries no timing fields and every solve is
+//! node-limited, so the file is byte-identical across reruns and thread
+//! counts; a Properties-1–3 violation or a
 //! worse-than-heuristic MILP objective is a nonzero exit.
 //!
 //! `serve` is the solve-service smoke: the six Table I scenarios through

@@ -3,9 +3,8 @@
 //!
 //! [`run`] expands the seeded scenario corpus
 //! ([`letdma::waters::corpus::corpus`]) and solves every scenario
-//! end-to-end: the constructive heuristic, the MILP under a node budget
-//! (scenarios fanned out over a [`Batch`] with each inner solve pinned to
-//! one thread), the independent Properties-1–3 conformance checker on
+//! end-to-end: the constructive heuristic, the MILP under a node budget,
+//! the independent Properties-1–3 conformance checker on
 //! *both* solutions, and a simulation of every protocol variant
 //! ([`crate::simulate_all`]) — the four §VII approaches plus the
 //! triple-buffered pipeline, whose buffer-rotation counters
@@ -20,7 +19,7 @@
 use letdma::core::Json;
 use letdma::model::conformance::{verify, VerifyOptions};
 use letdma::model::System;
-use letdma::opt::{heuristic_solution, Batch, Objective, OptConfig};
+use letdma::opt::{heuristic_solution, Objective, OptConfig, Optimizer};
 use letdma::waters::corpus::{corpus, ScenarioSpec};
 use letdma::waters::gen::{system_fingerprint, try_generate};
 
@@ -306,10 +305,9 @@ impl CorpusBench {
 }
 
 /// Runs the campaign: expands `scenarios` specs from `seed`, solves each
-/// with the heuristic and the node-limited MILP (scenario-level fan-out
-/// over `threads` workers, every inner solve pinned to one thread so the
-/// artifact is thread-count-invariant), conformance-checks both solutions
-/// and simulates every protocol variant.
+/// in turn with the heuristic and the node-limited MILP (`threads` sizes
+/// each solve's node pool; the artifact is thread-count-invariant),
+/// conformance-checks both solutions and simulates every protocol variant.
 ///
 /// # Panics
 ///
@@ -318,35 +316,21 @@ impl CorpusBench {
 /// constructed to be feasible end-to-end, so any of these is a bug.
 #[must_use]
 pub fn run(scenarios: usize, seed: u64, node_limit: u64, threads: Option<usize>) -> CorpusBench {
-    let specs = corpus(scenarios, seed);
-    let systems: Vec<System> = specs
+    let mut config = OptConfig::new()
+        .with_objective(Objective::MinTransfers)
+        .with_node_limit(node_limit)
+        .without_time_limit();
+    if let Some(n) = threads {
+        config = config.with_threads(n);
+    }
+    let reports = corpus(scenarios, seed)
         .iter()
         .map(|spec| {
-            try_generate(&spec.config).unwrap_or_else(|e| panic!("{}: generator: {e}", spec.name))
+            let system = try_generate(&spec.config)
+                .unwrap_or_else(|e| panic!("{}: generator: {e}", spec.name));
+            let milp = Optimizer::new(&system).config(config.clone()).run();
+            scenario_report(spec, &system, milp.as_ref())
         })
-        .collect();
-
-    let mut batch = Batch::new();
-    if let Some(n) = threads {
-        batch = batch.threads(n);
-    }
-    for system in &systems {
-        batch = batch.scenario(
-            system.clone(),
-            OptConfig::new()
-                .with_objective(Objective::MinTransfers)
-                .with_node_limit(node_limit)
-                .without_time_limit()
-                .with_threads(1),
-        );
-    }
-    let outcomes = batch.run();
-
-    let reports = specs
-        .iter()
-        .zip(&systems)
-        .zip(outcomes)
-        .map(|((spec, system), outcome)| scenario_report(spec, system, outcome.result.as_ref()))
         .collect();
     CorpusBench {
         seed,

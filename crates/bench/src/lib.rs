@@ -25,11 +25,9 @@
 //!
 //! All experiments run through one [`Session`], which owns the solve
 //! budget, the thread count and the per-scenario [`SolverStats`] shards
-//! (the `repro --stats` view). Multi-scenario experiments (Fig. 2,
-//! Table I, the α sweep) fan scenarios out over a
-//! [`Batch`] with each inner solve pinned to one
-//! thread; the single-solve Fig. 1 instead parallelizes inside the MILP
-//! search. Either way, results are bit-identical at any thread count.
+//! (the `repro --stats` view). Scenarios are solved one at a time; the
+//! thread count sizes the MILP node pool inside each solve, so results
+//! are bit-identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,15 +37,14 @@ pub mod fault_smoke;
 pub mod milp_bench;
 pub mod serve_smoke;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use letdma::core::SolverStats;
 
 use letdma::analysis::{apply_gammas, derive_gammas, let_task_segments};
 use letdma::model::System;
 use letdma::opt::{
-    heuristic_solution, Batch, BatchOutcome, LetDmaSolution, Objective, OptConfig, Optimizer,
-    Provenance,
+    heuristic_solution, LetDmaSolution, Objective, OptConfig, OptError, Optimizer, Provenance,
 };
 use letdma::sim::{simulate, Approach, SimConfig, SimReport};
 use letdma::waters::{waters_system, WatersTasks};
@@ -160,8 +157,7 @@ impl Session {
         self
     }
 
-    /// Explicit worker-thread count: scenario-level fan-out for the
-    /// multi-scenario experiments, MILP node-level parallelism for Fig. 1.
+    /// Explicit worker-thread count of the MILP node pool in every solve.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -195,40 +191,23 @@ impl Session {
 
     /// Runs the Fig. 1 example; returns the rendered report.
     ///
-    /// This is the one single-solve experiment, so the session's thread
-    /// count goes to the MILP node evaluator itself.
-    ///
     /// # Panics
     ///
     /// Panics if the fixed example unexpectedly fails to solve.
     pub fn fig1(&mut self) -> String {
         let system = fig1::example_system();
-        let mut config = OptConfig::new()
-            .with_objective(Objective::MinDelayRatio)
-            .with_time_limit(self.budget)
-            .with_measure_root_gap(self.measure_root_gap);
-        if let Some(n) = self.threads {
-            config = config.with_threads(n);
-        }
-        let mut stats = SolverStats::new();
-        let solution = Optimizer::new(&system)
-            .config(config)
-            .instrument(&mut stats)
-            .run()
-            .expect("Fig. 1 example solves");
-        self.shards.push(("fig1".to_owned(), stats));
+        let (result, _) = self.solve("fig1".to_owned(), &system, Objective::MinDelayRatio);
+        let solution = result.expect("Fig. 1 example solves");
         fig1::render(&system, &solution)
     }
 
-    /// Produces the six Fig. 2 panels (α ∈ {20, 40} × three objectives),
-    /// solving the scenarios concurrently.
+    /// Produces the six Fig. 2 panels (α ∈ {20, 40} × three objectives).
     ///
     /// # Panics
     ///
     /// Panics if the case study cannot be optimized within the budget.
     pub fn fig2(&mut self) -> Vec<fig2::Panel> {
-        let mut metas = Vec::new();
-        let mut scenarios = Vec::new();
+        let mut panels = Vec::new();
         for alpha_pct in [20u32, 40] {
             for objective in [
                 Objective::None,
@@ -236,21 +215,9 @@ impl Session {
                 Objective::MinDelayRatio,
             ] {
                 let (system, tasks) = waters_with_alpha(alpha_pct);
-                let config = self.scenario_config(objective);
-                metas.push((alpha_pct, objective, system.clone(), tasks));
-                scenarios.push((
-                    format!("fig2/α=0.{}/{objective}", alpha_pct / 10),
-                    system,
-                    config,
-                ));
-            }
-        }
-        let outcomes = self.run_scenarios(scenarios);
-        metas
-            .into_iter()
-            .zip(outcomes)
-            .map(|((alpha_pct, objective, system, tasks), outcome)| {
-                let solution = outcome.result.expect("feasible within budget");
+                let name = format!("fig2/α=0.{}/{objective}", alpha_pct / 10);
+                let (result, _) = self.solve(name, &system, objective);
+                let solution = result.expect("feasible within budget");
                 let four = simulate_all(&system, &solution);
                 let rows = tasks
                     .figure2_order()
@@ -266,28 +233,28 @@ impl Session {
                         )
                     })
                     .collect();
-                fig2::Panel {
+                panels.push(fig2::Panel {
                     alpha_pct,
                     objective,
                     rows,
                     transfers: solution.num_transfers(),
-                }
-            })
-            .collect()
+                });
+            }
+        }
+        panels
     }
 
     /// Runs the six cells of Table I ({NO-OBJ, OBJ-DMAT, OBJ-DEL} × α ∈
-    /// {0.2, 0.4}), solving the cells concurrently. Each cell's *running
-    /// time* measures the full pipeline (formulation, heuristic, search,
-    /// validation) on its worker.
+    /// {0.2, 0.4}), one cell at a time. Each cell's *running time*
+    /// measures its full pipeline (formulation, heuristic, search,
+    /// validation) while no other cell runs.
     ///
     /// # Panics
     ///
     /// Panics when a cell is infeasible (the paper's α values are
     /// feasible).
     pub fn table1(&mut self) -> Vec<table1::Cell> {
-        let mut metas = Vec::new();
-        let mut scenarios = Vec::new();
+        let mut cells = Vec::new();
         for objective in [
             Objective::None,
             Objective::MinTransfers,
@@ -295,40 +262,29 @@ impl Session {
         ] {
             for alpha_pct in [20u32, 40] {
                 let (system, _) = waters_with_alpha(alpha_pct);
-                metas.push((alpha_pct, objective));
-                scenarios.push((
-                    format!("table1/α=0.{}/{objective}", alpha_pct / 10),
-                    system,
-                    self.scenario_config(objective),
-                ));
-            }
-        }
-        let outcomes = self.run_scenarios(scenarios);
-        metas
-            .into_iter()
-            .zip(outcomes)
-            .map(|((alpha_pct, objective), outcome)| {
-                let running_time = outcome.elapsed;
-                let solution = outcome.result.expect("feasible");
+                let name = format!("table1/α=0.{}/{objective}", alpha_pct / 10);
+                let (result, running_time) = self.solve(name, &system, objective);
+                let solution = result.expect("feasible");
                 let timed_out = match &solution.provenance {
                     Provenance::Heuristic => true,
                     Provenance::Milp { status, .. } => {
                         *status == letdma::milp::SolveStatus::Feasible
                     }
                 };
-                table1::Cell {
+                cells.push(table1::Cell {
                     alpha_pct,
                     objective,
                     running_time,
                     transfers: solution.num_transfers(),
                     timed_out,
-                }
-            })
-            .collect()
+                });
+            }
+        }
+        cells
     }
 
     /// Sweeps α ∈ {10, 20, 30, 40, 50} as in §VII's text, solving the
-    /// schedulable points concurrently.
+    /// schedulable points.
     ///
     /// # Panics
     ///
@@ -338,8 +294,6 @@ impl Session {
         let warm = heuristic_solution(&base, false).expect("heuristic feasible");
         let segments = let_task_segments(&base, &warm.schedule);
         let mut points = Vec::new();
-        let mut scenarios = Vec::new();
-        let mut pending = Vec::new();
         for alpha_pct in [10u32, 20, 30, 40, 50] {
             let (mut system, _) = waters_system().expect("builds");
             let sens = derive_gammas(&system, alpha_pct, &segments).expect("base schedulable");
@@ -352,51 +306,42 @@ impl Session {
                 continue;
             }
             apply_gammas(&mut system, &sens);
-            pending.push(points.len());
+            let name = format!("alpha-sweep/α=0.{}", alpha_pct / 10);
+            let (result, _) = self.solve(name, &system, Objective::None);
             points.push(alpha_sweep::Point {
                 alpha_pct,
                 schedulable: true,
-                solvable: false,
+                solvable: result.is_ok(),
             });
-            scenarios.push((
-                format!("alpha-sweep/α=0.{}", alpha_pct / 10),
-                system,
-                self.scenario_config(Objective::None),
-            ));
-        }
-        let outcomes = self.run_scenarios(scenarios);
-        for (slot, outcome) in pending.into_iter().zip(outcomes) {
-            points[slot].solvable = outcome.result.is_ok();
         }
         points
     }
 
-    /// Config for one scenario of a multi-scenario experiment: the
-    /// parallelism lives at the scenario level, so each inner solve is
-    /// pinned to one thread (a `LETDMA_THREADS` override must not
-    /// oversubscribe; results are identical either way).
-    fn scenario_config(&self, objective: Objective) -> OptConfig {
-        OptConfig::new()
+    /// Solves one scenario under the session's budget and thread count,
+    /// records its instrument shard under `name`, and returns the result
+    /// with the wall clock of this one run.
+    fn solve(
+        &mut self,
+        name: String,
+        system: &System,
+        objective: Objective,
+    ) -> (Result<LetDmaSolution, OptError>, Duration) {
+        let mut config = OptConfig::new()
             .with_objective(objective)
             .with_time_limit(self.budget)
-            .with_threads(1)
-            .with_measure_root_gap(self.measure_root_gap)
-    }
-
-    fn run_scenarios(&mut self, scenarios: Vec<(String, System, OptConfig)>) -> Vec<BatchOutcome> {
-        let mut batch = Batch::new();
+            .with_measure_root_gap(self.measure_root_gap);
         if let Some(n) = self.threads {
-            batch = batch.threads(n);
+            config = config.with_threads(n);
         }
-        let names: Vec<String> = scenarios.iter().map(|(n, _, _)| n.clone()).collect();
-        for (_, system, config) in scenarios {
-            batch = batch.scenario(system, config);
-        }
-        let outcomes = batch.run();
-        for (name, outcome) in names.into_iter().zip(&outcomes) {
-            self.shards.push((name, outcome.stats.clone()));
-        }
-        outcomes
+        let mut stats = SolverStats::new();
+        let t0 = Instant::now();
+        let result = Optimizer::new(system)
+            .config(config)
+            .instrument(&mut stats)
+            .run();
+        let elapsed = t0.elapsed();
+        self.shards.push((name, stats));
+        (result, elapsed)
     }
 }
 

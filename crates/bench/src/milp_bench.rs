@@ -288,8 +288,7 @@ pub fn run(node_limit: u64) -> MilpBench {
             let config = OptConfig::new()
                 .with_objective(objective)
                 .without_time_limit()
-                .with_node_limit(node_limit)
-                .with_threads(1);
+                .with_node_limit(node_limit);
 
             let mut stats = SolverStats::new();
             let result = Optimizer::new(&system)

@@ -15,8 +15,7 @@
 pub const PRESOLVE_ENV: &str = "LETDMA_PRESOLVE";
 
 /// Name of the environment variable sizing the worker pools (see
-/// [`crate::parallel::resolve_threads`], which resolves through
-/// [`resolve_size`] with a sequential default of 1).
+/// [`resolve_threads`]).
 pub const THREADS_ENV: &str = "LETDMA_THREADS";
 
 /// Resolves a boolean feature flag: `requested` if given, else the
@@ -41,20 +40,25 @@ pub fn resolve_flag(name: &str, requested: Option<bool>, default: bool) -> bool 
     }
 }
 
-/// Resolves a positive size (worker counts, queue capacities): `requested`
-/// (clamped to ≥ 1) if given, else the environment variable `name` parsed
-/// as a `usize ≥ 1`, else `default`. Unparsable or zero environment values
-/// are ignored, for the same reason as in [`resolve_flag`].
+/// Resolves a worker-pool size (the MILP node pool, the serve workers):
+/// `requested` (clamped to ≥ 1) if given, else [`THREADS_ENV`] parsed as a
+/// `usize ≥ 1`, else `1`. Unparsable or zero environment values are
+/// ignored, for the same reason as in [`resolve_flag`].
+///
+/// The default is deliberately sequential, not the machine's core count:
+/// the solver produces byte-identical answers at any thread count, but
+/// wall-clock numbers do depend on it, and a reproduction harness should
+/// opt *into* parallelism, not discover it.
 #[must_use]
-pub fn resolve_size(name: &str, requested: Option<usize>, default: usize) -> usize {
+pub fn resolve_threads(requested: Option<usize>) -> usize {
     if let Some(n) = requested {
         return n.max(1);
     }
-    std::env::var(name)
+    std::env::var(THREADS_ENV)
         .ok()
         .and_then(|raw| raw.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or(default)
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -80,12 +84,22 @@ mod tests {
 
     #[test]
     fn size_explicit_request_wins_and_clamps() {
-        assert_eq!(resolve_size("LETDMA_TEST_SIZE_UNSET", Some(4), 1), 4);
-        assert_eq!(
-            resolve_size("LETDMA_TEST_SIZE_UNSET", Some(0), 1),
-            1,
-            "zero clamps to one"
-        );
-        assert_eq!(resolve_size("LETDMA_TEST_SIZE_UNSET", None, 3), 3);
+        assert_eq!(resolve_threads(Some(4)), 4);
+        assert_eq!(resolve_threads(Some(0)), 1, "zero clamps to sequential");
+    }
+
+    // `scripts/ci.sh` also runs the suite under LETDMA_THREADS=4, where this
+    // checks that an explicit count beats the variable.
+    #[test]
+    fn threads_explicit_request_wins() {
+        assert_eq!(resolve_threads(Some(1)), 1);
+        assert_eq!(resolve_threads(Some(3)), 3);
+    }
+
+    // LETDMA_THREADS itself is covered by `scripts/ci.sh`, which runs the
+    // whole suite at 1 and 4.
+    #[test]
+    fn default_is_sequential_or_env() {
+        assert!(resolve_threads(None) >= 1);
     }
 }

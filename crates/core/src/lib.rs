@@ -17,11 +17,11 @@
 //! * [`cases`] — a shrink-free, seeded test-case harness replacing the
 //!   `proptest` suites: N deterministic cases per property, reproducible
 //!   from the failure message alone;
-//! * [`parallel`] — worker-pool sizing shared by every layer that fans
-//!   out over `std::thread` (`LETDMA_THREADS`, explicit overrides);
 //! * [`mod@env`] — feature-flag and knob resolution with the same
 //!   explicit-over-environment-over-default policy for every `LETDMA_*`
-//!   variable (see DESIGN.md §"Configuration precedence");
+//!   variable (see DESIGN.md §"Configuration precedence"), including
+//!   [`resolve_threads`], which sizes both worker pools (the MILP node
+//!   pool inside a solve, the serve workers across requests);
 //! * [`fault`] — the seeded, deterministic fault plane the resilience
 //!   tests arm to inject simplex breakdowns, singular refactorizations,
 //!   worker panics and deadline exhaustion (off by default; disarmed
@@ -46,14 +46,12 @@ pub mod fault;
 pub mod hash;
 pub mod instrument;
 pub mod json;
-pub mod parallel;
 pub mod rng;
 
 pub use cases::Cases;
-pub use env::resolve_flag;
+pub use env::{resolve_flag, resolve_threads};
 pub use fault::{FaultSite, FaultSpec};
 pub use hash::{fnv1a_64, Fnv64};
 pub use instrument::{Counter, Instrument, NodeEvent, NoopInstrument, SolverStats};
 pub use json::{Json, JsonError, JsonLimits};
-pub use parallel::resolve_threads;
 pub use rng::{Rng, SplitMix64, Xoshiro256};

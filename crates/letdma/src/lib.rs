@@ -167,9 +167,7 @@ pub mod sim {
 pub mod prelude {
     pub use letdma_core::{Counter, Instrument, SolverStats};
     pub use letdma_model::{CoreId, LabelId, ModelError, System, SystemBuilder, TaskId, TimeNs};
-    pub use letdma_opt::{
-        Batch, BatchOutcome, LetDmaSolution, Objective, OptConfig, OptError, Optimizer, Resolution,
-    };
+    pub use letdma_opt::{LetDmaSolution, Objective, OptConfig, OptError, Optimizer, Resolution};
     pub use letdma_serve::{
         Client, LoopbackTransport, RetryPolicy, ServeConfig, ServeError, Server, SolveRequest,
         SolveResponse, TcpServer, TcpTransport, Transport,

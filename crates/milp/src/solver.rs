@@ -35,12 +35,11 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use letdma_core::env::{resolve_flag, PRESOLVE_ENV};
+use letdma_core::env::{resolve_flag, resolve_threads, PRESOLVE_ENV};
 use letdma_core::fault::{self, FaultSite};
 use letdma_core::instrument::{
     timed_phase, Counter, IncumbentRecord, Instrument, NodeEvent, NoopInstrument,
 };
-use letdma_core::parallel::resolve_threads;
 
 use crate::basis::SparseLu;
 use crate::expr::Var;

@@ -86,8 +86,7 @@ pub struct OptConfig {
     /// Reuse changes the work spent, and may change *which* optimal vertex
     /// a later solve reports, but never objective values or validity;
     /// disable it to reproduce cold solver trajectories byte-for-byte.
-    /// [`Optimizer::run`](crate::Optimizer::run) and
-    /// [`Batch`](crate::Batch) always solve cold.
+    /// [`Optimizer::run`](crate::Optimizer::run) always solves cold.
     pub reuse_basis: bool,
     /// Solve the root LP of both the original and the presolved model and
     /// report the relative tightening under

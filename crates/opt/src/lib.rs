@@ -41,10 +41,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Independent scenarios parallelize at the batch level with [`Batch`]; a
-//! single large solve parallelizes at the node level via
-//! [`OptConfig::with_threads`] (or `LETDMA_THREADS`), with bit-identical
-//! results at any thread count. Solves of one structure share their
+//! A solve parallelizes inside its branch-and-bound search: the node pool
+//! is sized by [`OptConfig::with_threads`] (or `LETDMA_THREADS`), with
+//! bit-identical results at any thread count. Solves of one structure share their
 //! formulation, presolve reduction and optimal root basis through a
 //! [`prepare`]d entry and [`Optimizer::run_prepared`].
 
@@ -52,7 +51,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod config;
 mod formulation;
 pub mod heuristic;
@@ -61,7 +59,6 @@ mod optimizer;
 mod prepare;
 mod solution;
 
-pub use batch::{Batch, BatchOutcome};
 pub use config::{Objective, OptConfig};
 pub use improve::{ImproveGoal, Reorder};
 pub use optimizer::{formulation_lp, formulation_model, heuristic_solution, OptError, Optimizer};

@@ -110,17 +110,6 @@ impl LetDmaSolution {
     }
 }
 
-/// Zeroes the wall-clock field of a solution's provenance (elapsed time)
-/// so trajectory comparisons in tests ignore the only run-to-run
-/// nondeterminism.
-#[cfg(test)]
-pub(crate) fn scrub_timing(mut s: LetDmaSolution) -> LetDmaSolution {
-    if let Provenance::Milp { stats, .. } = &mut s.provenance {
-        stats.elapsed = std::time::Duration::ZERO;
-    }
-    s
-}
-
 /// Builds a [`LetDmaSolution`] from a heuristic construction.
 #[must_use]
 pub(crate) fn from_heuristic(

@@ -42,8 +42,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use letdma_core::env::{resolve_size, THREADS_ENV};
-use letdma_core::{Counter, Instrument, SolverStats};
+use letdma_core::{resolve_threads, Counter, Instrument, SolverStats};
 use letdma_model::{let_semantics, System};
 use letdma_opt::{prepare, structure_key, OptConfig, OptError, Optimizer, Prepared};
 
@@ -209,7 +208,7 @@ impl Server {
     /// Panics if the OS refuses to spawn the worker threads.
     #[must_use]
     pub fn start_with_cache(config: ServeConfig, cache: SolveCache) -> Self {
-        let workers = resolve_size(THREADS_ENV, config.workers, 1);
+        let workers = resolve_threads(config.workers);
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),

@@ -53,9 +53,10 @@ echo "== bench-milp smoke (LETDMA_THREADS=1 and 4, byte-identical) =="
 # The six Table I scenarios under a tiny node budget. The run validates the
 # letdma-bench-milp/6 schema before writing (milp_bench::validate), so a
 # nonzero exit or a missing file is the failure signal. The report carries
-# no timing fields and pins every solve to one thread, so the two runs
-# below must be byte-identical — `cmp` fails if a wall clock creeps back
-# into the file. Time is measured by perfbench/, with repeated samples.
+# no timing fields and each solve's node pool takes its size from
+# LETDMA_THREADS, so the two runs below must be byte-identical — `cmp`
+# fails if a wall clock creeps back into the file or if the answer depends
+# on the thread count. Time is measured by perfbench/, with repeated samples.
 milp_t1="$(mktemp -t bench_milp_t1.XXXXXX.json)"
 milp_t4="$(mktemp -t bench_milp_t4.XXXXXX.json)"
 trap 'rm -f "$milp_t1" "$milp_t4"' EXIT
@@ -78,8 +79,9 @@ echo "== corpus smoke (8 scenarios, LETDMA_THREADS=1 and 4, byte-identical) =="
 # protocol simulations. The run validates the letdma-bench-corpus/1 schema
 # before writing and exits nonzero on any Properties-1–3 violation or a
 # worse-than-heuristic MILP objective. The report carries no timing fields
-# and pins every inner solve to one thread, so the two runs below must be
-# byte-identical — `cmp` enforces the thread-count-invariance claim.
+# and each solve's node pool takes its size from LETDMA_THREADS, so the two
+# runs below must be byte-identical — `cmp` enforces the
+# thread-count-invariance claim.
 corpus_t1="$(mktemp -t bench_corpus_t1.XXXXXX.json)"
 corpus_t4="$(mktemp -t bench_corpus_t4.XXXXXX.json)"
 trap 'rm -f "$milp_t1" "$milp_t4" "$corpus_t1" "$corpus_t4"' EXIT
@@ -147,11 +149,10 @@ LETDMA_THREADS=1 cargo run --release -p letdma-bench --bin repro --offline -- fa
 LETDMA_THREADS=4 cargo run --release -p letdma-bench --bin repro --offline -- fault-smoke --budget 5
 
 echo "== paper reproduction (repro all --budget 1, LETDMA_THREADS=1 and 4) =="
-# Fig. 1, Fig. 2, Table I and the α sweep end to end. Fig. 2, Table I and
-# the α sweep fan their scenarios out through `Batch` at the env-resolved
-# worker count, so this is the one CI step that runs the multi-scenario
-# path of the repro CLI. A scenario with no solution panics, which exits
-# nonzero.
+# Fig. 1, Fig. 2, Table I and the α sweep end to end, one scenario at a
+# time, each solve's node pool sized by LETDMA_THREADS. This is the one CI
+# step that runs the multi-scenario path of the repro CLI. A scenario with
+# no solution panics, which exits nonzero.
 LETDMA_THREADS=1 cargo run --release -p letdma-bench --bin repro --offline -- all --budget 1
 LETDMA_THREADS=4 cargo run --release -p letdma-bench --bin repro --offline -- all --budget 1
 

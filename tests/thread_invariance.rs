@@ -1,28 +1,28 @@
-//! Regression: a `Batch` must return exactly what a sequential loop of
-//! `Optimizer::run` returns, scenario by scenario, at any worker-thread
-//! count, under the default configuration (cross-scenario root reuse on).
-//! The only tolerated difference is the wall-clock measurement — layout,
-//! schedule, latencies, search statistics and every solver counter are
-//! pinned.
+//! Regression: `Optimizer::run` returns the same answer at any size of the
+//! MILP node pool. The reference is a run at one thread; runs at four
+//! threads and at the env-resolved count (`LETDMA_THREADS`, which CI sets
+//! to 1 and 4) must match it scenario by scenario. The only tolerated
+//! difference is the wall-clock measurement — layout, schedule,
+//! latencies, search statistics, every solver counter and every node event
+//! are pinned.
 //!
 //! Three scenario families run through the check: a small two-core
 //! pipeline under two objectives, a three-scenario corpus of one topology
 //! with varied periods and label sizes, and the WATERS case study at
-//! α ∈ {20 %, 40 %} under a node limit. The last two are same-shape
-//! siblings, the case where one scenario's root basis could leak into
-//! another's solve.
+//! α ∈ {20 %, 40 %} under a node limit. The WATERS family runs the node
+//! pool through the whole `opt` pipeline (heuristic, presolve, search,
+//! validation) with counters on.
 //!
-//! Thread counts are exercised through `Batch::threads`, never by mutating
-//! `LETDMA_THREADS` — env mutation would race the other tests in this
-//! binary.
+//! Thread counts are set through `OptConfig::with_threads`, never by
+//! mutating `LETDMA_THREADS` — env mutation would race the other tests in
+//! this binary.
 
 use letdma::analysis::{apply_gammas, derive_gammas, let_task_segments};
 use letdma::core::{Counter, NodeEvent, SolverStats};
 use letdma::model::conformance::{verify, VerifyOptions};
 use letdma::model::{System, SystemBuilder};
 use letdma::opt::{
-    heuristic_solution, Batch, BatchOutcome, LetDmaSolution, Objective, OptConfig, Optimizer,
-    Provenance,
+    heuristic_solution, LetDmaSolution, Objective, OptConfig, OptError, Optimizer, Provenance,
 };
 use std::time::Duration;
 
@@ -48,7 +48,7 @@ fn work(stats: &SolverStats) -> (Vec<(Counter, u64)>, Vec<u64>) {
 }
 
 /// A small two-core pipeline; `flip` varies the label sizes so the
-/// scenarios in a batch are genuinely different problems.
+/// scenarios of the family are genuinely different problems.
 fn pipeline_system(flip: bool) -> System {
     let mut b = SystemBuilder::new(2);
     let (a, c) = if flip { (2_048, 256) } else { (256, 2_048) };
@@ -64,8 +64,8 @@ fn pipeline_system(flip: bool) -> System {
 
 /// The pipeline family. No time limits: every scenario must run to a
 /// deterministic stopping point (proved optimum / first incumbent),
-/// otherwise the comparison against the sequential loop would depend on
-/// machine load.
+/// otherwise the comparison across thread counts would depend on machine
+/// load.
 fn pipelines() -> Vec<(System, OptConfig)> {
     let base = || OptConfig::new().without_time_limit();
     vec![
@@ -118,8 +118,7 @@ fn corpus_scenario(period: u64, sizes: [u64; 3]) -> (System, OptConfig) {
         b.build().unwrap(),
         OptConfig::new()
             .with_objective(Objective::MinTransfers)
-            .without_time_limit()
-            .with_threads(1),
+            .without_time_limit(),
     )
 }
 
@@ -143,8 +142,7 @@ fn waters_sweep() -> Vec<(System, OptConfig)> {
     let config = OptConfig::new()
         .with_objective(Objective::MinTransfers)
         .without_time_limit()
-        .with_node_limit(3)
-        .with_threads(1);
+        .with_node_limit(3);
     [20u32, 40]
         .iter()
         .map(|&alpha_pct| {
@@ -160,73 +158,73 @@ fn waters_sweep() -> Vec<(System, OptConfig)> {
         .collect()
 }
 
-/// The reference result: one instrumented `Optimizer` run per scenario, in
-/// order.
-fn sequential_reference(scenarios: &[(System, OptConfig)]) -> Vec<(LetDmaSolution, SolverStats)> {
+/// One instrumented `Optimizer::run`.
+fn solve(system: &System, config: OptConfig) -> (Result<LetDmaSolution, OptError>, SolverStats) {
+    let mut stats = SolverStats::new();
+    let result = Optimizer::new(system)
+        .config(config)
+        .instrument(&mut stats)
+        .run();
+    (result, stats)
+}
+
+/// The reference result: one instrumented single-threaded run per
+/// scenario, in order.
+fn reference(scenarios: &[(System, OptConfig)]) -> Vec<(LetDmaSolution, SolverStats)> {
     scenarios
         .iter()
         .map(|(system, config)| {
-            let mut stats = SolverStats::new();
-            let solution = Optimizer::new(system)
-                .config(config.clone())
-                .instrument(&mut stats)
-                .run()
-                .expect("reference scenario must solve");
-            (scrub(solution), stats)
+            let (result, stats) = solve(system, config.clone().with_threads(1));
+            (scrub(result.expect("reference scenario must solve")), stats)
         })
         .collect()
 }
 
-fn batch_of(scenarios: Vec<(System, OptConfig)>, batch: Batch) -> Batch {
-    scenarios
-        .into_iter()
-        .fold(batch, |b, (system, config)| b.scenario(system, config))
-}
-
-/// Asserts that `outcomes` equal `reference` field for field, with wall
-/// clock scrubbed.
+/// Asserts that solving `scenarios` with `threads` (`None`: env-resolved)
+/// equals `reference` field for field, with wall clock scrubbed.
 fn assert_matches(
-    outcomes: Vec<BatchOutcome>,
+    scenarios: &[(System, OptConfig)],
+    threads: Option<usize>,
     reference: &[(LetDmaSolution, SolverStats)],
     label: &str,
 ) {
-    assert_eq!(outcomes.len(), reference.len(), "{label}");
-    for (i, (outcome, (solution, stats))) in outcomes.into_iter().zip(reference).enumerate() {
-        let got = scrub(outcome.result.unwrap_or_else(|e| {
-            panic!("{label}: scenario {i} failed in the batch but not sequentially: {e}")
+    for (i, ((system, config), (solution, stats))) in scenarios.iter().zip(reference).enumerate() {
+        let config = match threads {
+            Some(n) => config.clone().with_threads(n),
+            None => config.clone(),
+        };
+        let (result, got_stats) = solve(system, config);
+        let got = scrub(result.unwrap_or_else(|e| {
+            panic!("{label}: scenario {i} failed but solves at one thread: {e}")
         }));
         assert_eq!(
             &got, solution,
-            "{label}: scenario {i} diverged from the sequential loop"
+            "{label}: scenario {i} diverged from the one-thread run"
         );
         assert_eq!(
-            work(&outcome.stats),
+            work(&got_stats),
             work(stats),
-            "{label}: scenario {i} did different solver work than the sequential loop"
+            "{label}: scenario {i} did different solver work than the one-thread run"
         );
     }
 }
 
 #[test]
-fn env_resolved_batch_matches_the_sequential_loop() {
-    // No thread count: `Batch` resolves its worker count from
-    // `LETDMA_THREADS`, which CI runs at 1 and 4.
-    let reference = sequential_reference(&pipelines());
-    assert_matches(
-        batch_of(pipelines(), Batch::new()).run(),
-        &reference,
-        "env-resolved",
-    );
+fn env_resolved_run_matches_one_thread() {
+    // No thread count: the node pool is sized from `LETDMA_THREADS`, which
+    // CI runs at 1 and 4.
+    let scenarios = pipelines();
+    assert_matches(&scenarios, None, &reference(&scenarios), "env-resolved");
 }
 
 #[test]
-fn batch_is_invariant_in_the_worker_thread_count() {
+fn run_is_invariant_in_the_thread_count() {
     for (name, scenarios) in [
         ("pipelines", pipelines()),
         ("corpus", corpus()),
         ("WATERS α-sweep", waters_sweep()),
     ] {
-        let reference = sequential_reference(&scenarios);
+        let reference = reference(&scenarios);
         for (i, ((system, _), (solution, _))) in scenarios.iter().zip(&reference).enumerate() {
             let violations = verify(
                 system,
@@ -236,32 +234,31 @@ fn batch_is_invariant_in_the_worker_thread_count() {
             );
             assert!(violations.is_empty(), "{name} scenario {i}: {violations:?}");
         }
-        for threads in [1usize, 4] {
-            let outcomes = batch_of(scenarios.clone(), Batch::new().threads(threads)).run();
-            assert_matches(outcomes, &reference, &format!("{name}, {threads} workers"));
-        }
+        assert_matches(
+            &scenarios,
+            Some(4),
+            &reference,
+            &format!("{name}, 4 threads"),
+        );
     }
 }
 
 #[test]
-fn batch_reports_per_scenario_stats() {
-    // Each outcome carries its own deterministic shard: node and simplex
+fn solve_stats_agree_with_the_instrument_stream() {
+    // Each run's instrument shard is deterministic: its node and simplex
     // iteration counters must agree with the stats embedded in the
     // solution itself (`SolveStats` is a view of the one stats stream).
-    for (i, outcome) in batch_of(pipelines(), Batch::new().threads(2))
-        .run()
-        .into_iter()
-        .enumerate()
-    {
-        let solution = outcome.result.expect("scenario must solve");
+    for (i, (system, config)) in pipelines().into_iter().enumerate() {
+        let (result, shard) = solve(&system, config.with_threads(2));
+        let solution = result.expect("scenario must solve");
         if let Provenance::Milp { stats, .. } = &solution.provenance {
             assert_eq!(
-                outcome.stats.counter(Counter::Nodes),
+                shard.counter(Counter::Nodes),
                 stats.nodes,
                 "scenario {i}: shard node count disagrees with the solution stats"
             );
             assert_eq!(
-                outcome.stats.counter(Counter::SimplexIterations),
+                shard.counter(Counter::SimplexIterations),
                 stats.lp_iterations,
                 "scenario {i}: shard iteration count disagrees with the solution stats"
             );
