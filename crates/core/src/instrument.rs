@@ -81,10 +81,10 @@ pub enum Counter {
     /// when root-gap measurement is enabled
     /// (`milp::SolveOptions::with_measure_root_gap`).
     RootGapBps,
-    /// Factorized forward solves (`Basis::ftran`) performed by the simplex
+    /// Factorized forward solves (`SparseLu::ftran`) performed by the simplex
     /// — entering columns and imported-basis right-hand sides.
     FtranCalls,
-    /// Factorized transpose solves (`Basis::btran`) performed by the
+    /// Factorized transpose solves (`SparseLu::btran`) performed by the
     /// simplex — pricing duals and Devex pivot rows.
     BtranCalls,
     /// Nonzeros appended to the basis update (eta) files by pivots;

@@ -3,248 +3,23 @@
 //! The simplex only ever touches the basis through five operations — a
 //! BTRAN solve over a sparse right-hand side, an FTRAN solve of a sparse
 //! column, a rank-one pivot update, a from-scratch refactorization and a
-//! reset to the signed-identity starting basis. The solver runs on
-//! [`SparseLu`]: a sparse LU factorization of the basis (Markowitz pivot
+//! reset to the signed-identity starting basis. [`SparseLu`] provides
+//! them: a sparse LU factorization of the basis (Markowitz pivot
 //! selection with Suhl–Suhl threshold partial pivoting, stored as sparse
 //! triangular factors) plus product-form eta updates between
-//! refactorizations. Every operation costs
+//! refactorizations. Every solve costs
 //! `O(nnz(L) + nnz(U) + nnz(etas) + m)` instead of the dense `O(m²)`.
 //!
-//! The five operations also form the [`Basis`] trait, whose only other
-//! implementation is [`DenseInverse`] — the explicit row-major `m × m`
-//! inverse the workspace started with. The solver never constructs it: it
-//! is the reference oracle that `crates/milp/tests/basis_differential.rs`
-//! pins [`SparseLu`] against to 1e-9. DESIGN.md §"Sparse LU basis &
-//! pricing" documents the data layout and the update formula.
+//! `crates/milp/tests/basis_differential.rs` pins [`SparseLu`] to 1e-9
+//! against a dense explicit inverse kept there as a test-local oracle.
+//! DESIGN.md §"Sparse LU basis & pricing" documents the data layout, the
+//! update formula and the measured cost of a refactorization.
 
 use std::cell::RefCell;
 use std::fmt;
 
 /// Sparse column: `(row, coefficient)` pairs, as stored by the solver.
 pub type SparseCol = Vec<(usize, f64)>;
-
-/// The operations the bounded-variable revised simplex needs from a
-/// basis representation: the interface on which [`DenseInverse`] serves
-/// as the reference oracle for [`SparseLu`].
-///
-/// Implementations maintain a factorization (or inverse) of the current
-/// basis matrix `B` (one column per row of the LP). Dense vectors have
-/// length `m` (the row count passed to [`reset`](Basis::reset)); sparse
-/// right-hand sides are `(index, value)` pairs with strictly increasing
-/// indices.
-pub trait Basis: fmt::Debug {
-    /// Re-initializes to a *signed identity*: `B = diag(signs)`.
-    ///
-    /// The artificial starting basis of phase 1 is diagonal: `+1` rows for
-    /// basic slacks/`p`-artificials, `−1` rows where the negative
-    /// `q`-artificial is basic.
-    fn reset(&mut self, signs: &[f64]);
-
-    /// BTRAN: solves `y' B = c'` for a sparse right-hand side `c` indexed
-    /// by *basis position* (ascending). `y` has length `m`, is overwritten
-    /// and is indexed by row. The pricing duals are `btran` of the basic
-    /// costs; the Devex pivot row is `btran` of `e_r`.
-    fn btran(&self, c: &[(usize, f64)], y: &mut [f64]);
-
-    /// FTRAN: solves `B w = a` for a sparse column `a` indexed by row.
-    /// `w` has length `m`, is overwritten and is indexed by basis
-    /// position.
-    fn ftran(&self, a: &[(usize, f64)], w: &mut [f64]);
-
-    /// Applies the rank-one update replacing basis position `r`, given the
-    /// pivot direction `w = B⁻¹ A_q` of the entering column.
-    fn pivot(&mut self, r: usize, w: &[f64]);
-
-    /// Rebuilds the representation from scratch out of the current basis
-    /// columns (`cols[i]` is the constraint-matrix column of the variable
-    /// basic in position `i`). Returns `false` when the rebuild fails
-    /// (numerically singular input) — the caller keeps the updated
-    /// representation in that case.
-    fn refactorize(&mut self, cols: &[&SparseCol]) -> bool;
-
-    /// Pivot updates applied since the last [`reset`](Basis::reset) or
-    /// successful [`refactorize`](Basis::refactorize).
-    fn updates_since_refactor(&self) -> u64;
-
-    /// Total pivot updates applied since construction.
-    fn pivots(&self) -> u64;
-
-    /// Total successful refactorizations since construction.
-    fn refactorizations(&self) -> u64;
-}
-
-/// The workspace's classic representation: an explicit dense row-major
-/// `m × m` inverse with product-form (Gauss-Jordan) pivot updates and
-/// Gauss-Jordan refactorization.
-///
-/// Every operation is a dense `O(m)`/`O(m²)` loop — simple, predictable,
-/// and retained as the differential oracle for [`SparseLu`].
-#[derive(Clone, Default)]
-pub struct DenseInverse {
-    m: usize,
-    /// Row-major `m × m` inverse.
-    binv: Vec<f64>,
-    updates_since_refactor: u64,
-    pivots: u64,
-    refactorizations: u64,
-}
-
-impl DenseInverse {
-    /// An empty inverse; call [`Basis::reset`] before use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl fmt::Debug for DenseInverse {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DenseInverse")
-            .field("rows", &self.m)
-            .field("pivots", &self.pivots)
-            .field("refactorizations", &self.refactorizations)
-            .finish()
-    }
-}
-
-impl Basis for DenseInverse {
-    fn reset(&mut self, signs: &[f64]) {
-        let m = signs.len();
-        self.m = m;
-        self.binv.clear();
-        self.binv.resize(m * m, 0.0);
-        for (i, &s) in signs.iter().enumerate() {
-            self.binv[i * m + i] = s;
-        }
-        self.updates_since_refactor = 0;
-    }
-
-    fn btran(&self, c: &[(usize, f64)], y: &mut [f64]) {
-        let m = self.m;
-        y.fill(0.0);
-        for &(i, ci) in c {
-            if ci != 0.0 {
-                let row = &self.binv[i * m..(i + 1) * m];
-                for (yk, &bk) in y.iter_mut().zip(row) {
-                    *yk += ci * bk;
-                }
-            }
-        }
-    }
-
-    fn ftran(&self, a: &[(usize, f64)], w: &mut [f64]) {
-        let m = self.m;
-        w.fill(0.0);
-        for &(i, coef) in a {
-            if coef != 0.0 {
-                for (k, wk) in w.iter_mut().enumerate() {
-                    *wk += self.binv[k * m + i] * coef;
-                }
-            }
-        }
-    }
-
-    fn pivot(&mut self, r: usize, w: &[f64]) {
-        let m = self.m;
-        let pivot = w[r];
-        debug_assert!(pivot.abs() > 1e-12, "numerically singular pivot");
-        let inv_pivot = 1.0 / pivot;
-        // Row r := row r / pivot.
-        for k in 0..m {
-            self.binv[r * m + k] *= inv_pivot;
-        }
-        // Row i := row i − w_i · row r (i ≠ r).
-        for i in 0..m {
-            if i == r {
-                continue;
-            }
-            let f = w[i];
-            if f.abs() > 1e-13 {
-                let (head, tail) = self.binv.split_at_mut(r.max(i) * m);
-                let (row_i, row_r) = if i < r {
-                    (&mut head[i * m..(i + 1) * m], &tail[..m])
-                } else {
-                    (&mut tail[..m], &head[r * m..(r + 1) * m])
-                };
-                for k in 0..m {
-                    row_i[k] -= f * row_r[k];
-                }
-            }
-        }
-        self.pivots += 1;
-        self.updates_since_refactor += 1;
-    }
-
-    fn refactorize(&mut self, cols: &[&SparseCol]) -> bool {
-        let m = self.m;
-        debug_assert_eq!(cols.len(), m, "one basis column per row");
-        // Gauss-Jordan with partial pivoting on [B | I] → [I | B⁻¹].
-        let mut aug = vec![0.0; m * 2 * m];
-        let width = 2 * m;
-        for (j, col) in cols.iter().enumerate() {
-            for &(i, v) in col.iter() {
-                aug[i * width + j] = v;
-            }
-        }
-        for i in 0..m {
-            aug[i * width + m + i] = 1.0;
-        }
-        for col in 0..m {
-            // Partial pivot: largest magnitude in this column at/below row `col`.
-            let mut best = col;
-            let mut best_mag = aug[col * width + col].abs();
-            for row in col + 1..m {
-                let mag = aug[row * width + col].abs();
-                if mag > best_mag {
-                    best = row;
-                    best_mag = mag;
-                }
-            }
-            if best_mag <= 1e-12 {
-                return false; // singular: keep the product-form inverse
-            }
-            if best != col {
-                for k in 0..width {
-                    aug.swap(col * width + k, best * width + k);
-                }
-            }
-            let inv = 1.0 / aug[col * width + col];
-            for k in 0..width {
-                aug[col * width + k] *= inv;
-            }
-            for row in 0..m {
-                if row == col {
-                    continue;
-                }
-                let f = aug[row * width + col];
-                if f != 0.0 {
-                    for k in 0..width {
-                        aug[row * width + k] -= f * aug[col * width + k];
-                    }
-                }
-            }
-        }
-        for row in 0..m {
-            self.binv[row * m..(row + 1) * m]
-                .copy_from_slice(&aug[row * width + m..(row + 1) * width]);
-        }
-        self.updates_since_refactor = 0;
-        self.refactorizations += 1;
-        true
-    }
-
-    fn updates_since_refactor(&self) -> u64 {
-        self.updates_since_refactor
-    }
-
-    fn pivots(&self) -> u64 {
-        self.pivots
-    }
-
-    fn refactorizations(&self) -> u64 {
-        self.refactorizations
-    }
-}
 
 /// One product-form update: the inverse of the elementary matrix that
 /// replaces basis position `r`, stored as its only non-identity column.
@@ -258,20 +33,267 @@ struct Eta {
 }
 
 /// Scratch vectors reused across `ftran`/`btran` calls (interior
-/// mutability keeps the trait methods `&self` without per-call
-/// allocation in the hot loop).
+/// mutability keeps the solves `&self` without per-call allocation in
+/// the hot loop).
 #[derive(Clone, Default)]
 struct Scratch {
     a: Vec<f64>,
     b: Vec<f64>,
 }
 
+/// A pivot of the elimination: `(basis position, original row, value)`.
+type Pivot = (usize, usize, f64);
+
+/// Suhl–Suhl relative threshold: a pivot must be at least this fraction
+/// of its column's largest active magnitude.
+const THRESHOLD: f64 = 0.1;
+/// Absolute singularity floor.
+const ABS_PIVOT: f64 = 1e-12;
+/// Markowitz candidate columns examined per pivot before settling.
+const MAX_CANDIDATES: usize = 8;
+
+/// The active submatrix of a factorization in progress.
+struct Active {
+    /// Column-wise values of the active entries.
+    col_entries: Vec<Vec<(usize, f64)>>,
+    /// Row-wise column lists; they may hold stale entries, the counts are
+    /// exact.
+    row_cols: Vec<Vec<usize>>,
+    row_count: Vec<usize>,
+    col_count: Vec<usize>,
+    col_done: Vec<bool>,
+    /// Columns bucketed by active count, in push order. Entries are never
+    /// removed: one whose column's count has since changed is stale, and
+    /// becomes live again if the count returns to its bucket.
+    buckets: Vec<Vec<usize>>,
+    /// Per bucket, how many leading entries belong to eliminated columns.
+    /// An eliminated column never becomes a candidate again, so the search
+    /// starts past them with the same visit order as a scan from the
+    /// first entry.
+    heads: Vec<usize>,
+}
+
+impl Active {
+    /// Loads the basis columns; `None` when one of them is empty
+    /// (structurally singular).
+    fn new(cols: &[&SparseCol]) -> Option<Self> {
+        let m = cols.len();
+        let mut col_entries: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
+        let mut row_count = vec![0usize; m];
+        let mut col_count = vec![0usize; m];
+        for (j, col) in cols.iter().enumerate() {
+            let mut entries = Vec::with_capacity(col.len());
+            for &(i, v) in col.iter() {
+                if v != 0.0 {
+                    entries.push((i, v));
+                    row_cols[i].push(j);
+                    row_count[i] += 1;
+                }
+            }
+            if entries.is_empty() {
+                return None;
+            }
+            col_count[j] = entries.len();
+            col_entries.push(entries);
+        }
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); m + 1];
+        for j in 0..m {
+            buckets[col_count[j]].push(j);
+        }
+        Some(Self {
+            col_entries,
+            row_cols,
+            row_count,
+            col_count,
+            col_done: vec![false; m],
+            buckets,
+            heads: vec![0; m + 1],
+        })
+    }
+
+    /// The best pivot of active column `j` as `(Markowitz cost, row,
+    /// value)`: the lowest `(r_i − 1)(c_j − 1)` among entries passing the
+    /// threshold, lowest row on ties. `None` for a numerically empty
+    /// column.
+    fn candidate(&self, j: usize) -> Option<(usize, usize, f64)> {
+        let entries = &self.col_entries[j];
+        let colmax = entries.iter().fold(0.0f64, |mx, &(_, v)| mx.max(v.abs()));
+        if colmax <= ABS_PIVOT {
+            return None;
+        }
+        let floor = (colmax * THRESHOLD).max(ABS_PIVOT);
+        let count = self.col_count[j];
+        let mut best: Option<(usize, usize, f64)> = None;
+        for &(i, v) in entries {
+            if v.abs() >= floor {
+                let cost = (self.row_count[i] - 1) * (count - 1);
+                if best.map_or(true, |(c, bi, _)| cost < c || (cost == c && i < bi)) {
+                    best = Some((cost, i, v));
+                }
+            }
+        }
+        best
+    }
+
+    /// Markowitz pivot search over a bounded candidate set, in ascending
+    /// column-count buckets (deterministic: push order inside a bucket,
+    /// first-best wins ties). It stops at the first zero-cost candidate or
+    /// after [`MAX_CANDIDATES`] candidates.
+    fn markowitz_pivot(&mut self) -> Option<Pivot> {
+        let mut best: Option<(usize, Pivot)> = None;
+        let mut examined = 0usize;
+        for count in 1..self.buckets.len() {
+            let bucket = &self.buckets[count];
+            let mut head = self.heads[count];
+            while head < bucket.len() && self.col_done[bucket[head]] {
+                head += 1;
+            }
+            self.heads[count] = head;
+            for &j in &bucket[head..] {
+                if self.col_done[j] || self.col_count[j] != count {
+                    continue; // stale bucket entry
+                }
+                let Some((cost, i, v)) = self.candidate(j) else {
+                    continue;
+                };
+                examined += 1;
+                if best.map_or(true, |(c, _)| cost < c) {
+                    best = Some((cost, (j, i, v)));
+                }
+                if cost == 0 || examined >= MAX_CANDIDATES {
+                    return best.map(|(_, p)| p);
+                }
+            }
+        }
+        best.map(|(_, p)| p)
+    }
+}
+
+/// `B₀ = P_r⁻¹ L̂ Û P_c` in pivot order, as laid out on [`SparseLu`].
+struct Factors {
+    rowp: Vec<usize>,
+    colp: Vec<usize>,
+    lcols: Vec<Vec<(usize, f64)>>,
+    ucols: Vec<Vec<(usize, f64)>>,
+    udiag: Vec<f64>,
+    /// Nonzeros of the input basis.
+    basis_nnz: u64,
+}
+
+/// Eliminates the basis columns in the pivot order `search` picks.
+/// `None` when the basis is singular.
+fn factor(cols: &[&SparseCol], search: fn(&mut Active) -> Option<Pivot>) -> Option<Factors> {
+    let m = cols.len();
+    let mut a = Active::new(cols)?;
+    let basis_nnz = a.col_count.iter().sum::<usize>() as u64;
+    let mut f = Factors {
+        rowp: Vec::with_capacity(m),
+        colp: Vec::with_capacity(m),
+        lcols: Vec::with_capacity(m),
+        ucols: Vec::with_capacity(m),
+        udiag: Vec::with_capacity(m),
+        basis_nnz,
+    };
+    let mut u_of_col: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+
+    // Dense accumulator for the rank-one column updates. The stamp token
+    // is per *scatter* (not per column): a column is touched at many
+    // elimination steps, and a stale per-column stamp would make a new
+    // fill-in look like an already-present entry and drop it.
+    let mut acc = vec![0.0; m];
+    let mut stamp = vec![usize::MAX; m];
+    let mut token = 0usize;
+
+    for k in 0..m {
+        // No acceptable pivot anywhere: singular.
+        let (pcol, prow, pval) = search(&mut a)?;
+
+        f.rowp.push(prow);
+        f.colp.push(pcol);
+        f.udiag.push(pval);
+        f.ucols.push(std::mem::take(&mut u_of_col[pcol]));
+
+        // L multipliers from the pivot column's remaining entries.
+        let mut lk: Vec<(usize, f64)> = Vec::new();
+        for &(i, v) in &a.col_entries[pcol] {
+            if i != prow {
+                lk.push((i, v / pval));
+                a.row_count[i] -= 1;
+            }
+        }
+        a.col_done[pcol] = true;
+        a.col_entries[pcol].clear();
+
+        // Rank-one update of every active column with a pivot-row entry;
+        // U picks up the eliminated pivot-row entries.
+        let touched = std::mem::take(&mut a.row_cols[prow]);
+        for &j in &touched {
+            if a.col_done[j] {
+                continue;
+            }
+            let Some(epos) = a.col_entries[j].iter().position(|&(i, _)| i == prow) else {
+                continue; // stale row-list entry
+            };
+            let apj = a.col_entries[j][epos].1;
+            a.col_entries[j].swap_remove(epos);
+            u_of_col[j].push((k, apj));
+            // Scatter, update, gather.
+            token += 1;
+            for &(i, v) in &a.col_entries[j] {
+                stamp[i] = token;
+                acc[i] = v;
+            }
+            let mut fills: Vec<usize> = Vec::new();
+            for &(i, l) in &lk {
+                let delta = l * apj;
+                if stamp[i] == token {
+                    acc[i] -= delta;
+                } else {
+                    stamp[i] = token;
+                    acc[i] = -delta;
+                    fills.push(i);
+                }
+            }
+            let mut rebuilt = Vec::with_capacity(a.col_entries[j].len() + fills.len());
+            for &(i, _) in &a.col_entries[j] {
+                if acc[i] != 0.0 {
+                    rebuilt.push((i, acc[i]));
+                } else {
+                    a.row_count[i] -= 1;
+                }
+            }
+            for &i in &fills {
+                if acc[i] != 0.0 {
+                    rebuilt.push((i, acc[i]));
+                    a.row_count[i] += 1;
+                    a.row_cols[i].push(j);
+                }
+            }
+            let new_count = rebuilt.len();
+            a.col_entries[j] = rebuilt;
+            if new_count == 0 {
+                return None; // column annihilated: singular
+            }
+            a.col_count[j] = new_count;
+            a.buckets[new_count].push(j);
+        }
+        a.row_count[prow] = 0;
+        f.lcols.push(lk);
+    }
+    Some(f)
+}
+
 /// Sparse LU factorization of the basis with product-form eta updates.
+///
+/// Dense vectors have length `m` (the row count passed to
+/// [`reset`](Self::reset)); sparse right-hand sides are `(index, value)`
+/// pairs with strictly increasing indices.
 ///
 /// # Data layout
 ///
-/// A successful [`refactorize`](Basis::refactorize) stores `B₀ = P_r⁻¹ L̂ Û P_c`
-/// in *pivot order* `k = 0..m`:
+/// A successful [`refactorize`](Self::refactorize) stores
+/// `B₀ = P_r⁻¹ L̂ Û P_c` in *pivot order* `k = 0..m`:
 ///
 /// * `rowp[k]` / `colp[k]` — the original row / basis position of the
 ///   `k`-th pivot (`row_of` is the inverse row permutation);
@@ -295,7 +317,6 @@ pub struct SparseLu {
     rowp: Vec<usize>,
     row_of: Vec<usize>,
     colp: Vec<usize>,
-    col_of: Vec<usize>,
     lcols: Vec<Vec<(usize, f64)>>,
     ucols: Vec<Vec<(usize, f64)>>,
     udiag: Vec<f64>,
@@ -321,15 +342,12 @@ impl Default for SparseLu {
 }
 
 impl SparseLu {
-    /// Suhl–Suhl relative threshold: a pivot must be at least this
-    /// fraction of its column's largest active magnitude.
-    const THRESHOLD: f64 = 0.1;
-    /// Absolute singularity floor, matching [`DenseInverse`].
-    const ABS_PIVOT: f64 = 1e-12;
-    /// Markowitz candidate columns examined per pivot before settling.
-    const MAX_CANDIDATES: usize = 8;
+    /// Pivot updates between scheduled refactorizations (the solver's
+    /// default cadence). An eta-file growth trigger handles growth between
+    /// counts.
+    pub const REFACTOR_INTERVAL: u64 = 128;
 
-    /// An empty factorization; call [`Basis::reset`] before use.
+    /// An empty factorization; call [`reset`](Self::reset) before use.
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -337,7 +355,6 @@ impl SparseLu {
             rowp: Vec::new(),
             row_of: Vec::new(),
             colp: Vec::new(),
-            col_of: Vec::new(),
             lcols: Vec::new(),
             ucols: Vec::new(),
             udiag: Vec::new(),
@@ -352,6 +369,56 @@ impl SparseLu {
             lu_nnz_total: 0,
             basis_nnz_total: 0,
         }
+    }
+
+    /// Re-initializes to a *signed identity*: `B = diag(signs)`.
+    ///
+    /// The artificial starting basis of phase 1 is diagonal: `+1` rows for
+    /// basic slacks/`p`-artificials, `−1` rows where the negative
+    /// `q`-artificial is basic.
+    pub fn reset(&mut self, signs: &[f64]) {
+        let m = signs.len();
+        self.m = m;
+        self.rowp = (0..m).collect();
+        self.row_of = (0..m).collect();
+        self.colp = (0..m).collect();
+        self.lcols = vec![Vec::new(); m];
+        self.ucols = vec![Vec::new(); m];
+        self.udiag = signs.to_vec();
+        self.etas.clear();
+        self.eta_nnz_current = 0;
+        self.lu_nnz = m as u64;
+        self.updates_since_refactor = 0;
+    }
+
+    /// BTRAN: solves `y' B = c'` for a sparse right-hand side `c` indexed
+    /// by *basis position* (ascending). `y` has length `m`, is overwritten
+    /// and is indexed by row. The pricing duals are `btran` of the basic
+    /// costs; the Devex pivot row is `btran` of `e_r`.
+    pub fn btran(&self, c: &[(usize, f64)], y: &mut [f64]) {
+        let m = self.m;
+        let mut pos = {
+            let mut scratch = self.scratch.borrow_mut();
+            let mut pos = std::mem::take(&mut scratch.a);
+            pos.clear();
+            pos.resize(m, 0.0);
+            pos
+        };
+        for &(j, v) in c {
+            pos[j] += v;
+        }
+        // Transposed etas in reverse append order: as a row vector,
+        // c' E⁻¹ only changes component r, to the dot product of c with
+        // the eta column.
+        for eta in self.etas.iter().rev() {
+            let mut v = eta.diag * pos[eta.r];
+            for &(i, e) in &eta.off {
+                v += e * pos[i];
+            }
+            pos[eta.r] = v;
+        }
+        self.lu_btran(&pos, y);
+        self.scratch.borrow_mut().a = pos;
     }
 
     /// Applies the transposed LU solve: given `c` scattered over basis
@@ -383,89 +450,11 @@ impl SparseLu {
             y[self.rowp[k]] = s[k];
         }
     }
-}
 
-impl fmt::Debug for SparseLu {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SparseLu")
-            .field("rows", &self.m)
-            .field("pivots", &self.pivots)
-            .field("refactorizations", &self.refactorizations)
-            .field("lu_nnz", &self.lu_nnz)
-            .field("eta_nnz", &self.eta_nnz_current)
-            .finish()
-    }
-}
-
-impl Clone for SparseLu {
-    fn clone(&self) -> Self {
-        Self {
-            m: self.m,
-            rowp: self.rowp.clone(),
-            row_of: self.row_of.clone(),
-            colp: self.colp.clone(),
-            col_of: self.col_of.clone(),
-            lcols: self.lcols.clone(),
-            ucols: self.ucols.clone(),
-            udiag: self.udiag.clone(),
-            etas: self.etas.clone(),
-            eta_nnz_current: self.eta_nnz_current,
-            lu_nnz: self.lu_nnz,
-            scratch: RefCell::new(Scratch::default()),
-            updates_since_refactor: self.updates_since_refactor,
-            pivots: self.pivots,
-            refactorizations: self.refactorizations,
-            eta_nnz_total: self.eta_nnz_total,
-            lu_nnz_total: self.lu_nnz_total,
-            basis_nnz_total: self.basis_nnz_total,
-        }
-    }
-}
-
-impl Basis for SparseLu {
-    fn reset(&mut self, signs: &[f64]) {
-        let m = signs.len();
-        self.m = m;
-        self.rowp = (0..m).collect();
-        self.row_of = (0..m).collect();
-        self.colp = (0..m).collect();
-        self.col_of = (0..m).collect();
-        self.lcols = vec![Vec::new(); m];
-        self.ucols = vec![Vec::new(); m];
-        self.udiag = signs.to_vec();
-        self.etas.clear();
-        self.eta_nnz_current = 0;
-        self.lu_nnz = m as u64;
-        self.updates_since_refactor = 0;
-    }
-
-    fn btran(&self, c: &[(usize, f64)], y: &mut [f64]) {
-        let m = self.m;
-        let mut pos = {
-            let mut scratch = self.scratch.borrow_mut();
-            let mut pos = std::mem::take(&mut scratch.a);
-            pos.clear();
-            pos.resize(m, 0.0);
-            pos
-        };
-        for &(j, v) in c {
-            pos[j] += v;
-        }
-        // Transposed etas in reverse append order: as a row vector,
-        // c' E⁻¹ only changes component r, to the dot product of c with
-        // the eta column.
-        for eta in self.etas.iter().rev() {
-            let mut v = eta.diag * pos[eta.r];
-            for &(i, e) in &eta.off {
-                v += e * pos[i];
-            }
-            pos[eta.r] = v;
-        }
-        self.lu_btran(&pos, y);
-        self.scratch.borrow_mut().a = pos;
-    }
-
-    fn ftran(&self, a: &[(usize, f64)], w: &mut [f64]) {
+    /// FTRAN: solves `B w = a` for a sparse column `a` indexed by row.
+    /// `w` has length `m`, is overwritten and is indexed by basis
+    /// position.
+    pub fn ftran(&self, a: &[(usize, f64)], w: &mut [f64]) {
         let m = self.m;
         let mut work = {
             let mut scratch = self.scratch.borrow_mut();
@@ -521,13 +510,15 @@ impl Basis for SparseLu {
         }
     }
 
-    fn pivot(&mut self, r: usize, w: &[f64]) {
+    /// Applies the rank-one update replacing basis position `r`, given the
+    /// pivot direction `w = B⁻¹ A_q` of the entering column.
+    pub fn pivot(&mut self, r: usize, w: &[f64]) {
         let pivot = w[r];
         debug_assert!(pivot.abs() > 1e-12, "numerically singular pivot");
         let inv_pivot = 1.0 / pivot;
         let mut off = Vec::new();
         for (i, &wi) in w.iter().enumerate() {
-            // Same drop floor as the dense update loop.
+            // Same drop floor as a dense Gauss-Jordan row update.
             if i != r && wi.abs() > 1e-13 {
                 off.push((i, -wi * inv_pivot));
             }
@@ -544,225 +535,57 @@ impl Basis for SparseLu {
         self.updates_since_refactor += 1;
     }
 
-    fn refactorize(&mut self, cols: &[&SparseCol]) -> bool {
+    /// Rebuilds the factorization from scratch out of the current basis
+    /// columns (`cols[i]` is the constraint-matrix column of the variable
+    /// basic in position `i`). Returns `false` when the rebuild fails
+    /// (numerically singular input) — the factorization and its eta file
+    /// are then left as they were.
+    pub fn refactorize(&mut self, cols: &[&SparseCol]) -> bool {
         let m = self.m;
         debug_assert_eq!(cols.len(), m, "one basis column per row");
-        let mut basis_nnz: u64 = 0;
-
-        // Active submatrix, column-wise values + row-wise column lists
-        // (the row lists may hold stale entries; counts are exact).
-        let mut col_entries: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut row_count = vec![0usize; m];
-        let mut col_count = vec![0usize; m];
-        for (j, col) in cols.iter().enumerate() {
-            let mut entries = Vec::with_capacity(col.len());
-            for &(i, v) in col.iter() {
-                if v != 0.0 {
-                    entries.push((i, v));
-                    row_cols[i].push(j);
-                    row_count[i] += 1;
-                }
-            }
-            basis_nnz += entries.len() as u64;
-            if entries.is_empty() {
-                return false; // structurally singular
-            }
-            col_count[j] = entries.len();
-            col_entries.push(entries);
-        }
-
-        let mut col_done = vec![false; m];
-        // Columns bucketed by active count; stale entries are skipped on
-        // pop (a column's count changes as the elimination proceeds).
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); m + 1];
-        for j in 0..m {
-            buckets[col_count[j]].push(j);
-        }
-
-        let mut rowp = Vec::with_capacity(m);
-        let mut colp = Vec::with_capacity(m);
-        let mut lcols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut ucols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut udiag = Vec::with_capacity(m);
-        let mut u_of_col: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-
-        // Dense accumulator for the rank-one column updates. The stamp
-        // token is per *scatter* (not per column): a column is touched at
-        // many elimination steps, and a stale per-column stamp would make
-        // a new fill-in look like an already-present entry and drop it.
-        let mut acc = vec![0.0; m];
-        let mut stamp = vec![usize::MAX; m];
-        let mut token = 0usize;
-
-        for k in 0..m {
-            // Markowitz pivot search over a bounded candidate set, in
-            // ascending column-count buckets (deterministic: ascending
-            // column index inside a bucket, first-best wins ties).
-            let mut best: Option<(usize, usize, usize, f64)> = None; // (cost, j, i, v)
-            let mut examined = 0usize;
-            'search: for (count, bucket) in buckets.iter().enumerate().skip(1) {
-                for &j in bucket {
-                    if col_done[j] || col_count[j] != count {
-                        continue; // stale bucket entry
-                    }
-                    let colmax = col_entries[j]
-                        .iter()
-                        .fold(0.0f64, |mx, &(_, v)| mx.max(v.abs()));
-                    if colmax <= Self::ABS_PIVOT {
-                        continue; // numerically empty column
-                    }
-                    let floor = (colmax * Self::THRESHOLD).max(Self::ABS_PIVOT);
-                    let mut col_best: Option<(usize, usize, f64)> = None; // (cost, i, v)
-                    for &(i, v) in &col_entries[j] {
-                        if v.abs() >= floor {
-                            let cost = (row_count[i] - 1) * (count - 1);
-                            let better = match col_best {
-                                None => true,
-                                Some((c, bi, _)) => cost < c || (cost == c && i < bi),
-                            };
-                            if better {
-                                col_best = Some((cost, i, v));
-                            }
-                        }
-                    }
-                    if let Some((cost, i, v)) = col_best {
-                        examined += 1;
-                        let better = match best {
-                            None => true,
-                            Some((c, ..)) => cost < c,
-                        };
-                        if better {
-                            best = Some((cost, j, i, v));
-                        }
-                        if cost == 0 || examined >= Self::MAX_CANDIDATES {
-                            break 'search;
-                        }
-                    }
-                }
-            }
-            let Some((_, pcol, prow, pval)) = best else {
-                return false; // no acceptable pivot anywhere: singular
-            };
-
-            rowp.push(prow);
-            colp.push(pcol);
-            udiag.push(pval);
-            ucols.push(std::mem::take(&mut u_of_col[pcol]));
-
-            // L multipliers from the pivot column's remaining entries.
-            let mut lk: Vec<(usize, f64)> = Vec::new();
-            for &(i, v) in &col_entries[pcol] {
-                if i != prow {
-                    lk.push((i, v / pval));
-                    row_count[i] -= 1;
-                }
-            }
-            col_done[pcol] = true;
-            col_entries[pcol].clear();
-
-            // Rank-one update of every active column with a pivot-row
-            // entry; U picks up the eliminated pivot-row entries.
-            let touched = std::mem::take(&mut row_cols[prow]);
-            for &j in &touched {
-                if col_done[j] {
-                    continue;
-                }
-                let Some(epos) = col_entries[j].iter().position(|&(i, _)| i == prow) else {
-                    continue; // stale row-list entry
-                };
-                let apj = col_entries[j][epos].1;
-                col_entries[j].swap_remove(epos);
-                u_of_col[j].push((k, apj));
-                // Scatter, update, gather.
-                token += 1;
-                for &(i, v) in &col_entries[j] {
-                    stamp[i] = token;
-                    acc[i] = v;
-                }
-                let mut fills: Vec<usize> = Vec::new();
-                for &(i, l) in &lk {
-                    let delta = l * apj;
-                    if stamp[i] == token {
-                        acc[i] -= delta;
-                    } else {
-                        stamp[i] = token;
-                        acc[i] = -delta;
-                        fills.push(i);
-                    }
-                }
-                let mut rebuilt = Vec::with_capacity(col_entries[j].len() + fills.len());
-                for &(i, _) in &col_entries[j] {
-                    if acc[i] != 0.0 {
-                        rebuilt.push((i, acc[i]));
-                    } else {
-                        row_count[i] -= 1;
-                    }
-                }
-                for &i in &fills {
-                    if acc[i] != 0.0 {
-                        rebuilt.push((i, acc[i]));
-                        row_count[i] += 1;
-                        row_cols[i].push(j);
-                    }
-                }
-                let new_count = rebuilt.len();
-                col_entries[j] = rebuilt;
-                if new_count != col_count[j] {
-                    col_count[j] = new_count;
-                    if new_count == 0 {
-                        return false; // column annihilated: singular
-                    }
-                }
-                buckets[new_count].push(j);
-            }
-            row_count[prow] = 0;
-            lcols.push(lk);
-        }
-
-        // Commit (failures above leave `self` untouched).
-        self.rowp = rowp;
-        self.colp = colp;
+        let Some(f) = factor(cols, Active::markowitz_pivot) else {
+            return false;
+        };
         self.row_of = vec![0; m];
-        self.col_of = vec![0; m];
         for k in 0..m {
-            self.row_of[self.rowp[k]] = k;
-            self.col_of[self.colp[k]] = k;
+            self.row_of[f.rowp[k]] = k;
         }
-        let lu_nnz =
-            m as u64 + self.lu_of_nnz(&lcols) + ucols.iter().map(|c| c.len() as u64).sum::<u64>();
-        self.lcols = lcols;
-        self.ucols = ucols;
-        self.udiag = udiag;
+        let lu_nnz = m as u64
+            + f.lcols.iter().map(|c| c.len() as u64).sum::<u64>()
+            + f.ucols.iter().map(|c| c.len() as u64).sum::<u64>();
+        self.rowp = f.rowp;
+        self.colp = f.colp;
+        self.lcols = f.lcols;
+        self.ucols = f.ucols;
+        self.udiag = f.udiag;
         self.etas.clear();
         self.eta_nnz_current = 0;
         self.lu_nnz = lu_nnz;
         self.lu_nnz_total += lu_nnz;
-        self.basis_nnz_total += basis_nnz;
+        self.basis_nnz_total += f.basis_nnz;
         self.updates_since_refactor = 0;
         self.refactorizations += 1;
         true
     }
 
-    fn updates_since_refactor(&self) -> u64 {
+    /// Pivot updates applied since the last [`reset`](Self::reset) or
+    /// successful [`refactorize`](Self::refactorize).
+    #[must_use]
+    pub fn updates_since_refactor(&self) -> u64 {
         self.updates_since_refactor
     }
 
-    fn pivots(&self) -> u64 {
+    /// Total pivot updates applied since construction.
+    #[must_use]
+    pub fn pivots(&self) -> u64 {
         self.pivots
     }
 
-    fn refactorizations(&self) -> u64 {
+    /// Total successful refactorizations since construction.
+    #[must_use]
+    pub fn refactorizations(&self) -> u64 {
         self.refactorizations
     }
-}
-
-impl SparseLu {
-    /// Pivot updates between scheduled refactorizations (the solver's
-    /// default cadence). The rebuild is cheap (near-linear in nnz) and
-    /// keeps the eta file short; an eta-file growth trigger handles growth
-    /// between counts.
-    pub const REFACTOR_INTERVAL: u64 = 128;
 
     /// Whether a refactorization is due: `interval` pivot updates since
     /// the last rebuild, or an eta file grown past twice the factors.
@@ -785,102 +608,48 @@ impl SparseLu {
     pub fn fill_nonzeros(&self) -> (u64, u64) {
         (self.lu_nnz_total, self.basis_nnz_total)
     }
+}
 
-    fn lu_of_nnz(&self, lcols: &[Vec<(usize, f64)>]) -> u64 {
-        lcols.iter().map(|c| c.len() as u64).sum()
+impl fmt::Debug for SparseLu {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SparseLu")
+            .field("rows", &self.m)
+            .field("pivots", &self.pivots)
+            .field("refactorizations", &self.refactorizations)
+            .field("lu_nnz", &self.lu_nnz)
+            .field("eta_nnz", &self.eta_nnz_current)
+            .finish()
+    }
+}
+
+impl Clone for SparseLu {
+    fn clone(&self) -> Self {
+        Self {
+            m: self.m,
+            rowp: self.rowp.clone(),
+            row_of: self.row_of.clone(),
+            colp: self.colp.clone(),
+            lcols: self.lcols.clone(),
+            ucols: self.ucols.clone(),
+            udiag: self.udiag.clone(),
+            etas: self.etas.clone(),
+            eta_nnz_current: self.eta_nnz_current,
+            lu_nnz: self.lu_nnz,
+            scratch: RefCell::new(Scratch::default()),
+            updates_since_refactor: self.updates_since_refactor,
+            pivots: self.pivots,
+            refactorizations: self.refactorizations,
+            eta_nnz_total: self.eta_nnz_total,
+            lu_nnz_total: self.lu_nnz_total,
+            basis_nnz_total: self.basis_nnz_total,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn dense_of(basis: &DenseInverse) -> Vec<f64> {
-        basis.binv.clone()
-    }
-
-    #[test]
-    fn reset_builds_signed_identity() {
-        let mut b = DenseInverse::new();
-        b.reset(&[1.0, -1.0, 1.0]);
-        assert_eq!(
-            dense_of(&b),
-            vec![1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0]
-        );
-    }
-
-    #[test]
-    fn ftran_multiplies_by_inverse() {
-        let mut b = DenseInverse::new();
-        b.reset(&[1.0, 1.0]);
-        // Pivot column (2, 1)' into position 0: new B = [[2,0],[1,1]].
-        let a0: SparseCol = vec![(0, 2.0), (1, 1.0)];
-        let mut w = vec![0.0; 2];
-        b.ftran(&a0, &mut w);
-        assert_eq!(w, vec![2.0, 1.0]);
-        b.pivot(0, &w);
-        // B⁻¹ = [[0.5, 0], [-0.5, 1]]; check via FTRAN of e1.
-        let e1: SparseCol = vec![(0, 1.0)];
-        b.ftran(&e1, &mut w);
-        assert!((w[0] - 0.5).abs() < 1e-12 && (w[1] + 0.5).abs() < 1e-12);
-        assert_eq!(b.pivots(), 1);
-        assert_eq!(b.updates_since_refactor(), 1);
-    }
-
-    #[test]
-    fn btran_matches_inverse_rows() {
-        let mut b = DenseInverse::new();
-        b.reset(&[1.0, 1.0]);
-        let a0: SparseCol = vec![(0, 2.0), (1, 1.0)];
-        let mut w = vec![0.0; 2];
-        b.ftran(&a0, &mut w);
-        b.pivot(0, &w);
-        let mut y = vec![0.0; 2];
-        b.btran(&[(1, 2.0)], &mut y); // 2 · row 1 of B⁻¹ = 2·[-0.5, 1]
-        assert!((y[0] + 1.0).abs() < 1e-12 && (y[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn refactorize_recovers_exact_inverse() {
-        let mut b = DenseInverse::new();
-        b.reset(&[1.0, 1.0, 1.0]);
-        // Apply a few product-form pivots, then refactorize from the basis
-        // columns and compare: the rebuilt inverse must satisfy B·B⁻¹ = I.
-        let cols: Vec<SparseCol> = vec![
-            vec![(0, 2.0), (2, 1.0)],
-            vec![(1, 3.0)],
-            vec![(0, 1.0), (2, 4.0)],
-        ];
-        let mut w = vec![0.0; 3];
-        for (r, col) in cols.iter().enumerate() {
-            b.ftran(col, &mut w);
-            b.pivot(r, &w);
-        }
-        let refs: Vec<&SparseCol> = cols.iter().collect();
-        assert!(b.refactorize(&refs));
-        assert_eq!(b.refactorizations(), 1);
-        assert_eq!(b.updates_since_refactor(), 0);
-        // Verify B⁻¹ B = I by FTRAN of each basis column.
-        for (r, col) in cols.iter().enumerate() {
-            b.ftran(col, &mut w);
-            for (k, &wk) in w.iter().enumerate() {
-                let expect = if k == r { 1.0 } else { 0.0 };
-                assert!((wk - expect).abs() < 1e-9, "col {r}, row {k}: {wk}");
-            }
-        }
-    }
-
-    #[test]
-    fn refactorize_rejects_singular_basis() {
-        let mut b = DenseInverse::new();
-        b.reset(&[1.0, 1.0]);
-        let before = dense_of(&b);
-        let c0: SparseCol = vec![(0, 1.0), (1, 1.0)];
-        let c1: SparseCol = vec![(0, 2.0), (1, 2.0)]; // linearly dependent
-        assert!(!b.refactorize(&[&c0, &c1]));
-        assert_eq!(b.refactorizations(), 0);
-        assert_eq!(dense_of(&b), before, "failed rebuild must not corrupt");
-    }
+    use letdma_core::{Rng, Xoshiro256};
 
     #[test]
     fn sparse_lu_reset_is_signed_identity() {
@@ -972,5 +741,119 @@ mod tests {
             b.pivot(k % 4, &w);
         }
         assert!(b.wants_refactor(128), "fill growth must trigger a rebuild");
+    }
+
+    /// The pivot search as it was before per-bucket heads: every pivot
+    /// scans each bucket from its first entry, eliminated columns
+    /// included. Kept as the reference the head-skipping search must
+    /// match pivot for pivot.
+    fn full_rescan_pivot(a: &mut Active) -> Option<Pivot> {
+        let mut best: Option<(usize, Pivot)> = None;
+        let mut examined = 0usize;
+        for (count, bucket) in a.buckets.iter().enumerate().skip(1) {
+            for &j in bucket {
+                if a.col_done[j] || a.col_count[j] != count {
+                    continue;
+                }
+                let Some((cost, i, v)) = a.candidate(j) else {
+                    continue;
+                };
+                examined += 1;
+                if best.map_or(true, |(c, _)| cost < c) {
+                    best = Some((cost, (j, i, v)));
+                }
+                if cost == 0 || examined >= MAX_CANDIDATES {
+                    return best.map(|(_, p)| p);
+                }
+            }
+        }
+        best.map(|(_, p)| p)
+    }
+
+    /// `m` basis columns: the first `singletons` are slack-like unit
+    /// columns on distinct rows, the rest carry a diagonal entry plus
+    /// `density`-random off-diagonal ones; the columns are then shuffled.
+    /// With `unit`, every coefficient is `±1`, so entries cancel exactly
+    /// mid-elimination (often singular).
+    fn corpus_basis(
+        rng: &mut Xoshiro256,
+        m: usize,
+        singletons: usize,
+        density: f64,
+        unit: bool,
+    ) -> Vec<SparseCol> {
+        let coef = |rng: &mut Xoshiro256| {
+            let magnitude = if unit { 1.0 } else { rng.f64_range(0.1, 4.0) };
+            if rng.bool() {
+                magnitude
+            } else {
+                -magnitude
+            }
+        };
+        let mut rows: Vec<usize> = (0..m).collect();
+        rng.shuffle(&mut rows);
+        let mut cols: Vec<SparseCol> = Vec::with_capacity(m);
+        for (j, &d) in rows.iter().enumerate() {
+            let mut col: SparseCol = vec![(d, coef(rng))];
+            if j >= singletons {
+                for i in 0..m {
+                    if i != d && rng.f64_unit() < density {
+                        col.push((i, coef(rng)));
+                    }
+                }
+            }
+            col.sort_unstable_by_key(|&(i, _)| i);
+            cols.push(col);
+        }
+        rng.shuffle(&mut cols);
+        cols
+    }
+
+    /// Both searches must pick the same pivots in the same order, so the
+    /// factors — down to the bits of every pivot value — are identical.
+    /// Returns whether the basis factored.
+    fn assert_same_pivots(tag: &str, cols: &[SparseCol]) -> bool {
+        let refs: Vec<&SparseCol> = cols.iter().collect();
+        let fast = factor(&refs, Active::markowitz_pivot);
+        let reference = factor(&refs, full_rescan_pivot);
+        let (Some(fast), Some(reference)) = (&fast, &reference) else {
+            assert_eq!(fast.is_some(), reference.is_some(), "{tag}: verdicts");
+            return false;
+        };
+        assert_eq!(fast.rowp, reference.rowp, "{tag}: rowp");
+        assert_eq!(fast.colp, reference.colp, "{tag}: colp");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast.udiag), bits(&reference.udiag), "{tag}: udiag");
+        true
+    }
+
+    /// Seeded `{0, ±1}` and real-valued corpora, alternating.
+    #[test]
+    fn head_skipping_search_matches_the_full_rescan() {
+        let mut rng = Xoshiro256::seed_from_u64(0x51D3_C0DE);
+        let mut factored = 0;
+        for case in 0..120 {
+            let m = rng.usize_range(6, 66);
+            let singletons = rng.usize_below(m / 2 + 1);
+            let density = rng.f64_range(0.02, 0.32);
+            let cols = corpus_basis(&mut rng, m, singletons, density, case % 2 == 0);
+            if assert_same_pivots(&format!("case {case}"), &cols) {
+                factored += 1;
+            }
+        }
+        assert!(factored >= 60, "only {factored} of 120 cases factored");
+    }
+
+    /// The shape of a WATERS root basis: mostly slack and artificial
+    /// singletons, a sparse `{0, ±1}` structural block.
+    #[test]
+    fn head_skipping_search_matches_the_full_rescan_on_a_waters_shaped_basis() {
+        let mut rng = Xoshiro256::seed_from_u64(0x3A7E_5201);
+        let m = 1400;
+        let cols = corpus_basis(&mut rng, m, 1100, 3.0 / m as f64, true);
+        assert!(
+            assert_same_pivots("waters-shaped", &cols),
+            "the basis must factor"
+        );
     }
 }

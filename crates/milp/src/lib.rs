@@ -61,7 +61,7 @@ mod pricing;
 pub mod simplex;
 mod solver;
 
-pub use basis::{Basis, DenseInverse, SparseLu};
+pub use basis::SparseLu;
 pub use expr::{LinExpr, Var};
 pub use model::{Comparison, Constraint, Model, ObjectiveSense, Sense, VarDef, VarType};
 pub use presolve::{Lift, LiftEntry, PresolveInfeasible, PresolveStats, Presolved};

@@ -24,9 +24,7 @@
 //! the rows where `ρ_i ≠ 0` only. The basis is the sparse LU of
 //! [`SparseLu`] (Markowitz pivot selection, product-form eta updates, a
 //! refactorization every [`SparseLu::REFACTOR_INTERVAL`] updates or on
-//! eta-file growth); the dense explicit inverse of
-//! [`crate::basis::DenseInverse`] is only the test oracle it is checked
-//! against.
+//! eta-file growth).
 //!
 //! # Root-basis import
 //!
@@ -43,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use letdma_core::fault::{self, FaultSite};
 
-use crate::basis::{Basis, SparseLu};
+use crate::basis::SparseLu;
 use crate::model::{Model, ObjectiveSense, Sense};
 use crate::pricing::Devex;
 

@@ -1,13 +1,163 @@
-//! Differential suite pinning [`SparseLu`] against the [`DenseInverse`]
-//! oracle: on seeded random sparse bases the two representations must
-//! agree on every `ftran`, `btran` and `refactorize` to 1e-9, singular
-//! bases must fail on both, and long pivot chains crossing several
-//! refactorizations must not drift apart.
+//! Differential suite pinning [`SparseLu`] against a dense oracle: on
+//! seeded random sparse bases the two representations must agree on
+//! every `ftran`, `btran` and `refactorize` to 1e-9, singular bases must
+//! fail on both, and long pivot chains crossing several refactorizations
+//! must not drift apart.
+//!
+//! The oracle, [`DenseInverse`], is the explicit row-major `m × m`
+//! inverse the workspace started with; it lives here because the solver
+//! never uses it.
 //!
 //! The generator is a hand-rolled xorshift so the corpus is identical on
 //! every platform and run (no external RNG crates, no time seeding).
 
-use milp::{Basis, DenseInverse, SparseLu};
+use milp::basis::SparseCol;
+use milp::SparseLu;
+
+/// An explicit dense row-major `m × m` inverse with product-form
+/// (Gauss-Jordan) pivot updates and Gauss-Jordan refactorization, behind
+/// the same five operations as [`SparseLu`]. Every operation is a dense
+/// `O(m)`/`O(m²)` loop: simple enough to trust as the oracle.
+#[derive(Default)]
+struct DenseInverse {
+    m: usize,
+    /// Row-major `m × m` inverse.
+    binv: Vec<f64>,
+    updates_since_refactor: u64,
+    pivots: u64,
+    refactorizations: u64,
+}
+
+impl DenseInverse {
+    fn new() -> Self {
+        Self::default()
+    }
+
+    fn reset(&mut self, signs: &[f64]) {
+        let m = signs.len();
+        self.m = m;
+        self.binv.clear();
+        self.binv.resize(m * m, 0.0);
+        for (i, &s) in signs.iter().enumerate() {
+            self.binv[i * m + i] = s;
+        }
+        self.updates_since_refactor = 0;
+    }
+
+    fn btran(&self, c: &[(usize, f64)], y: &mut [f64]) {
+        let m = self.m;
+        y.fill(0.0);
+        for &(i, ci) in c {
+            if ci != 0.0 {
+                let row = &self.binv[i * m..(i + 1) * m];
+                for (yk, &bk) in y.iter_mut().zip(row) {
+                    *yk += ci * bk;
+                }
+            }
+        }
+    }
+
+    fn ftran(&self, a: &[(usize, f64)], w: &mut [f64]) {
+        let m = self.m;
+        w.fill(0.0);
+        for &(i, coef) in a {
+            if coef != 0.0 {
+                for (k, wk) in w.iter_mut().enumerate() {
+                    *wk += self.binv[k * m + i] * coef;
+                }
+            }
+        }
+    }
+
+    fn pivot(&mut self, r: usize, w: &[f64]) {
+        let m = self.m;
+        let pivot = w[r];
+        debug_assert!(pivot.abs() > 1e-12, "numerically singular pivot");
+        let inv_pivot = 1.0 / pivot;
+        // Row r := row r / pivot.
+        for k in 0..m {
+            self.binv[r * m + k] *= inv_pivot;
+        }
+        // Row i := row i − w_i · row r (i ≠ r).
+        for i in 0..m {
+            if i == r {
+                continue;
+            }
+            let f = w[i];
+            if f.abs() > 1e-13 {
+                let (head, tail) = self.binv.split_at_mut(r.max(i) * m);
+                let (row_i, row_r) = if i < r {
+                    (&mut head[i * m..(i + 1) * m], &tail[..m])
+                } else {
+                    (&mut tail[..m], &head[r * m..(r + 1) * m])
+                };
+                for k in 0..m {
+                    row_i[k] -= f * row_r[k];
+                }
+            }
+        }
+        self.pivots += 1;
+        self.updates_since_refactor += 1;
+    }
+
+    fn refactorize(&mut self, cols: &[&SparseCol]) -> bool {
+        let m = self.m;
+        debug_assert_eq!(cols.len(), m, "one basis column per row");
+        // Gauss-Jordan with partial pivoting on [B | I] → [I | B⁻¹].
+        let mut aug = vec![0.0; m * 2 * m];
+        let width = 2 * m;
+        for (j, col) in cols.iter().enumerate() {
+            for &(i, v) in col.iter() {
+                aug[i * width + j] = v;
+            }
+        }
+        for i in 0..m {
+            aug[i * width + m + i] = 1.0;
+        }
+        for col in 0..m {
+            // Partial pivot: largest magnitude in this column at/below row `col`.
+            let mut best = col;
+            let mut best_mag = aug[col * width + col].abs();
+            for row in col + 1..m {
+                let mag = aug[row * width + col].abs();
+                if mag > best_mag {
+                    best = row;
+                    best_mag = mag;
+                }
+            }
+            if best_mag <= 1e-12 {
+                return false; // singular: keep the product-form inverse
+            }
+            if best != col {
+                for k in 0..width {
+                    aug.swap(col * width + k, best * width + k);
+                }
+            }
+            let inv = 1.0 / aug[col * width + col];
+            for k in 0..width {
+                aug[col * width + k] *= inv;
+            }
+            for row in 0..m {
+                if row == col {
+                    continue;
+                }
+                let f = aug[row * width + col];
+                if f != 0.0 {
+                    for k in 0..width {
+                        aug[row * width + k] -= f * aug[col * width + k];
+                    }
+                }
+            }
+        }
+        for row in 0..m {
+            self.binv[row * m..(row + 1) * m]
+                .copy_from_slice(&aug[row * width + m..(row + 1) * width]);
+        }
+        self.updates_since_refactor = 0;
+        self.refactorizations += 1;
+        true
+    }
+}
 
 /// Deterministic xorshift64* stream.
 struct Rng(u64);
@@ -40,8 +190,6 @@ impl Rng {
         (self.next_u64() % n as u64) as usize
     }
 }
-
-type SparseCol = Vec<(usize, f64)>;
 
 /// A random nonsingular sparse basis: a guaranteed diagonal (well away
 /// from zero) plus `density` chance of an off-diagonal entry per slot,
@@ -256,7 +404,7 @@ fn long_pivot_chains_stay_in_agreement() {
                 assert_close(&format!("case {case} step {step} post-rebuild"), &wd, &ws);
             }
         }
-        assert_eq!(dense.pivots(), pivots);
+        assert_eq!(dense.pivots, pivots);
         assert_eq!(sparse.pivots(), pivots);
         assert!(sparse.refactorizations() >= 4);
         assert!(
@@ -290,7 +438,7 @@ fn singular_bases_fail_on_both() {
         sparse.reset(&vec![1.0; m]);
         assert!(!dense.refactorize(&refs), "case {case}: dense accepted");
         assert!(!sparse.refactorize(&refs), "case {case}: sparse accepted");
-        assert_eq!(dense.refactorizations(), 0);
+        assert_eq!(dense.refactorizations, 0);
         assert_eq!(sparse.refactorizations(), 0);
 
         // Both still answer as the identity they held before the attempt.
@@ -314,4 +462,86 @@ fn structurally_singular_column_is_rejected() {
     let c2: SparseCol = vec![(1, 2.0), (2, 1.0)];
     assert!(!dense.refactorize(&[&c0, &empty, &c2]));
     assert!(!sparse.refactorize(&[&c0, &empty, &c2]));
+}
+
+// The oracle's own checks, on bases small enough to work by hand.
+
+#[test]
+fn reset_builds_signed_identity() {
+    let mut b = DenseInverse::new();
+    b.reset(&[1.0, -1.0, 1.0]);
+    assert_eq!(b.binv, vec![1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0]);
+}
+
+#[test]
+fn ftran_multiplies_by_inverse() {
+    let mut b = DenseInverse::new();
+    b.reset(&[1.0, 1.0]);
+    // Pivot column (2, 1)' into position 0: new B = [[2,0],[1,1]].
+    let a0: SparseCol = vec![(0, 2.0), (1, 1.0)];
+    let mut w = vec![0.0; 2];
+    b.ftran(&a0, &mut w);
+    assert_eq!(w, vec![2.0, 1.0]);
+    b.pivot(0, &w);
+    // B⁻¹ = [[0.5, 0], [-0.5, 1]]; check via FTRAN of e1.
+    let e1: SparseCol = vec![(0, 1.0)];
+    b.ftran(&e1, &mut w);
+    assert!((w[0] - 0.5).abs() < 1e-12 && (w[1] + 0.5).abs() < 1e-12);
+    assert_eq!(b.pivots, 1);
+    assert_eq!(b.updates_since_refactor, 1);
+}
+
+#[test]
+fn btran_matches_inverse_rows() {
+    let mut b = DenseInverse::new();
+    b.reset(&[1.0, 1.0]);
+    let a0: SparseCol = vec![(0, 2.0), (1, 1.0)];
+    let mut w = vec![0.0; 2];
+    b.ftran(&a0, &mut w);
+    b.pivot(0, &w);
+    let mut y = vec![0.0; 2];
+    b.btran(&[(1, 2.0)], &mut y); // 2 · row 1 of B⁻¹ = 2·[-0.5, 1]
+    assert!((y[0] + 1.0).abs() < 1e-12 && (y[1] - 2.0).abs() < 1e-12);
+}
+
+#[test]
+fn refactorize_recovers_exact_inverse() {
+    let mut b = DenseInverse::new();
+    b.reset(&[1.0, 1.0, 1.0]);
+    // Apply a few product-form pivots, then refactorize from the basis
+    // columns and compare: the rebuilt inverse must satisfy B·B⁻¹ = I.
+    let cols: Vec<SparseCol> = vec![
+        vec![(0, 2.0), (2, 1.0)],
+        vec![(1, 3.0)],
+        vec![(0, 1.0), (2, 4.0)],
+    ];
+    let mut w = vec![0.0; 3];
+    for (r, col) in cols.iter().enumerate() {
+        b.ftran(col, &mut w);
+        b.pivot(r, &w);
+    }
+    let refs: Vec<&SparseCol> = cols.iter().collect();
+    assert!(b.refactorize(&refs));
+    assert_eq!(b.refactorizations, 1);
+    assert_eq!(b.updates_since_refactor, 0);
+    // Verify B⁻¹ B = I by FTRAN of each basis column.
+    for (r, col) in cols.iter().enumerate() {
+        b.ftran(col, &mut w);
+        for (k, &wk) in w.iter().enumerate() {
+            let expect = if k == r { 1.0 } else { 0.0 };
+            assert!((wk - expect).abs() < 1e-9, "col {r}, row {k}: {wk}");
+        }
+    }
+}
+
+#[test]
+fn refactorize_rejects_singular_basis() {
+    let mut b = DenseInverse::new();
+    b.reset(&[1.0, 1.0]);
+    let before = b.binv.clone();
+    let c0: SparseCol = vec![(0, 1.0), (1, 1.0)];
+    let c1: SparseCol = vec![(0, 2.0), (1, 2.0)]; // linearly dependent
+    assert!(!b.refactorize(&[&c0, &c1]));
+    assert_eq!(b.refactorizations, 0);
+    assert_eq!(b.binv, before, "failed rebuild must not corrupt");
 }

@@ -130,15 +130,22 @@ LETDMA_FAULTS="net-corrupt-byte:p=1.0:seed=13:max=2" \
 LETDMA_FAULTS="net-delay:p=0.5:seed=14" \
   cargo run --release -p letdma-bench --bin repro --offline -- serve --tcp --nodes 2
 
-echo "== benchmark serve workload (perfbench, one short pass) =="
-# The benchmark's serve workload drives one TcpServer with single-request
-# batches over a 60-scenario pool and checks every answer: MILP
-# resolution, no more transfers than the heuristic, and the exact cache
-# hit/miss pattern. The last output line is the JSON verdict.
-perf_serve="$(bash perfbench/run.sh --workload serve --seed 1 --seconds 2 --trace 0 | tail -n 1)"
-echo "$perf_serve"
-grep -q '"correct": true' <<<"$perf_serve" && grep -q '"failed": 0,' <<<"$perf_serve" || {
-  echo "perfbench serve workload reported failures"; exit 1; }
+echo "== benchmark workloads (perfbench, one short run each) =="
+# Each workload checks every answer it times and exits its closed loop
+# after at least one whole pass: table1 runs the six Table I cells (about
+# 5 s a pass), explore the MILP-free design points, and serve drives one
+# TcpServer with single-request batches over a 60-scenario pool (MILP
+# resolution, no more transfers than the heuristic, the exact cache
+# hit/miss pattern). The last output line is the JSON verdict.
+for workload in table1 explore serve; do
+  perf="$(bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+  echo "$perf"
+  grep -q '"correct": true' <<<"$perf" && grep -q '"failed": 0,' <<<"$perf" || {
+    echo "perfbench $workload workload reported failures"; exit 1; }
+done
+
+echo "== A/B benchmark script parses =="
+bash -n scripts/perf_ab.sh
 
 echo "== fault-injection smoke (LETDMA_THREADS=1 and 4) =="
 # Arms every deterministic fault site in turn against the WATERS case and
