@@ -187,7 +187,7 @@ fn main() -> ExitCode {
     }
     let command = command.unwrap_or_else(|| "all".to_owned());
 
-    let mut session = Session::new().budget(budget).measure_root_gap(stats);
+    let mut session = Session::new().budget(budget).root_gap(stats);
     if let Some(n) = threads {
         session = session.threads(n);
     }

@@ -39,15 +39,29 @@ pub mod serve_smoke;
 
 use std::time::{Duration, Instant};
 
-use letdma::core::SolverStats;
+use letdma::core::{Counter, Instrument, SolverStats};
 
 use letdma::analysis::{apply_gammas, derive_gammas, let_task_segments};
 use letdma::model::System;
 use letdma::opt::{
-    heuristic_solution, LetDmaSolution, Objective, OptConfig, OptError, Optimizer, Provenance,
+    formulation_model, heuristic_solution, LetDmaSolution, Objective, OptConfig, OptError,
+    Optimizer, Provenance,
 };
 use letdma::sim::{simulate, Approach, SimConfig, SimReport};
 use letdma::waters::{waters_system, WatersTasks};
+
+/// Measures how much presolve tightens the root LP of the MILP that
+/// `config` builds for `system` ([`letdma::milp::root_gap_bps`], under
+/// `config.time_limit`) and records it in `stats` as
+/// [`Counter::RootGapBps`]. Records nothing when there is no gap to
+/// measure or a root LP runs out of time. Costs one formulation build,
+/// one presolve and two root LPs, outside any solve.
+pub fn record_root_gap(system: &System, config: &OptConfig, stats: &mut SolverStats) {
+    let model = formulation_model(system, config);
+    if let Some(bps) = letdma::milp::root_gap_bps(&model, config.time_limit) {
+        stats.count(Counter::RootGapBps, bps);
+    }
+}
 
 /// The WATERS system with acquisition deadlines derived for one `α`.
 ///
@@ -128,7 +142,7 @@ pub struct ApproachReports {
 pub struct Session {
     budget: Duration,
     threads: Option<usize>,
-    measure_root_gap: bool,
+    root_gap: bool,
     shards: Vec<(String, SolverStats)>,
 }
 
@@ -137,7 +151,7 @@ impl Default for Session {
         Self {
             budget: Duration::from_secs(30),
             threads: None,
-            measure_root_gap: false,
+            root_gap: false,
             shards: Vec::new(),
         }
     }
@@ -164,11 +178,11 @@ impl Session {
     }
 
     /// Also measure the presolve root-LP gap of every solve
-    /// ([`letdma::core::Counter::RootGapBps`]); `repro --stats` turns this
-    /// on so the per-scenario shard report shows the tightening. Costs one
-    /// extra root LP per solve, outside the instrumented search counters.
-    pub fn measure_root_gap(mut self, measure: bool) -> Self {
-        self.measure_root_gap = measure;
+    /// ([`record_root_gap`]); `repro --stats` turns this on so the
+    /// per-scenario shard report shows the tightening. Runs before each
+    /// solve, outside its running time.
+    pub fn root_gap(mut self, measure: bool) -> Self {
+        self.root_gap = measure;
         self
     }
 
@@ -328,12 +342,14 @@ impl Session {
     ) -> (Result<LetDmaSolution, OptError>, Duration) {
         let mut config = OptConfig::new()
             .with_objective(objective)
-            .with_time_limit(self.budget)
-            .with_measure_root_gap(self.measure_root_gap);
+            .with_time_limit(self.budget);
         if let Some(n) = self.threads {
             config = config.with_threads(n);
         }
         let mut stats = SolverStats::new();
+        if self.root_gap {
+            record_root_gap(system, &config, &mut stats);
+        }
         let t0 = Instant::now();
         let result = Optimizer::new(system)
             .config(config)

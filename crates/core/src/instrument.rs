@@ -77,9 +77,9 @@ pub enum Counter {
     CoeffsTightened,
     /// Root-LP improvement from presolve, in basis points of the larger
     /// root objective magnitude: `round(1e4·(z_presolved − z_original) /
-    /// max(|z|))` in minimization form, clamped at zero. Only reported
-    /// when root-gap measurement is enabled
-    /// (`milp::SolveOptions::with_measure_root_gap`).
+    /// max(|z|))` in minimization form, clamped at zero. A benchmark
+    /// measurement outside every solve (`milp::root_gap_bps`), recorded
+    /// by the MILP benchmark and `repro --stats`.
     RootGapBps,
     /// Factorized forward solves (`SparseLu::ftran`) performed by the simplex
     /// — entering columns and imported-basis right-hand sides.
@@ -118,8 +118,10 @@ pub enum Counter {
     /// Merging two collectors keeps the larger watermark.
     QueueDepth,
     /// Root LPs warm-started from the root basis an earlier solve of the
-    /// same structure exported into its cache entry (`letdma-opt`'s
-    /// `Optimizer::run_prepared` with `OptConfig::reuse_basis` on).
+    /// same structure published into its cache entry's slot
+    /// (`milp::Solver::root_slot`, attached by `letdma-opt`'s
+    /// `Optimizer::run_prepared` on every solve; `Optimizer::run` never
+    /// attaches one).
     CrossScenarioWarmStarts,
     /// Phase-1 iterations avoided by successful cross-scenario root warm
     /// starts: the donor root LP's phase-1 count, charged once per

@@ -55,9 +55,8 @@
 //!
 //! A [`Prepared`](opt::Prepared) cache entry holds the formulation and
 //! presolve reduction of one structure ([`structure_key`](opt::structure_key))
-//! plus a root-basis slot. With
-//! [`OptConfig::reuse_basis`](opt::OptConfig::reuse_basis) on (the
-//! default), the first [`run_prepared`](opt::Optimizer::run_prepared) of an
+//! plus a root-basis slot. The first
+//! [`run_prepared`](opt::Optimizer::run_prepared) of an
 //! entry publishes its optimal root basis there, and later solves of the
 //! entry start their root LP from it, skipping simplex phase 1 (DESIGN.md
 //! §"Warm-start architecture"). The serve cache works this way. The

@@ -67,8 +67,8 @@ pub use model::{Comparison, Constraint, Model, ObjectiveSense, Sense, VarDef, Va
 pub use presolve::{Lift, LiftEntry, PresolveInfeasible, PresolveStats, Presolved};
 pub use simplex::WarmBasis;
 pub use solver::{
-    MilpSolution, RootBasisSlot, SolveError, SolveOptions, SolveStats, SolveStatus, Solver,
-    INTEGRALITY_TOL,
+    root_gap_bps, MilpSolution, RootBasisSlot, SolveError, SolveOptions, SolveStats, SolveStatus,
+    Solver, INTEGRALITY_TOL,
 };
 
 #[cfg(test)]

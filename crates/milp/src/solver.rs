@@ -95,27 +95,11 @@ pub struct SolveOptions {
     /// byte-identical at any thread count; turning it off reproduces the
     /// unreduced trajectory.
     pub presolve: Option<bool>,
-    /// Also solve the *original* model's root LP and report the presolve
-    /// improvement as `Counter::RootGapBps` (off by default: it costs one
-    /// extra LP per solve and is a measurement, not part of the search).
-    pub measure_root_gap: bool,
     /// Basis refactorization cadence in pivot updates. `None` (default)
     /// uses [`SparseLu::REFACTOR_INTERVAL`] (plus the LU's fill-in-growth
     /// trigger). The resolved value is reported as
     /// `Counter::RefactorCadence`.
     pub refactor_interval: Option<u64>,
-    /// Absolute wall-clock deadline for the whole solve. Checked before
-    /// any presolve or simplex work: an already-expired deadline returns
-    /// [`SolveError::DeadlineExpired`] without touching the model.
-    /// Otherwise the remaining time tightens
-    /// [`time_limit`](Self::time_limit) (the smaller of the two wins), so
-    /// an in-flight expiry degrades to the anytime behavior: the best
-    /// incumbent is returned. Set by the serve admission layer, which
-    /// stamps each request's deadline at admission.
-    ///
-    /// An `Instant` is process-local: a wire layer ships the *remaining*
-    /// duration and re-stamps on receipt.
-    pub deadline: Option<Instant>,
 }
 
 impl SolveOptions {
@@ -163,27 +147,11 @@ impl SolveOptions {
         self
     }
 
-    /// Enables root-gap measurement (see
-    /// [`measure_root_gap`](Self::measure_root_gap)).
-    #[must_use]
-    pub fn with_measure_root_gap(mut self, measure: bool) -> Self {
-        self.measure_root_gap = measure;
-        self
-    }
-
     /// Pins the basis refactorization cadence in pivot updates, clamped to
     /// ≥ 1 (see [`refactor_interval`](Self::refactor_interval)).
     #[must_use]
     pub fn with_refactor_interval(mut self, interval: u64) -> Self {
         self.refactor_interval = Some(interval.max(1));
-        self
-    }
-
-    /// Sets an absolute wall-clock deadline (see
-    /// [`deadline`](Self::deadline)).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 }
@@ -217,9 +185,10 @@ impl LpConfig {
 /// share a root-basis snapshot (cross-scenario root reuse; see DESIGN.md
 /// §"Warm-start architecture").
 ///
-/// The **donor** solve publishes its root LP's optimal basis through
-/// [`Solver::root_export`]; later solves read it with [`get`](Self::get)
-/// and pass it to [`Solver::root_import`]. Reading never blocks: an
+/// Every solve of the structure attaches the same slot with
+/// [`Solver::root_slot`]. A solve that finds it empty is the **donor**:
+/// it publishes its root LP's optimal basis. A solve that finds it
+/// published starts its root from that basis. Reading never blocks: an
 /// unpublished slot just means "no donor yet", and the reader becomes a
 /// donor itself.
 ///
@@ -255,14 +224,6 @@ impl RootBasisSlot {
     pub fn get(&self) -> Option<Arc<WarmBasis>> {
         self.0.get().cloned()
     }
-}
-
-/// The cross-scenario root hooks of one solve, threaded from the
-/// [`Solver`] builder down to the branch-and-bound root node.
-#[derive(Default)]
-struct RootHooks {
-    import: Option<Arc<WarmBasis>>,
-    export: Option<Arc<RootBasisSlot>>,
 }
 
 /// How good the returned solution is.
@@ -369,12 +330,6 @@ pub enum SolveError {
         /// Panics caught before the search stopped.
         caught: u64,
     },
-    /// The solve's absolute [`SolveOptions::deadline`] had already passed
-    /// when the solve started: rejected before any presolve or simplex
-    /// work. A deadline that expires *mid-solve* never produces this error
-    /// — the anytime behavior returns the best incumbent (or
-    /// [`LimitReached`](Self::LimitReached) when none exists).
-    DeadlineExpired,
 }
 
 impl fmt::Display for SolveError {
@@ -390,9 +345,6 @@ impl fmt::Display for SolveError {
                 f,
                 "solver worker panicked ({caught} caught); no feasible solution to return"
             ),
-            Self::DeadlineExpired => {
-                write!(f, "deadline expired before the solve started")
-            }
         }
     }
 }
@@ -495,37 +447,13 @@ impl Model {
             options: SolveOptions::default(),
             instrument: None,
             reduction: None,
-            root_import: None,
-            root_export: None,
+            root_slot: None,
         }
     }
 }
 
-/// Folds an absolute deadline into the wall-clock budget: `Err` when it
-/// has already passed (checked before any presolve or simplex work),
-/// otherwise a copy of the options whose `time_limit` is the smaller of
-/// the explicit budget and the time remaining, or `None` when no deadline
-/// is set (the common path clones nothing).
-fn deadline_adjusted(options: &SolveOptions) -> Result<Option<SolveOptions>, SolveError> {
-    let Some(deadline) = options.deadline else {
-        return Ok(None);
-    };
-    let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-        return Err(SolveError::DeadlineExpired);
-    };
-    if remaining.is_zero() {
-        return Err(SolveError::DeadlineExpired);
-    }
-    let mut adjusted = options.clone();
-    adjusted.time_limit = Some(match options.time_limit {
-        Some(budget) => budget.min(remaining),
-        None => remaining,
-    });
-    Ok(Some(adjusted))
-}
-
 /// Shared entry point of every solve path (the session [`Solver::run`]):
-/// enforces the admission deadline, resolves the presolve flag, reduces
+/// resolves the presolve flag, reduces
 /// the model (or reuses a cached [`presolve::Presolved`] reduction), runs
 /// branch and bound on the reduction, and lifts the solution back to the
 /// caller's variable space.
@@ -541,17 +469,9 @@ fn solve_entry(
     model: &Model,
     options: &SolveOptions,
     reduction: Option<&presolve::Presolved>,
-    root: RootHooks,
+    root_slot: Option<Arc<RootBasisSlot>>,
     instrument: &mut dyn Instrument,
 ) -> Result<MilpSolution, SolveError> {
-    let adjusted;
-    let options = match deadline_adjusted(options)? {
-        Some(o) => {
-            adjusted = o;
-            &adjusted
-        }
-        None => options,
-    };
     let live;
     let red: &presolve::Presolved = match reduction {
         Some(red) => {
@@ -565,7 +485,7 @@ fn solve_entry(
         }
         None => {
             if !resolve_flag(PRESOLVE_ENV, options.presolve, true) {
-                return BranchAndBound::new(model, options, root, instrument).run();
+                return BranchAndBound::new(model, options, root_slot, instrument).run();
             }
             live = match timed_phase(instrument, "presolve", |_| {
                 presolve::presolve(model, INTEGRALITY_TOL)
@@ -579,11 +499,6 @@ fn solve_entry(
     instrument.count(Counter::PresolveRowsDropped, red.stats.rows_dropped);
     instrument.count(Counter::PresolveColsFixed, red.stats.cols_fixed);
     instrument.count(Counter::CoeffsTightened, red.stats.coeffs_tightened);
-    if options.measure_root_gap && !red.is_noop() && !model.objective().is_empty() {
-        if let Some(bps) = root_gap_bps(model, &red.model, options) {
-            instrument.count(Counter::RootGapBps, bps);
-        }
-    }
 
     // Everything fixed (or an originally empty model): no search needed.
     if red.model.num_vars() == 0 {
@@ -611,7 +526,7 @@ fn solve_entry(
         .warm_start
         .as_ref()
         .and_then(|w| red.lift.project_values(w, INTEGRALITY_TOL));
-    let sol = BranchAndBound::new(&red.model, &reduced_options, root, instrument).run()?;
+    let sol = BranchAndBound::new(&red.model, &reduced_options, root_slot, instrument).run()?;
     let values = red.lift.lift_values(&sol.values);
     // Re-evaluate on the original objective: bit-equal to the reduced
     // objective up to the substituted constant, and exact in the caller's
@@ -625,27 +540,37 @@ fn solve_entry(
     })
 }
 
-/// Solves the root LPs of the original and reduced models and returns the
-/// presolve improvement in basis points of the larger root magnitude
-/// (minimization form, clamped at zero). `None` when either root LP fails
-/// to reach optimality within the solve's own deadline.
-fn root_gap_bps(original: &Model, reduced: &Model, options: &SolveOptions) -> Option<u64> {
-    let scale = match original.objective_sense() {
+/// How much presolve tightens the root LP of `model`: presolves it, solves
+/// the root LPs of the original and the reduced model, and returns the
+/// improvement in basis points of the larger root magnitude (minimization
+/// form, clamped at zero). Reported as `Counter::RootGapBps` by the MILP
+/// benchmark and `repro --stats`; no solve path calls it.
+///
+/// `None` when there is nothing to measure (presolve proves the model
+/// infeasible, reduces nothing, or the objective is empty) or when either
+/// root LP fails to reach optimality within `time_limit`, one budget for
+/// both LPs.
+#[must_use]
+pub fn root_gap_bps(model: &Model, time_limit: Option<Duration>) -> Option<u64> {
+    let red = presolve::presolve(model, INTEGRALITY_TOL).ok()?;
+    if red.is_noop() || model.objective().is_empty() {
+        return None;
+    }
+    let deadline = time_limit.map(|t| Instant::now() + t);
+    let scale = match model.objective_sense() {
         ObjectiveSense::Minimize => 1.0,
         ObjectiveSense::Maximize => -1.0,
     };
-    let deadline = options.time_limit.map(|t| Instant::now() + t);
-    let config = LpConfig::resolve(options);
     let root = |m: &Model| -> Option<f64> {
-        let mut lp = config.solver(m);
+        let mut lp = SimplexSolver::from_model(m);
         lp.deadline = deadline;
         match lp.solve() {
             LpOutcome::Optimal { objective, .. } => Some(scale * objective),
             _ => None,
         }
     };
-    let z_orig = root(original)?;
-    let z_red = root(reduced)?;
+    let z_orig = root(model)?;
+    let z_red = root(&red.model)?;
     let denom = z_orig.abs().max(z_red.abs()).max(1e-9);
     let bps = (1e4 * (z_red - z_orig) / denom).round();
     Some(if bps > 0.0 { bps as u64 } else { 0 })
@@ -661,8 +586,7 @@ pub struct Solver<'m, 'i> {
     options: SolveOptions,
     instrument: Option<&'i mut dyn Instrument>,
     reduction: Option<Arc<presolve::Presolved>>,
-    root_import: Option<Arc<WarmBasis>>,
-    root_export: Option<Arc<RootBasisSlot>>,
+    root_slot: Option<Arc<RootBasisSlot>>,
 }
 
 impl fmt::Debug for Solver<'_, '_> {
@@ -671,8 +595,7 @@ impl fmt::Debug for Solver<'_, '_> {
             .field("options", &self.options)
             .field("instrumented", &self.instrument.is_some())
             .field("cached_reduction", &self.reduction.is_some())
-            .field("root_import", &self.root_import.is_some())
-            .field("root_export", &self.root_export.is_some())
+            .field("root_slot", &self.root_slot.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -716,22 +639,6 @@ impl<'m, 'i> Solver<'m, 'i> {
         self
     }
 
-    /// Enables or disables the presolve root-gap measurement (see
-    /// [`SolveOptions::measure_root_gap`]; default off).
-    pub fn measure_root_gap(mut self, measure: bool) -> Self {
-        self.options.measure_root_gap = measure;
-        self
-    }
-
-    /// Sets an absolute wall-clock deadline (see
-    /// [`SolveOptions::deadline`]): an already-expired deadline fails with
-    /// [`SolveError::DeadlineExpired`] before any solver work; otherwise
-    /// the remaining time caps the wall-clock budget.
-    pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.options.deadline = Some(deadline);
-        self
-    }
-
     /// Reuses a cached presolve reduction of **this same model** instead
     /// of running the presolve pass (the serve layer's formulation cache
     /// keys reductions by a structural hash of the model). The recorded
@@ -746,33 +653,27 @@ impl<'m, 'i> Solver<'m, 'i> {
         self
     }
 
-    /// Attempts a cross-scenario **primal warm start of the root LP** from
-    /// a sibling scenario's exported basis (see [`RootBasisSlot`]): the
-    /// donor basis is installed on the (presolved) root, and — when it is
-    /// primal feasible on this model's data — phase 2 runs directly from
-    /// it, skipping phase 1 entirely. An install that fails for any reason
-    /// (shape mismatch, infeasibility, numerics) falls back to the cold
-    /// primal root, so the returned *solution* is identical either way;
-    /// the *pivot path* (and hence the trajectory) differs, which is why
-    /// the reuse layers expose an off switch that restores byte-identical
-    /// cold trajectories.
+    /// Shares the root basis with the other solves of the same structure
+    /// through `slot` (cross-scenario root reuse; see [`RootBasisSlot`]).
+    /// The slot is read once, when the root node starts:
     ///
-    /// The snapshot must come from a solve of a model with the same
-    /// (presolved) shape — in practice, from a [`Solver::root_export`] of
-    /// a sibling prepared under the same presolve resolution.
-    pub fn root_import(mut self, basis: Arc<WarmBasis>) -> Self {
-        self.root_import = Some(basis);
-        self
-    }
-
-    /// Publishes this solve's optimal root basis into `slot` right after
-    /// the root LP solves (before any branching), making this solve the
-    /// **donor** for later solves of the same structure. When the root
-    /// never reaches an exportable basis (infeasible, unbounded or timed
-    /// out) nothing is published, and the slot stays open for the next
-    /// donor.
-    pub fn root_export(mut self, slot: Arc<RootBasisSlot>) -> Self {
-        self.root_export = Some(slot);
+    /// * **published** — a **primal warm start of the root LP**: the
+    ///   donor basis is installed on the (presolved) root and, when it is
+    ///   primal feasible on this model's data, phase 2 runs directly from
+    ///   it, skipping phase 1 entirely. An install that fails for any
+    ///   reason (shape mismatch, infeasibility, numerics) falls back to the
+    ///   cold primal root, so the returned *solution* is identical either
+    ///   way; only the *pivot path* (and hence the trajectory) differs.
+    /// * **empty** — this solve is the **donor**: its optimal root basis
+    ///   is published right after the root LP solves (before any
+    ///   branching). When the root never reaches an optimal basis
+    ///   (infeasible, unbounded or timed out) nothing is published, and
+    ///   the slot stays open for the next donor.
+    ///
+    /// Every solve sharing a slot must have the same (presolved) shape —
+    /// in practice, one prepared structure under one presolve resolution.
+    pub fn root_slot(mut self, slot: Arc<RootBasisSlot>) -> Self {
+        self.root_slot = Some(slot);
         self
     }
 
@@ -784,8 +685,7 @@ impl<'m, 'i> Solver<'m, 'i> {
             options: self.options,
             instrument: Some(instrument),
             reduction: self.reduction,
-            root_import: self.root_import,
-            root_export: self.root_export,
+            root_slot: self.root_slot,
         }
     }
 
@@ -798,8 +698,8 @@ impl<'m, 'i> Solver<'m, 'i> {
     /// * [`SolveError::Unbounded`] — the LP relaxation is unbounded;
     /// * [`SolveError::LimitReached`] — a limit was hit before any feasible
     ///   solution was found;
-    /// * [`SolveError::DeadlineExpired`] — the admission deadline had
-    ///   already passed when the solve started.
+    /// * [`SolveError::WorkerPanic`] — a node evaluation panicked and no
+    ///   incumbent existed to return.
     pub fn run(self) -> Result<MilpSolution, SolveError> {
         let mut noop = NoopInstrument;
         let instrument: &mut dyn Instrument = match self.instrument {
@@ -810,10 +710,7 @@ impl<'m, 'i> Solver<'m, 'i> {
             self.model,
             &self.options,
             self.reduction.as_deref(),
-            RootHooks {
-                import: self.root_import,
-                export: self.root_export,
-            },
+            self.root_slot,
             instrument,
         )
     }
@@ -824,8 +721,8 @@ enum PureLp {
     Solved {
         values: Vec<f64>,
         min_obj: f64,
-        /// Optimal basis of this node, captured only for a root LP whose
-        /// solve exports it through a [`RootBasisSlot`].
+        /// Optimal basis of this node, captured only for the root LP of a
+        /// donor solve (one whose [`RootBasisSlot`] was empty).
         basis: Option<WarmBasis>,
     },
     Infeasible,
@@ -856,7 +753,7 @@ struct LpShard {
     /// Cross-scenario root warm starts: attempts to start the root LP from
     /// a donor scenario's optimal basis, how many settled the root without
     /// phase 1, and the donor's phase-1 iteration bill that each hit
-    /// avoided (see [`Solver::root_import`]).
+    /// avoided (see [`Solver::root_slot`]).
     cross_attempts: u64,
     cross_hits: u64,
     phase1_saved: u64,
@@ -921,8 +818,8 @@ fn solve_node_lp_guarded(
 
 /// Solves the LP relaxation of one node from a cold start. Free function
 /// (no `&self`) so worker threads can run it without borrowing the search
-/// driver. `capture` snapshots the optimal basis (the root of a solve that
-/// exports it).
+/// driver. `capture` snapshots the optimal basis (the root of a donor
+/// solve).
 fn solve_node_lp(
     model: &Model,
     config: LpConfig,
@@ -1047,19 +944,17 @@ struct BranchAndBound<'a> {
     node_seq: u64,
     /// Panics caught by the worker-isolation guards during this solve.
     panics: u64,
-    /// Cross-scenario root warm start: a donor scenario's optimal root
-    /// basis to try before the cold root solve, and the slot (if any) to
-    /// publish this solve's own root basis into. See
-    /// [`Solver::root_import`] / [`Solver::root_export`].
-    root_import: Option<Arc<WarmBasis>>,
-    root_export: Option<Arc<RootBasisSlot>>,
+    /// Cross-scenario root reuse: the slot this solve imports its root
+    /// basis from when it is published, or donates into when it is empty.
+    /// See [`Solver::root_slot`].
+    root_slot: Option<Arc<RootBasisSlot>>,
 }
 
 impl<'a> BranchAndBound<'a> {
     fn new(
         model: &'a Model,
         options: &'a SolveOptions,
-        root: RootHooks,
+        root_slot: Option<Arc<RootBasisSlot>>,
         instrument: &'a mut dyn Instrument,
     ) -> Self {
         let scale = match model.objective_sense() {
@@ -1090,8 +985,7 @@ impl<'a> BranchAndBound<'a> {
             root_bound: None,
             node_seq: 0,
             panics: 0,
-            root_import: root.import,
-            root_export: root.export,
+            root_slot,
         }
     }
 
@@ -1240,16 +1134,16 @@ impl<'a> BranchAndBound<'a> {
 
     /// Solves one node LP inline on the coordinator (the sequential path,
     /// the root node, and the defensive fallback for a worker skip that the
-    /// monotonicity argument says cannot be consumed). The root snapshot is
-    /// captured exactly when a [`RootBasisSlot`] export is attached.
-    fn solve_inline(&self, overrides: &[(Var, f64, f64)], root: bool) -> (PureLp, LpShard) {
+    /// monotonicity argument says cannot be consumed). `capture` snapshots
+    /// the optimal basis: the root of a donor solve.
+    fn solve_inline(&self, overrides: &[(Var, f64, f64)], capture: bool) -> (PureLp, LpShard) {
         solve_node_lp_guarded(
             self.model,
             self.lp_config,
             overrides,
             self.deadline(),
             self.scale,
-            root && self.root_export.is_some(),
+            capture,
         )
     }
 
@@ -1284,7 +1178,8 @@ impl<'a> BranchAndBound<'a> {
                 Some(PureLp::Solved {
                     values,
                     min_obj: self.scale * objective,
-                    basis: self.root_export.is_some().then(|| lp.snapshot()),
+                    // The slot is already published: nothing to donate.
+                    basis: None,
                 })
             }
             // A genuine phase-2 certificate or brake from a feasible
@@ -1336,8 +1231,9 @@ impl<'a> BranchAndBound<'a> {
         } else {
             self.nodes += 1;
             self.instrument.count(Counter::Nodes, 1);
-            let (lp, shard) = match self.root_import.take() {
-                Some(basis) => {
+            let (lp, shard) = match self.root_slot.as_ref().map(|slot| slot.get()) {
+                // A published slot: import the donor's basis.
+                Some(Some(basis)) => {
                     let (settled, import_shard) = self.solve_root_import(&basis);
                     match settled {
                         Some(lp) => (lp, import_shard),
@@ -1345,11 +1241,13 @@ impl<'a> BranchAndBound<'a> {
                             // Count the failed attempt, then run the cold
                             // root exactly as a donor-less solve would.
                             self.absorb_shard(&import_shard);
-                            self.solve_inline(&[], true)
+                            self.solve_inline(&[], false)
                         }
                     }
                 }
-                None => self.solve_inline(&[], true),
+                // An empty slot: this solve is the donor.
+                Some(None) => self.solve_inline(&[], true),
+                None => self.solve_inline(&[], false),
             };
             self.absorb_shard(&shard);
             match lp {
@@ -1387,7 +1285,7 @@ impl<'a> BranchAndBound<'a> {
                 } => {
                     // Publish the optimal root basis for later solves of
                     // the same structure.
-                    if let (Some(slot), Some(basis)) = (&self.root_export, basis) {
+                    if let (Some(slot), Some(basis)) = (&self.root_slot, basis) {
                         slot.publish(Arc::new(basis));
                     }
                     self.root_bound = Some(min_obj);
@@ -2104,17 +2002,18 @@ mod tests {
     }
 
     #[test]
-    fn root_import_round_trip_skips_phase1() {
-        // A donor solve exports its optimal root basis; resubmitting the
-        // same structure imports it, settles the root without phase 1, and
-        // reaches the identical optimum.
+    fn root_slot_round_trip_skips_phase1() {
+        // The first solve finds the slot empty and donates its optimal root
+        // basis; resubmitting the same structure through the same slot
+        // imports it, settles the root without phase 1, and reaches the
+        // identical optimum.
         let m = phase1_model();
         let slot = Arc::new(RootBasisSlot::new());
         let mut donor_stats = letdma_core::SolverStats::new();
         let donor = m
             .solver()
             .presolve(false)
-            .root_export(Arc::clone(&slot))
+            .root_slot(Arc::clone(&slot))
             .instrument(&mut donor_stats)
             .run()
             .unwrap();
@@ -2122,12 +2021,13 @@ mod tests {
             donor_stats.counter(Counter::Phase1Iterations) > 0,
             "the donor must have paid a phase-1 bill worth saving"
         );
-        let basis = slot.get().expect("donor solved, so the slot holds a basis");
+        assert_eq!(donor_stats.counter(Counter::CrossScenarioWarmStarts), 0);
+        let donated = slot.get().expect("donor solved, so the slot holds a basis");
         let mut imp_stats = letdma_core::SolverStats::new();
         let imported = m
             .solver()
             .presolve(false)
-            .root_import(basis)
+            .root_slot(Arc::clone(&slot))
             .instrument(&mut imp_stats)
             .run()
             .unwrap();
@@ -2140,28 +2040,32 @@ mod tests {
             0,
             "an imported root runs phase 2 only"
         );
+        assert!(
+            Arc::ptr_eq(&slot.get().expect("still published"), &donated),
+            "an importer never replaces the donor's basis"
+        );
     }
 
     #[test]
-    fn root_import_shape_mismatch_falls_back_cold() {
-        // Export from a 3-var model, import into a different model: the
-        // basis cannot transfer, and the fallback must match a plain cold
-        // solve bit for bit.
+    fn root_slot_shape_mismatch_falls_back_cold() {
+        // A slot published by a 3-var model, attached to a different model:
+        // the foreign basis cannot transfer, and the fallback must match a
+        // plain cold solve bit for bit.
         let slot = Arc::new(RootBasisSlot::new());
         phase1_model()
             .solver()
             .presolve(false)
-            .root_export(Arc::clone(&slot))
+            .root_slot(Arc::clone(&slot))
             .run()
             .unwrap();
-        let basis = slot.get().expect("donor solved");
+        let foreign = slot.get().expect("donor solved");
         let (other, _) = assignment_model(3);
         let cold = other.solver().presolve(false).run().unwrap();
         let mut stats = letdma_core::SolverStats::new();
         let s = other
             .solver()
             .presolve(false)
-            .root_import(basis)
+            .root_slot(Arc::clone(&slot))
             .instrument(&mut stats)
             .run()
             .unwrap();
@@ -2173,6 +2077,10 @@ mod tests {
             0,
             "a rejected import is an attempt, not a hit"
         );
+        assert!(
+            Arc::ptr_eq(&slot.get().expect("still published"), &foreign),
+            "a failed import does not donate over the published basis"
+        );
     }
 
     #[test]
@@ -2180,18 +2088,36 @@ mod tests {
         let slot = RootBasisSlot::new();
         assert!(slot.get().is_none(), "unpublished reads as None");
         let m = phase1_model();
-        let export = Arc::new(RootBasisSlot::new());
+        let donor_slot = Arc::new(RootBasisSlot::new());
         m.solver()
             .presolve(false)
-            .root_export(Arc::clone(&export))
+            .root_slot(Arc::clone(&donor_slot))
             .run()
             .unwrap();
-        let first = export.get().expect("donor solved");
+        let first = donor_slot.get().expect("donor solved");
         slot.publish(Arc::clone(&first));
         // A later publish must not overwrite the first.
         slot.publish(Arc::new((*first).clone()));
         let kept = slot.get().expect("published");
         assert!(Arc::ptr_eq(&kept, &first), "first publish wins");
+    }
+
+    #[test]
+    fn root_gap_needs_a_reduction_and_an_objective() {
+        let mut m = Model::new();
+        let x = m.add_continuous("x", 0.0, 4.0);
+        let y = m.add_continuous("y", 0.0, 4.0);
+        m.add_constraint("c", (x + y).le(5.0));
+        m.set_objective(ObjectiveSense::Maximize, x + 2.0 * y);
+        assert!(presolve::presolve(&m, INTEGRALITY_TOL).unwrap().is_noop());
+        assert_eq!(root_gap_bps(&m, None), None, "a no-op reduction");
+        let mut feasibility = Model::new();
+        let b = feasibility.add_binary("b");
+        feasibility.add_constraint("fix", LinExpr::from(b).ge(1.0));
+        assert!(!presolve::presolve(&feasibility, INTEGRALITY_TOL)
+            .unwrap()
+            .is_noop());
+        assert_eq!(root_gap_bps(&feasibility, None), None, "no objective");
     }
 
     #[test]

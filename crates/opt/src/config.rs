@@ -48,14 +48,6 @@ impl std::fmt::Display for Objective {
 pub struct OptConfig {
     /// Which objective to optimize.
     pub objective: Objective,
-    /// Maximum number of DMA transfer slots `G` made available to the MILP.
-    ///
-    /// `None` uses the always-sufficient `|𝓒(s_0)|` (one group per
-    /// communication). Smaller values shrink the model — and can speed up
-    /// the solve dramatically — but may exclude the optimum (never
-    /// feasibility as long as a feasible schedule with that many transfers
-    /// exists).
-    pub max_transfers: Option<usize>,
     /// Allocate private (non-inter-core) labels in the local layouts too.
     pub include_private_labels: bool,
     /// Wall-clock budget for the MILP search.
@@ -78,29 +70,13 @@ pub struct OptConfig {
     /// the coordinator before any worker spawns, so the search trajectory
     /// stays byte-identical at any thread count either way.
     pub presolve: Option<bool>,
-    /// Cross-scenario root-basis reuse (default on), read only by
-    /// [`Optimizer::run_prepared`](crate::Optimizer::run_prepared): solves
-    /// of one [`Prepared`](crate::Prepared) entry start their root LP from
-    /// the first solve's optimal basis, skipping phase 1 — see
-    /// [`Counter::CrossScenarioWarmStarts`](letdma_core::Counter::CrossScenarioWarmStarts).
-    /// Reuse changes the work spent, and may change *which* optimal vertex
-    /// a later solve reports, but never objective values or validity;
-    /// disable it to reproduce cold solver trajectories byte-for-byte.
-    /// [`Optimizer::run`](crate::Optimizer::run) always solves cold.
-    pub reuse_basis: bool,
-    /// Solve the root LP of both the original and the presolved model and
-    /// report the relative tightening under
-    /// [`Counter::RootGapBps`](letdma_core::Counter::RootGapBps) (default
-    /// off — it costs one extra root LP solve). Used by `repro --stats`
-    /// and the MILP benchmark.
-    pub measure_root_gap: bool,
     /// Absolute wall-clock deadline for the whole pipeline. Checked before
     /// the heuristic runs — an already-expired deadline fails with
     /// [`OptError::DeadlineExpired`](crate::OptError::DeadlineExpired)
-    /// without doing any work — and passed to the MILP search, where the
-    /// remaining time tightens [`time_limit`](Self::time_limit) (see
-    /// [`milp::SolveOptions::deadline`]). Stamped per request by the serve
-    /// admission layer.
+    /// without doing any work — and again at each MILP hand-off (the
+    /// first search and the panic-retry rung), where the time remaining
+    /// caps [`time_limit`](Self::time_limit). Stamped per request by the
+    /// serve admission layer.
     ///
     /// An `Instant` is process-local: a wire layer ships the *remaining*
     /// duration and re-stamps on receipt.
@@ -111,15 +87,12 @@ impl Default for OptConfig {
     fn default() -> Self {
         Self {
             objective: Objective::None,
-            max_transfers: None,
             include_private_labels: false,
             time_limit: Some(Duration::from_secs(60)),
             node_limit: None,
             warm_start: true,
             threads: None,
             presolve: None,
-            reuse_basis: true,
-            measure_root_gap: false,
             deadline: None,
         }
     }
@@ -137,13 +110,6 @@ impl OptConfig {
     #[must_use]
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
-        self
-    }
-
-    /// Caps the number of DMA transfer slots offered to the MILP.
-    #[must_use]
-    pub fn with_max_transfers(mut self, max_transfers: usize) -> Self {
-        self.max_transfers = Some(max_transfers);
         self
     }
 
@@ -200,22 +166,6 @@ impl OptConfig {
         self
     }
 
-    /// Enables or disables cross-scenario root-basis reuse (see
-    /// [`OptConfig::reuse_basis`]; default on).
-    #[must_use]
-    pub fn with_reuse_basis(mut self, reuse_basis: bool) -> Self {
-        self.reuse_basis = reuse_basis;
-        self
-    }
-
-    /// Enables or disables the root-gap measurement (see
-    /// [`OptConfig::measure_root_gap`]; default off).
-    #[must_use]
-    pub fn with_measure_root_gap(mut self, measure: bool) -> Self {
-        self.measure_root_gap = measure;
-        self
-    }
-
     /// Sets an absolute wall-clock deadline for the whole pipeline (see
     /// [`OptConfig::deadline`]).
     #[must_use]
@@ -241,39 +191,31 @@ mod tests {
         let c = OptConfig::default();
         assert_eq!(c.objective, Objective::None);
         assert!(c.warm_start);
-        assert!(c.max_transfers.is_none());
         assert!(c.threads.is_none());
+        assert!(c.deadline.is_none());
     }
 
     #[test]
     fn config_chain() {
         let c = OptConfig::new()
             .with_objective(Objective::MinDelayRatio)
-            .with_max_transfers(7)
             .with_include_private_labels(true)
             .with_time_limit(Duration::from_secs(3))
             .with_node_limit(50)
             .with_warm_start(false)
             .with_threads(0)
-            .with_presolve(false)
-            .with_reuse_basis(false)
-            .with_measure_root_gap(true);
-        assert!(!c.reuse_basis);
-        assert!(
-            OptConfig::new().reuse_basis,
-            "cross-scenario root reuse defaults on"
-        );
+            .with_presolve(false);
         assert_eq!(c.presolve, Some(false));
-        assert!(c.measure_root_gap);
         assert_eq!(
             OptConfig::new().presolve,
             None,
             "presolve defers to LETDMA_PRESOLVE by default"
         );
-        assert!(!OptConfig::new().measure_root_gap);
         assert_eq!(c.objective, Objective::MinDelayRatio);
-        assert_eq!(c.max_transfers, Some(7));
         assert!(c.include_private_labels);
+        assert_eq!(c.node_limit, Some(50));
+        assert!(!c.warm_start);
+        assert_eq!(c.threads, Some(1), "threads clamp to ≥ 1");
         assert_eq!(c.time_limit, Some(Duration::from_secs(3)));
         assert_eq!(c.without_time_limit().time_limit, None);
     }

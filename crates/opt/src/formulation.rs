@@ -134,12 +134,12 @@ impl Formulation {
 /// # Panics
 ///
 /// Panics if the system has no inter-core communications (callers check
-/// first) or `config.max_transfers == Some(0)`.
+/// first).
 pub(crate) fn build(system: &System, config: &OptConfig) -> Formulation {
     let comms = comms_at_start(system);
     assert!(!comms.is_empty(), "no LET communications to schedule");
-    let g_max = config.max_transfers.unwrap_or(comms.len());
-    assert!(g_max > 0, "at least one DMA transfer slot is required");
+    // One transfer slot per communication always suffices (§VI).
+    let g_max = comms.len();
 
     let mut model = Model::new();
 
@@ -695,29 +695,6 @@ mod tests {
         sys.set_acquisition_deadline(p, Some(TimeNs::from_ms(1)));
         let f = build(&sys, &OptConfig::default());
         assert!(f.has_lambda);
-    }
-
-    #[test]
-    fn max_transfers_limits_group_count() {
-        let mut b = SystemBuilder::new(2);
-        let p = b.task("p").period_ms(5).core_index(0).add().unwrap();
-        let c = b.task("c").period_ms(5).core_index(1).add().unwrap();
-        for i in 0..3 {
-            b.label(format!("l{i}"))
-                .size(8)
-                .writer(p)
-                .reader(c)
-                .add()
-                .unwrap();
-        }
-        let sys = b.build().unwrap();
-        let config = OptConfig {
-            max_transfers: Some(3),
-            ..OptConfig::default()
-        };
-        let f = build(&sys, &config);
-        assert_eq!(f.g_max, 3);
-        assert_eq!(f.cg[0].len(), 3);
     }
 
     #[test]

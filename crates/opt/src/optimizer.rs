@@ -34,10 +34,11 @@ pub enum OptError {
     /// as the [`Error::source`].
     Solver(SolveError),
     /// The request's absolute deadline ([`OptConfig::deadline`]) had
-    /// already passed when the pipeline started: rejected before the
-    /// heuristic, the formulation or any simplex work. A deadline that
-    /// expires *mid-solve* never produces this error — the anytime search
-    /// returns its best incumbent instead.
+    /// already passed when the pipeline started (rejected before the
+    /// heuristic, the formulation or any simplex work) or when a MILP
+    /// search was about to start. A deadline that expires *mid-search*
+    /// never produces this error — the anytime search returns its best
+    /// incumbent instead.
     DeadlineExpired,
     /// [`Optimizer::run_prepared`] was handed a [`Prepared`] whose
     /// [`structure key`](crate::prepare::structure_key) does not match
@@ -203,30 +204,6 @@ impl<'s, 'i> Optimizer<'s, 'i> {
         self
     }
 
-    /// Enables or disables cross-scenario root-basis reuse for
-    /// [`run_prepared`](Optimizer::run_prepared) (see
-    /// [`OptConfig::reuse_basis`]; default on).
-    pub fn reuse_basis(mut self, reuse_basis: bool) -> Self {
-        self.config = self.config.with_reuse_basis(reuse_basis);
-        self
-    }
-
-    /// Enables or disables the presolve root-gap measurement (see
-    /// [`OptConfig::measure_root_gap`]; default off).
-    pub fn measure_root_gap(mut self, measure: bool) -> Self {
-        self.config = self.config.with_measure_root_gap(measure);
-        self
-    }
-
-    /// Sets an absolute wall-clock deadline for the whole pipeline (see
-    /// [`OptConfig::deadline`]): already expired fails with
-    /// [`OptError::DeadlineExpired`] before any work; otherwise the
-    /// remaining time caps the MILP budget.
-    pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.config = self.config.with_deadline(deadline);
-        self
-    }
-
     /// Streams phase timings, solver counters and incumbent records into
     /// `instrument` during the run.
     pub fn instrument<'j>(self, instrument: &'j mut dyn Instrument) -> Optimizer<'s, 'j> {
@@ -264,7 +241,7 @@ impl<'s, 'i> Optimizer<'s, 'i> {
     ///
     /// 1. a worker panic in the MILP search triggers **one** cold retry
     ///    from scratch at half the time/node budget, without the
-    ///    cross-scenario root hooks ([`Resolution::MilpRetry`]);
+    ///    cross-scenario root slot ([`Resolution::MilpRetry`]);
     /// 2. if the search (or its retry) ends with no incumbent — budget
     ///    exhausted or panics persisting — the conformance-verified
     ///    constructive heuristic is returned when it exists
@@ -286,16 +263,12 @@ impl<'s, 'i> Optimizer<'s, 'i> {
     ///
     /// Everything request-specific still runs per call: the constructive
     /// heuristic, the warm-start translation, the search itself and the
-    /// conformance validation. With
-    /// [`reuse_basis`](OptConfig::reuse_basis) **off**, the reuse is
-    /// observably identical to a cold [`run`](Optimizer::run) — same
-    /// solution, same counters, same phase entries — because the cached
-    /// reduction replays its recorded presolve tallies through the
-    /// instrument (pinned by the serve determinism regression); only the
-    /// wall clock shrinks. With it **on** (the default), the first solve
-    /// of this `Prepared` additionally publishes its optimal root basis
-    /// into the preparation's slot, and later solves start from it,
-    /// skipping simplex phase 1
+    /// conformance validation. The cached reduction replays its recorded
+    /// presolve tallies through the instrument, so the presolve counters
+    /// and phase entries match a cold [`run`](Optimizer::run). The first
+    /// solve of this `Prepared` also publishes its optimal root basis into
+    /// the preparation's slot, and later solves start from it, skipping
+    /// simplex phase 1
     /// ([`Counter::CrossScenarioWarmStarts`](letdma_core::Counter::CrossScenarioWarmStarts) /
     /// [`Counter::Phase1IterationsSaved`](letdma_core::Counter::Phase1IterationsSaved)) —
     /// same objective values, less work, but a warm trajectory is *not*
@@ -402,9 +375,9 @@ fn run_pipeline(
         };
         // `SolveOptions` is non-exhaustive in a foreign crate, so the
         // `Option`-valued budgets are assigned field-wise instead of
-        // threading them through the `with_*` chain.
+        // threading them through the `with_*` chain. The wall-clock budget
+        // is set at each MILP hand-off, where the deadline is folded in.
         let mut solve_options = SolveOptions::new();
-        solve_options.time_limit = config.time_limit;
         solve_options.node_limit = config.node_limit;
         solve_options.warm_start = warm;
         solve_options.threads = config.threads;
@@ -415,8 +388,6 @@ fn run_pipeline(
             Some(p) => Some(p.presolve),
             None => config.presolve,
         };
-        solve_options.measure_root_gap = config.measure_root_gap;
-        solve_options.deadline = config.deadline;
         (built, solve_options)
     });
     let f = match (built.as_ref(), prepared) {
@@ -427,34 +398,34 @@ fn run_pipeline(
     let reduction = prepared.and_then(|p| p.reduction.clone());
 
     let mut resolution = Resolution::Milp;
+    let mut search_options = solve_options.clone();
+    search_options.time_limit =
+        milp_time_limit(config.time_limit, config.deadline, Instant::now())?;
     let mut solve_result = timed_phase(instrument, "milp-search", |ins| {
-        let mut solver = f.model.solver().options(solve_options.clone());
+        let mut solver = f.model.solver().options(search_options);
         if let Some(red) = reduction.clone() {
             solver = solver.reduction(red);
         }
         // Cross-scenario root reuse through the preparation's slot, on the
         // *first* search only — the panic-retry below always solves cold.
-        // Never blocks: a published basis is imported, an empty slot makes
-        // this solve the donor.
-        if let Some(slot) = prepared
-            .filter(|_| config.reuse_basis)
-            .map(|p| &p.root_slot)
-        {
-            solver = match slot.get() {
-                Some(basis) => solver.root_import(basis),
-                None => solver.root_export(Arc::clone(slot)),
-            };
+        if let Some(p) = prepared {
+            solver = solver.root_slot(Arc::clone(&p.root_slot));
         }
         solver.instrument(ins).run()
     });
     if matches!(solve_result, Err(SolveError::WorkerPanic { .. })) {
         // Degradation rung 1: a worker panic poisoned the first search, so
         // retry once cold from scratch at half the budget and without the
-        // root hooks — still giving the MILP a real chance before the
-        // heuristic fallback.
-        let mut retry_options = solve_options.clone();
-        retry_options.time_limit = solve_options.time_limit.map(|t| t / 2);
-        retry_options.node_limit = solve_options.node_limit.map(|n| (n / 2).max(1));
+        // root slot — still giving the MILP a real chance before the
+        // heuristic fallback. The wall-clock half is of the configured
+        // budget, capped by the time remaining now.
+        let mut retry_options = solve_options;
+        retry_options.time_limit = milp_time_limit(
+            config.time_limit.map(|t| t / 2),
+            config.deadline,
+            Instant::now(),
+        )?;
+        retry_options.node_limit = config.node_limit.map(|n| (n / 2).max(1));
         resolution = Resolution::MilpRetry;
         solve_result = timed_phase(instrument, "milp-retry", |ins| {
             let mut solver = f.model.solver().options(retry_options);
@@ -489,12 +460,10 @@ fn run_pipeline(
                 Err(OptError::InvalidSolution(violations))
             }
         }),
+        // A deadline that expires mid-search degrades to anytime behavior
+        // inside the search: the best incumbent (`Ok` above), or the
+        // `LimitReached` fallback below.
         Err(SolveError::Infeasible) => Err(OptError::Infeasible),
-        // A deadline that expires mid-solve degrades to anytime behavior
-        // inside the search (best incumbent ⇒ `Ok` above, or the
-        // `LimitReached` fallback below); this arm fires only when the
-        // deadline was already spent when the MILP session started.
-        Err(SolveError::DeadlineExpired) => Err(OptError::DeadlineExpired),
         Err(err @ (SolveError::LimitReached { .. } | SolveError::WorkerPanic { .. })) => {
             // Degradation rung 2: the search (including any retry) produced
             // no incumbent — fall back to the conformance-verified
@@ -517,6 +486,29 @@ fn run_pipeline(
         }
         Err(other) => Err(OptError::Solver(other)),
     }
+}
+
+/// The wall-clock budget of one MILP hand-off: `limit` capped by the time
+/// left until `deadline` at `now`. The deadline is the only input that
+/// changes between hand-offs, so the panic-retry rung calls this again
+/// instead of halving the first search's budget.
+///
+/// # Errors
+///
+/// [`OptError::DeadlineExpired`] when `deadline` is not after `now`.
+fn milp_time_limit(
+    limit: Option<Duration>,
+    deadline: Option<Instant>,
+    now: Instant,
+) -> Result<Option<Duration>, OptError> {
+    let Some(deadline) = deadline else {
+        return Ok(limit);
+    };
+    let remaining = deadline
+        .checked_duration_since(now)
+        .filter(|remaining| !remaining.is_zero())
+        .ok_or(OptError::DeadlineExpired)?;
+    Ok(Some(limit.map_or(remaining, |limit| limit.min(remaining))))
 }
 
 /// Runs only the constructive heuristic (no MILP), validating the result.
@@ -620,6 +612,43 @@ mod tests {
         assert!(err.to_string().starts_with("solver failure:"));
         let source = Error::source(&err).expect("source must be chained");
         assert_eq!(source.to_string(), SolveError::Unbounded.to_string());
+    }
+
+    #[test]
+    fn milp_time_limit_folds_the_deadline_into_the_budget() {
+        let secs = Duration::from_secs;
+        let t0 = Instant::now();
+        let deadline = t0 + secs(10);
+        // No deadline: the configured budget passes through.
+        assert_eq!(milp_time_limit(Some(secs(3)), None, t0), Ok(Some(secs(3))));
+        assert_eq!(milp_time_limit(None, None, t0), Ok(None));
+        // An expired deadline (spent exactly, or overdue) is typed.
+        for now in [deadline, deadline + secs(1)] {
+            assert_eq!(
+                milp_time_limit(Some(secs(60)), Some(deadline), now),
+                Err(OptError::DeadlineExpired)
+            );
+        }
+        // The time remaining caps a larger budget, or stands in for none.
+        assert_eq!(
+            milp_time_limit(Some(secs(60)), Some(deadline), t0),
+            Ok(Some(secs(10)))
+        );
+        assert_eq!(
+            milp_time_limit(None, Some(deadline), t0),
+            Ok(Some(secs(10)))
+        );
+        // A smaller budget wins.
+        assert_eq!(
+            milp_time_limit(Some(secs(2)), Some(deadline), t0),
+            Ok(Some(secs(2)))
+        );
+        // The retry rung 8 s later halves the configured 60 s and caps it
+        // by the 2 s left: not half of the first search's 10 s.
+        assert_eq!(
+            milp_time_limit(Some(secs(60) / 2), Some(deadline), t0 + secs(8)),
+            Ok(Some(secs(2)))
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::formulation::{self, Formulation};
 /// A structural fingerprint of the solve a `(system, config)` pair
 /// defines: FNV-1a over the system's full debug rendering (tasks, labels,
 /// platform, cost model — everything the formulation reads) and the
-/// configuration knobs that shape the model (`objective`, `max_transfers`,
+/// configuration knobs that shape the model (`objective`,
 /// `include_private_labels`) plus the presolve on/off resolution.
 ///
 /// Two pairs with equal keys produce the same MILP and the same reduction;
@@ -45,9 +45,8 @@ pub fn structure_key(system: &System, config: &OptConfig) -> u64 {
     write!(h, "{system:?}").expect("hashing never fails");
     write!(
         h,
-        "|{:?}|{:?}|{}|{}",
+        "|{:?}|{}|{}",
         config.objective,
-        config.max_transfers,
         config.include_private_labels,
         resolve_flag(PRESOLVE_ENV, config.presolve, true),
     )
@@ -76,8 +75,7 @@ pub struct Prepared {
     /// disagree with the preparation.
     pub(crate) presolve: bool,
     /// The root-basis slot shared by every solve of this structure: the
-    /// first [`run_prepared`](crate::Optimizer::run_prepared) with
-    /// [`reuse_basis`](crate::OptConfig::reuse_basis) on publishes its
+    /// first [`run_prepared`](crate::Optimizer::run_prepared) publishes its
     /// optimal root basis here, and later solves of the same structure
     /// start from it, skipping simplex phase 1 (see DESIGN.md
     /// §"Warm-start architecture"). The only cross-scenario reuse path.

@@ -94,37 +94,40 @@ fn waters_differential_presolve_on_off() {
     }
 }
 
-/// The acceptance gate of this PR: on WATERS the presolved root LP is
-/// *strictly* tighter than the unpresolved one for the delay objective
-/// (the unpresolved root drives `V` to ~0 by spreading fractional `RG`
-/// mass; the aggregation cut `λ ≥ λO·(RGI+1)` forbids that), so
-/// `Counter::RootGapBps` must come out positive — alongside the other new
-/// presolve counters.
+/// On WATERS the presolved root LP is *strictly* tighter than the
+/// unpresolved one for the delay objective (the unpresolved root drives
+/// `V` to ~0 by spreading fractional `RG` mass; the aggregation cut
+/// `λ ≥ λO·(RGI+1)` forbids that), so [`milp::root_gap_bps`] must come out
+/// positive — alongside the presolve counters of a solve. The NO-OBJ model
+/// has an empty objective, so there is no gap to measure.
 #[test]
 fn root_gap_strictly_positive_on_waters() {
     let (sys, _) = waters_system().unwrap();
+    // No wall-clock limit: both root LPs must reach optimality for a gap
+    // to be reported, so a time limit would make this assertion
+    // load-sensitive.
+    let config = OptConfig::new()
+        .with_objective(Objective::MinDelayRatio)
+        .without_time_limit()
+        .with_node_limit(3)
+        .with_presolve(true);
+    let gap = milp::root_gap_bps(&formulation_model(&sys, &config), None);
+    assert!(
+        gap.is_some_and(|bps| bps > 0),
+        "presolve must strictly tighten the OBJ-DEL root LP; got {gap:?}"
+    );
+    assert_eq!(
+        milp::root_gap_bps(&formulation_model(&sys, &OptConfig::new()), None),
+        None,
+        "an empty objective has no root gap"
+    );
+
     let mut stats = SolverStats::new();
-    // No wall-clock limit: the root-gap measurement solves both root LPs
-    // under the solve's own deadline and reports nothing on a timeout, so
-    // a time limit would make this assertion load-sensitive.
     let _ = Optimizer::new(&sys)
-        .objective(Objective::MinDelayRatio)
-        .config(
-            OptConfig::new()
-                .with_objective(Objective::MinDelayRatio)
-                .without_time_limit()
-                .with_node_limit(3)
-                .with_presolve(true)
-                .with_measure_root_gap(true),
-        )
+        .config(config)
         .instrument(&mut stats)
         .run()
         .expect("warm-started WATERS solve must return an incumbent");
-    assert!(
-        stats.counter(Counter::RootGapBps) > 0,
-        "presolve must strictly tighten the OBJ-DEL root LP; counters: {:?}",
-        stats.counters()
-    );
     assert!(stats.counter(Counter::PresolveRowsDropped) > 0);
     assert!(stats.counter(Counter::PresolveColsFixed) > 0);
     assert!(stats.counter(Counter::CoeffsTightened) > 0);

@@ -23,10 +23,7 @@
 //!   [`Optimizer::run_prepared`](letdma_opt::Optimizer::run_prepared).
 //!   The entry also carries the first solve's optimal root basis, so later
 //!   jobs of the same structure skip simplex phase 1
-//!   ([`Counter::CrossScenarioWarmStarts`]); disable
-//!   [`OptConfig::reuse_basis`](letdma_opt::OptConfig::reuse_basis) per
-//!   request to make a cache hit's trajectory byte-identical to the cold
-//!   solve.
+//!   ([`Counter::CrossScenarioWarmStarts`]).
 //! * [`Server::drain`], from any thread, starts a graceful drain: queued
 //!   jobs are rejected immediately with [`ServeError::ShuttingDown`]
 //!   ([`Counter::DrainRejections`]), in-flight solves run to completion,
@@ -103,8 +100,7 @@ impl ServeConfig {
 /// and re-submissions of an already-seen model structure skip formulation
 /// and presolve entirely. Each entry also holds the structure's
 /// cross-scenario root-basis slot (DESIGN.md §"Warm-start architecture"),
-/// so re-submissions additionally skip simplex phase 1 unless the request
-/// disables [`reuse_basis`](letdma_opt::OptConfig::reuse_basis).
+/// so re-submissions additionally skip simplex phase 1.
 #[derive(Debug, Clone, Default)]
 pub struct SolveCache {
     entries: Arc<Mutex<HashMap<u64, Arc<Prepared>>>>,

@@ -21,7 +21,9 @@
 //!
 //! Decoding is strict (a missing or mistyped field is an error with the
 //! field's name in the message); it is a codec for our own output, not a
-//! lenient validator.
+//! lenient validator. Unknown fields are skipped, so a request from an
+//! older client that still sends a retired config knob gets a normal
+//! solve.
 
 use std::time::Duration;
 
@@ -265,10 +267,6 @@ fn config_json(config: &OptConfig) -> Json {
     Json::obj(vec![
         ("objective", Json::str(objective_name(config.objective))),
         (
-            "max_transfers",
-            opt_u64_json(config.max_transfers.map(|n| n as u64)),
-        ),
-        (
             "include_private_labels",
             Json::Bool(config.include_private_labels),
         ),
@@ -282,8 +280,6 @@ fn config_json(config: &OptConfig) -> Json {
         ("warm_start", Json::Bool(config.warm_start)),
         ("threads", opt_u64_json(config.threads.map(|n| n as u64))),
         ("presolve", config.presolve.map_or(Json::Null, Json::Bool)),
-        ("measure_root_gap", Json::Bool(config.measure_root_gap)),
-        ("reuse_basis", Json::Bool(config.reuse_basis)),
     ])
 }
 
@@ -295,7 +291,6 @@ fn config_from(value: &Json) -> Result<OptConfig, String> {
         "min-delay-ratio" => Objective::MinDelayRatio,
         other => return Err(format!("unknown objective `{other}`")),
     };
-    config.max_transfers = opt_u64_field(value, "max_transfers")?.map(|n| n as usize);
     config.include_private_labels = bool_field(value, "include_private_labels")?;
     config.time_limit = opt_u64_field(value, "time_limit_ns")?.map(Duration::from_nanos);
     config.node_limit = opt_u64_field(value, "node_limit")?;
@@ -306,8 +301,6 @@ fn config_from(value: &Json) -> Result<OptConfig, String> {
         Json::Bool(b) => Some(*b),
         _ => return Err("field `presolve` is not null or a boolean".to_owned()),
     };
-    config.measure_root_gap = bool_field(value, "measure_root_gap")?;
-    config.reuse_basis = bool_field(value, "reuse_basis")?;
     Ok(config)
 }
 

@@ -109,26 +109,74 @@ fn wire_requests_round_trip() {
     );
 }
 
+/// A request document as an older client sends it: the config object
+/// also carries `fields`, knobs this version no longer has, ahead of its
+/// other fields (the decoder reads the first field of a name).
+fn older_request_document(request: SolveRequest, fields: &str) -> String {
+    let text = wire::encode_requests(&[request]);
+    assert_eq!(
+        text.matches("\"objective\"").count(),
+        1,
+        "only the config object has an `objective` field"
+    );
+    text.replacen("\"objective\"", &format!("{fields}, \"objective\""), 1)
+}
+
 /// Request documents from older clients carry config fields this version
-/// no longer has (the removed warm-basis, `crash`, `log` and
-/// `deterministic` knobs); the decoder ignores unknown fields instead of
-/// rejecting the document.
+/// no longer has (the removed warm-basis, `crash`, `log`,
+/// `deterministic`, `max_transfers`, `reuse_basis` and `measure_root_gap`
+/// knobs); the decoder ignores unknown fields instead of rejecting the
+/// document.
 #[test]
 fn wire_requests_from_older_clients_still_decode() {
     let config = base_config().with_node_limit(77);
-    let text = wire::encode_requests(&[SolveRequest::new(comm_system(5), config)]);
-    for retired in ["\"crash\"", "\"log\"", "\"deterministic\""] {
+    let request = SolveRequest::new(comm_system(5), config);
+    let text = wire::encode_requests(std::slice::from_ref(&request));
+    for retired in [
+        "\"crash\"",
+        "\"log\"",
+        "\"deterministic\"",
+        "\"max_transfers\"",
+        "\"reuse_basis\"",
+        "\"measure_root_gap\"",
+    ] {
         assert!(!text.contains(retired), "{retired} is no longer encoded");
     }
-    let older = text.replacen(
-        "\"presolve\"",
+    let older = older_request_document(
+        request,
         "\"crash\": true, \"log\": true, \"deterministic\": false, \
-         \"retired_knob\": false, \"presolve\"",
-        1,
+         \"max_transfers\": 2, \"reuse_basis\": false, \"measure_root_gap\": true, \
+         \"retired_knob\": false",
     );
-    assert_ne!(older, text, "the config object must have been extended");
     let decoded = wire::decode_requests(&older).expect("older documents decode");
     assert_eq!(decoded[0].config.node_limit, Some(77));
+}
+
+/// An older client's `"max_transfers": 0` once reached an assertion in
+/// the formulation build, outside any panic guard: it killed the worker
+/// and the server never answered again. The field is ignored now, so a
+/// one-worker server answers that request with a normal solve, and the
+/// next request after it too.
+#[test]
+fn retired_zero_transfer_cap_gets_a_normal_solve() {
+    use letdma_serve::Transport;
+    let mut transport = LoopbackTransport::new(ServeConfig::new().with_workers(1));
+    let older = older_request_document(
+        SolveRequest::new(comm_system(5), base_config()),
+        "\"max_transfers\": 0",
+    );
+    let reply = transport.round_trip(&older).expect("answered");
+    let responses = wire::decode_responses(&reply).expect("decode");
+    let report = responses[0].outcome.as_ref().expect("a normal solve");
+    assert_eq!(report.resolution, Resolution::Milp);
+
+    let next = wire::encode_requests(&[SolveRequest::new(comm_system(10), base_config())]);
+    let reply = transport.round_trip(&next).expect("the worker survives");
+    let responses = wire::decode_responses(&reply).expect("decode");
+    assert_eq!(
+        responses[0].outcome.as_ref().map(|r| r.resolution),
+        Ok(Resolution::Milp)
+    );
 }
 
 /// Responses survive the codec bit-exactly: the objective value's f64
@@ -280,28 +328,27 @@ fn cache_hit_on_resubmission() {
         warm.stats.counter(Counter::Phase1IterationsSaved) > 0,
         "the import skips the donor's phase-1 work"
     );
+    // The hit replays the cached reduction's presolve tallies and opens
+    // the same phases as the cold solve.
+    for counter in [
+        Counter::PresolveRowsDropped,
+        Counter::PresolveColsFixed,
+        Counter::CoeffsTightened,
+    ] {
+        assert!(cold.stats.counter(counter) > 0, "{counter:?}");
+        assert_eq!(
+            warm.stats.counter(counter),
+            cold.stats.counter(counter),
+            "{counter:?}"
+        );
+    }
+    let phase_names = |stats: &SolverStats| -> Vec<&'static str> {
+        stats.phases().iter().map(|&(name, _, _)| name).collect()
+    };
+    assert_eq!(phase_names(&warm.stats), phase_names(&cold.stats));
 
     let stats = server.shutdown();
     assert_eq!(stats.counter(Counter::CacheHits), 1);
-}
-
-/// With cross-scenario basis reuse disabled, a cache hit is *observably
-/// identical* to the cold solve: the cached reduction replays its presolve
-/// tallies and the search trajectory is byte-for-byte the same.
-#[test]
-fn cache_hit_without_reuse_matches_cold_trajectory() {
-    let server = Server::start(ServeConfig::new().with_workers(1));
-    let system = comm_system(5);
-    let config = base_config().with_reuse_basis(false);
-    let responses = server.solve_batch(vec![
-        SolveRequest::new(system.clone(), config.clone()),
-        SolveRequest::new(system, config),
-    ]);
-
-    let cold = responses[0].outcome.as_ref().expect("cold solve");
-    let warm = responses[1].outcome.as_ref().expect("warm solve");
-    assert!(warm.cache_hit);
-    assert_eq!(trajectory(&warm.stats), trajectory(&cold.stats));
 }
 
 /// Different model structures do not collide in the cache.

@@ -163,12 +163,24 @@ echo "== paper reproduction (repro all --budget 1, LETDMA_THREADS=1 and 4) =="
 LETDMA_THREADS=1 cargo run --release -p letdma-bench --bin repro --offline -- all --budget 1
 LETDMA_THREADS=4 cargo run --release -p letdma-bench --bin repro --offline -- all --budget 1
 
-echo "== deprecated shims are gone =="
+echo "== deprecated shims and retired knobs are gone =="
 # The PR 2 #[deprecated] compatibility shims (optimize/optimize_with and
 # the free-function bench entry points) were removed two PRs after their
 # deprecation; neither the attribute nor an allow site may reappear.
 if grep -rn 'deprecated' crates/*/src crates/*/tests tests --include='*.rs'; then
   echo "deprecated shims (or allow sites) reintroduced; use the session APIs"
+  exit 1
+fi
+# Retired solve knobs stay retired: each was deleted because no caller set
+# it, so one may only come back together with a caller. The root slot
+# (`Solver::root_slot`) replaced the import/export hook pair, and the
+# pipeline folds the request deadline into the MILP time limit, so the
+# solver has no deadline error of its own. Tests may still name the
+# fields an older wire client sends.
+if grep -rnwE 'max_transfers|reuse_basis|measure_root_gap|root_import|root_export' \
+    crates/*/src --include='*.rs' \
+  || grep -rn 'SolveError::DeadlineExpired' crates/*/src --include='*.rs'; then
+  echo "a retired solve knob or hook reappeared; bring it back with a caller"
   exit 1
 fi
 
