@@ -16,7 +16,7 @@ use std::time::Duration;
 use letdma::core::fault::{self, FaultSite, FaultSpec};
 use letdma::model::conformance::{verify, VerifyOptions};
 use letdma::model::System;
-use letdma::opt::{OptError, Optimizer, Resolution};
+use letdma::opt::{OptConfig, OptError, Optimizer, Resolution};
 use letdma::waters::waters_system;
 
 /// Outcome of one armed-site run.
@@ -77,8 +77,7 @@ fn run_one(system: &System, site: FaultSite, budget: Duration) -> SmokeRow {
     fault::disarm_all();
     fault::arm(site, FaultSpec::always());
     let result = Optimizer::new(system)
-        .time_limit(budget)
-        .node_limit(64)
+        .config(OptConfig::new().with_time_limit(budget).with_node_limit(64))
         .run();
     fault::disarm_all();
     let (outcome, ok) = match result {

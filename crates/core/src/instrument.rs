@@ -99,10 +99,6 @@ pub enum Counter {
     /// iterations (all `n` per Devex iteration, up to the first improving
     /// column under Bland's rule).
     PricingCandidates,
-    /// The refactorization cadence (pivots between basis rebuilds) the
-    /// solve actually ran with, reported once per solve so the bench can
-    /// record what ran (`milp::SolveOptions::with_refactor_interval`).
-    RefactorCadence,
     /// Solve jobs accepted by the serve admission controller (each entered
     /// the queue and was eventually dispatched to a worker).
     JobsAdmitted,
@@ -175,7 +171,6 @@ impl Counter {
             Self::EtaNonzeros => "eta nonzeros",
             Self::FillInRatio => "fill-in ratio (permille)",
             Self::PricingCandidates => "pricing candidates",
-            Self::RefactorCadence => "refactor cadence",
             Self::JobsAdmitted => "jobs admitted",
             Self::JobsRejected => "jobs rejected",
             Self::CacheHits => "cache hits",
@@ -220,7 +215,6 @@ impl Counter {
         Self::EtaNonzeros,
         Self::FillInRatio,
         Self::PricingCandidates,
-        Self::RefactorCadence,
         Self::JobsAdmitted,
         Self::JobsRejected,
         Self::CacheHits,

@@ -41,8 +41,8 @@
 //! ```
 //!
 //! Node LP relaxations can be evaluated by a worker pool
-//! (`m.solver().threads(4)`, or the `LETDMA_THREADS` environment
-//! variable); results merge in node-id order, so the search trajectory is
+//! (`m.solver().options(SolveOptions::new().with_threads(4))`, or the
+//! `LETDMA_THREADS` environment variable); results merge in node-id order, so the search trajectory is
 //! byte-identical at any thread count.
 //!
 //! Models can also be exported in CPLEX LP format for cross-checking with

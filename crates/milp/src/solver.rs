@@ -41,7 +41,6 @@ use letdma_core::instrument::{
     timed_phase, Counter, IncumbentRecord, Instrument, NodeEvent, NoopInstrument,
 };
 
-use crate::basis::SparseLu;
 use crate::expr::Var;
 use crate::model::{Model, ObjectiveSense};
 use crate::presolve;
@@ -95,11 +94,6 @@ pub struct SolveOptions {
     /// byte-identical at any thread count; turning it off reproduces the
     /// unreduced trajectory.
     pub presolve: Option<bool>,
-    /// Basis refactorization cadence in pivot updates. `None` (default)
-    /// uses [`SparseLu::REFACTOR_INTERVAL`] (plus the LU's fill-in-growth
-    /// trigger). The resolved value is reported as
-    /// `Counter::RefactorCadence`.
-    pub refactor_interval: Option<u64>,
 }
 
 impl SolveOptions {
@@ -145,39 +139,6 @@ impl SolveOptions {
     pub fn with_presolve(mut self, presolve: bool) -> Self {
         self.presolve = Some(presolve);
         self
-    }
-
-    /// Pins the basis refactorization cadence in pivot updates, clamped to
-    /// ≥ 1 (see [`refactor_interval`](Self::refactor_interval)).
-    #[must_use]
-    pub fn with_refactor_interval(mut self, interval: u64) -> Self {
-        self.refactor_interval = Some(interval.max(1));
-        self
-    }
-}
-
-/// The per-node LP configuration of one solve, resolved once by the
-/// coordinator so every node — inline, worker-pool or retry — runs the
-/// same refactorization cadence.
-#[derive(Debug, Clone, Copy)]
-struct LpConfig {
-    refactor_interval: u64,
-}
-
-impl LpConfig {
-    fn resolve(options: &SolveOptions) -> Self {
-        Self {
-            refactor_interval: options
-                .refactor_interval
-                .unwrap_or(SparseLu::REFACTOR_INTERVAL),
-        }
-    }
-
-    /// Builds a node LP solver on this configuration.
-    fn solver(&self, model: &Model) -> SimplexSolver {
-        let mut lp = SimplexSolver::from_model(model);
-        lp.refactor_interval = self.refactor_interval;
-        lp
     }
 }
 
@@ -402,8 +363,8 @@ impl Ord for Node {
 }
 
 impl Model {
-    /// Starts a solve session: configure it with the builder methods and
-    /// finish with [`Solver::run`].
+    /// Starts a solve session: pass its settings with
+    /// [`Solver::options`] and finish with [`Solver::run`].
     ///
     /// The solver is *anytime*: with a time limit it returns the best
     /// feasible solution found so far (status [`SolveStatus::Feasible`])
@@ -430,14 +391,18 @@ impl Model {
     ///
     /// ```
     /// use letdma_core::SolverStats;
-    /// use milp::{Model, ObjectiveSense};
+    /// use milp::{Model, ObjectiveSense, SolveOptions};
     ///
     /// let mut m = Model::new();
     /// let x = m.add_integer("x", 0.0, 10.0);
     /// m.add_constraint("c", (2.0 * x).le(5.0));
     /// m.set_objective(ObjectiveSense::Maximize, 1.0 * x);
     /// let mut stats = SolverStats::new();
-    /// let s = m.solver().threads(2).instrument(&mut stats).run()?;
+    /// let s = m
+    ///     .solver()
+    ///     .options(SolveOptions::new().with_threads(2))
+    ///     .instrument(&mut stats)
+    ///     .run()?;
     /// assert_eq!(s.objective().round(), 2.0);
     /// # Ok::<(), milp::SolveError>(())
     /// ```
@@ -578,8 +543,10 @@ pub fn root_gap_bps(model: &Model, time_limit: Option<Duration>) -> Option<u64> 
 
 /// A configured solve session, created by [`Model::solver`].
 ///
-/// The session replaces the former `solve`/`solve_with` pair: options,
-/// instrumentation and the worker pool all chain onto one entry point.
+/// Every setting arrives whole as one [`SolveOptions`] through
+/// [`options`](Solver::options). The session adds only what is not a
+/// setting: the instrument and the cache hooks
+/// ([`reduction`](Solver::reduction), [`root_slot`](Solver::root_slot)).
 #[must_use = "a solver session does nothing until `.run()` is called"]
 pub struct Solver<'m, 'i> {
     model: &'m Model,
@@ -601,41 +568,10 @@ impl fmt::Debug for Solver<'_, '_> {
 }
 
 impl<'m, 'i> Solver<'m, 'i> {
-    /// Replaces the whole option block.
+    /// Sets every solve setting at once: the one way to set a budget, a
+    /// warm start, the thread count or presolve.
     pub fn options(mut self, options: SolveOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Sets the wall-clock budget.
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.options.time_limit = Some(limit);
-        self
-    }
-
-    /// Sets the node budget.
-    pub fn node_limit(mut self, limit: u64) -> Self {
-        self.options.node_limit = Some(limit);
-        self
-    }
-
-    /// Seeds the search with a known-feasible assignment.
-    pub fn warm_start(mut self, assignment: Vec<f64>) -> Self {
-        self.options.warm_start = Some(assignment);
-        self
-    }
-
-    /// Requests an explicit worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Forces presolve on or off, overriding the `LETDMA_PRESOLVE`
-    /// environment variable (see [`SolveOptions::presolve`]; unset
-    /// defaults to on).
-    pub fn presolve(mut self, presolve: bool) -> Self {
-        self.options.presolve = Some(presolve);
         self
     }
 
@@ -804,14 +740,13 @@ impl LpShard {
 /// shard of a panicked node is discarded wholesale.
 fn solve_node_lp_guarded(
     model: &Model,
-    config: LpConfig,
     overrides: &[(Var, f64, f64)],
     deadline: Option<Instant>,
     scale: f64,
     capture: bool,
 ) -> (PureLp, LpShard) {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solve_node_lp(model, config, overrides, deadline, scale, capture)
+        solve_node_lp(model, overrides, deadline, scale, capture)
     }))
     .unwrap_or_else(|_| (PureLp::Panicked, LpShard::default()))
 }
@@ -822,7 +757,6 @@ fn solve_node_lp_guarded(
 /// solve).
 fn solve_node_lp(
     model: &Model,
-    config: LpConfig,
     overrides: &[(Var, f64, f64)],
     deadline: Option<Instant>,
     scale: f64,
@@ -843,7 +777,7 @@ fn solve_node_lp(
         }
         scratch.set_bounds(v, nl, nu);
     }
-    let mut lp = config.solver(&scratch);
+    let mut lp = SimplexSolver::from_model(&scratch);
     lp.deadline = deadline;
     let mut outcome = lp.solve();
     shard.lp_solves = 1;
@@ -857,11 +791,8 @@ fn solve_node_lp(
         // ratio tests accept; loosening the optimality tolerance instead
         // could overstate the node bound and wrongly fathom.
         shard.tolerance_escalations = 1;
-        let mut retry = config.solver(&scratch);
+        let mut retry = SimplexSolver::from_model(&scratch);
         retry.deadline = deadline;
-        // The escalated settings override the configured cadence: a node
-        // that already broke down numerically needs the tight rebuild
-        // schedule regardless of what the solve asked for.
         retry.min_pivot = 1e-7;
         retry.refactor_interval = 64;
         outcome = retry.solve();
@@ -920,8 +851,6 @@ struct BranchAndBound<'a> {
     model: &'a Model,
     options: &'a SolveOptions,
     instrument: &'a mut dyn Instrument,
-    /// Per-node LP configuration, resolved once for the whole solve.
-    lp_config: LpConfig,
     /// ±1 factor converting the model objective into minimization form.
     scale: f64,
     start: Instant,
@@ -961,15 +890,10 @@ impl<'a> BranchAndBound<'a> {
             ObjectiveSense::Minimize => 1.0,
             ObjectiveSense::Maximize => -1.0,
         };
-        let lp_config = LpConfig::resolve(options);
-        // Record what cadence actually ran, so the bench artifact carries
-        // the knob next to the work counters it explains.
-        instrument.count(Counter::RefactorCadence, lp_config.refactor_interval);
         Self {
             model,
             options,
             instrument,
-            lp_config,
             scale,
             start: Instant::now(),
             threads: resolve_threads(options.threads),
@@ -1137,14 +1061,7 @@ impl<'a> BranchAndBound<'a> {
     /// monotonicity argument says cannot be consumed). `capture` snapshots
     /// the optimal basis: the root of a donor solve.
     fn solve_inline(&self, overrides: &[(Var, f64, f64)], capture: bool) -> (PureLp, LpShard) {
-        solve_node_lp_guarded(
-            self.model,
-            self.lp_config,
-            overrides,
-            self.deadline(),
-            self.scale,
-            capture,
-        )
+        solve_node_lp_guarded(self.model, overrides, self.deadline(), self.scale, capture)
     }
 
     /// Attempts the cross-scenario *primal* warm start at the root:
@@ -1164,7 +1081,7 @@ impl<'a> BranchAndBound<'a> {
             cross_attempts: 1,
             ..LpShard::default()
         };
-        let mut lp = self.lp_config.solver(self.model);
+        let mut lp = SimplexSolver::from_model(self.model);
         lp.deadline = self.deadline();
         let outcome = lp.solve_from_basis(basis);
         shard.lp_solves = u64::from(outcome.is_some());
@@ -1481,7 +1398,6 @@ impl<'a> BranchAndBound<'a> {
         // Shared refs copied out of `self` so worker closures borrow
         // nothing of the coordinator's mutable state.
         let model = self.model;
-        let lp_config = self.lp_config;
         let deadline = self.deadline();
         let scale = self.scale;
         let inc_bits = AtomicU64::new(self.incumbent_bits());
@@ -1518,7 +1434,6 @@ impl<'a> BranchAndBound<'a> {
                         } else {
                             let (lp, shard) = solve_node_lp_guarded(
                                 model,
-                                lp_config,
                                 &node.overrides,
                                 deadline,
                                 scale,
@@ -1836,8 +1751,11 @@ mod tests {
         m.set_objective(ObjectiveSense::Maximize, 2.0 * x + y);
         let s = m
             .solver()
-            .warm_start(vec![0.0, 1.0]) // feasible, obj 1
-            .node_limit(0) // forbid any search
+            .options(
+                SolveOptions::new()
+                    .with_warm_start(vec![0.0, 1.0]) // feasible, obj 1
+                    .with_node_limit(0), // forbid any search
+            )
             .run()
             .unwrap();
         // Node limit 0: the warm start is all we have.
@@ -1852,7 +1770,7 @@ mod tests {
         m.set_objective(ObjectiveSense::Maximize, LinExpr::from(x));
         let s = m
             .solver()
-            .warm_start(vec![2.0]) // out of bounds
+            .options(SolveOptions::new().with_warm_start(vec![2.0])) // out of bounds
             .run()
             .unwrap();
         assert!((s.objective() - 1.0).abs() < 1e-9);
@@ -1949,7 +1867,7 @@ mod tests {
         let mut seq_stats = letdma_core::SolverStats::new();
         let seq = m
             .solver()
-            .threads(1)
+            .options(SolveOptions::new().with_threads(1))
             .instrument(&mut seq_stats)
             .run()
             .unwrap();
@@ -1957,7 +1875,7 @@ mod tests {
             let mut par_stats = letdma_core::SolverStats::new();
             let par = m
                 .solver()
-                .threads(threads)
+                .options(SolveOptions::new().with_threads(threads))
                 .instrument(&mut par_stats)
                 .run()
                 .unwrap();
@@ -2012,7 +1930,7 @@ mod tests {
         let mut donor_stats = letdma_core::SolverStats::new();
         let donor = m
             .solver()
-            .presolve(false)
+            .options(SolveOptions::new().with_presolve(false))
             .root_slot(Arc::clone(&slot))
             .instrument(&mut donor_stats)
             .run()
@@ -2026,7 +1944,7 @@ mod tests {
         let mut imp_stats = letdma_core::SolverStats::new();
         let imported = m
             .solver()
-            .presolve(false)
+            .options(SolveOptions::new().with_presolve(false))
             .root_slot(Arc::clone(&slot))
             .instrument(&mut imp_stats)
             .run()
@@ -2054,17 +1972,21 @@ mod tests {
         let slot = Arc::new(RootBasisSlot::new());
         phase1_model()
             .solver()
-            .presolve(false)
+            .options(SolveOptions::new().with_presolve(false))
             .root_slot(Arc::clone(&slot))
             .run()
             .unwrap();
         let foreign = slot.get().expect("donor solved");
         let (other, _) = assignment_model(3);
-        let cold = other.solver().presolve(false).run().unwrap();
+        let cold = other
+            .solver()
+            .options(SolveOptions::new().with_presolve(false))
+            .run()
+            .unwrap();
         let mut stats = letdma_core::SolverStats::new();
         let s = other
             .solver()
-            .presolve(false)
+            .options(SolveOptions::new().with_presolve(false))
             .root_slot(Arc::clone(&slot))
             .instrument(&mut stats)
             .run()
@@ -2090,7 +2012,7 @@ mod tests {
         let m = phase1_model();
         let donor_slot = Arc::new(RootBasisSlot::new());
         m.solver()
-            .presolve(false)
+            .options(SolveOptions::new().with_presolve(false))
             .root_slot(Arc::clone(&donor_slot))
             .run()
             .unwrap();
@@ -2171,13 +2093,20 @@ mod tests {
         m.set_objective(ObjectiveSense::Maximize, 2.0 * x + y);
         let s = m
             .solver()
-            .warm_start(vec![0.0, 1.0]) // feasible, objective 1
-            .time_limit(Duration::ZERO)
+            .options(
+                SolveOptions::new()
+                    .with_warm_start(vec![0.0, 1.0]) // feasible, objective 1
+                    .with_time_limit(Duration::ZERO),
+            )
             .run()
             .unwrap();
         assert_eq!(s.status(), SolveStatus::Feasible);
         assert!((s.objective() - 1.0).abs() < 1e-9);
-        let err = m.solver().time_limit(Duration::ZERO).run().unwrap_err();
+        let err = m
+            .solver()
+            .options(SolveOptions::new().with_time_limit(Duration::ZERO))
+            .run()
+            .unwrap_err();
         assert!(matches!(err, SolveError::LimitReached { .. }), "{err}");
     }
 }

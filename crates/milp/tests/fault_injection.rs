@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use letdma_core::fault::{self, FaultSite, FaultSpec};
 use letdma_core::{Counter, NodeEvent, SolverStats};
-use milp::{Model, ObjectiveSense, SolveError, SolveOptions, SolveStatus, Var};
+use milp::{LinExpr, Model, ObjectiveSense, SolveError, SolveOptions, SolveStatus, Var};
 
 static PLANE: Mutex<()> = Mutex::new(());
 
@@ -37,6 +37,27 @@ fn knapsack() -> (Model, [Var; 3]) {
     m.add_constraint("cap", (10.0 * a + 20.0 * b + 30.0 * c).le(50.0));
     m.set_objective(ObjectiveSense::Maximize, 60.0 * a + 100.0 * b + 120.0 * c);
     (m, [a, b, c])
+}
+
+/// A 12-item, 6-constraint multidimensional knapsack whose rows are all
+/// dense. Every pivot of its root LP appends a full column to the eta
+/// file, which outgrows the LU's limit (`eta_nnz > 2·(nnz(LU) + m)`)
+/// within five pivots, so the root refactorizes at the solver's default
+/// settings, long before the 128-pivot cadence. The optimum is 38.
+fn dense_knapsack() -> Model {
+    let mut m = Model::new();
+    let x: Vec<Var> = (0..12).map(|j| m.add_binary(format!("x{j}"))).collect();
+    for i in 0..6 {
+        let weight = x.iter().enumerate().fold(LinExpr::new(), |row, (j, &v)| {
+            row + (((7 * i + 5 * j) % 11 + 3) as f64) * v
+        });
+        m.add_constraint(format!("cap{i}"), weight.le((18 + i) as f64));
+    }
+    let value = x.iter().enumerate().fold(LinExpr::new(), |obj, (j, &v)| {
+        obj + (((13 * j) % 17 + 5) as f64) * v
+    });
+    m.set_objective(ObjectiveSense::Maximize, value);
+    m
 }
 
 /// Runs `f` with panic messages suppressed (fault-injected worker panics
@@ -77,7 +98,7 @@ fn worker_panic_with_warm_start_returns_incumbent() {
         let (m, _) = knapsack();
         let sol = quiet_panics(|| {
             m.solver()
-                .warm_start(vec![0.0, 0.0, 1.0])
+                .options(SolveOptions::new().with_warm_start(vec![0.0, 0.0, 1.0]))
                 .run()
                 .expect("warm-started incumbent must survive worker panics")
         });
@@ -137,8 +158,9 @@ fn persistent_numerical_breakdown_branches_conservatively() {
 }
 
 /// A singular refactorization in a node LP degrades to the escalated
-/// cold re-solve of that node; the optimum is untouched. A refactor
-/// cadence of one pivot makes the first node LP refactorize.
+/// cold re-solve of that node; the optimum is untouched. The dense
+/// knapsack's root LP is the first to refactorize, so the one fire lands
+/// there.
 #[test]
 fn singular_refactorization_degrades_to_cold_solve() {
     plane(|| {
@@ -146,16 +168,15 @@ fn singular_refactorization_degrades_to_cold_solve() {
             FaultSite::SingularRefactor,
             FaultSpec::always().limit_fires(1),
         );
-        let (m, _) = knapsack();
+        let m = dense_knapsack();
         let mut stats = SolverStats::new();
         let sol = m
             .solver()
-            .options(SolveOptions::new().with_refactor_interval(1))
             .instrument(&mut stats)
             .run()
             .expect("a singular basis must fall back to a cold re-solve");
         assert_eq!(sol.status(), SolveStatus::Optimal);
-        assert!((sol.objective() - 220.0).abs() < 1e-9);
+        assert!((sol.objective() - 38.0).abs() < 1e-9);
         assert_eq!(fault::fires(FaultSite::SingularRefactor), 1);
         assert_eq!(stats.counter(Counter::ToleranceEscalations), 1);
         assert_eq!(stats.counter(Counter::NumericalRecoveries), 1);
@@ -177,7 +198,7 @@ fn injected_deadline_exhaustion_is_limit_reached() {
         }
         let sol = m
             .solver()
-            .warm_start(vec![0.0, 0.0, 1.0])
+            .options(SolveOptions::new().with_warm_start(vec![0.0, 0.0, 1.0]))
             .run()
             .expect("incumbent must survive deadline exhaustion");
         assert_eq!(sol.status(), SolveStatus::Feasible);

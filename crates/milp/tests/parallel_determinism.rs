@@ -7,7 +7,7 @@
 //! the comparisons below exclude them and pin everything else.
 
 use letdma_core::{Cases, Rng, SolverStats};
-use milp::{LinExpr, Model, ObjectiveSense, SolveError};
+use milp::{LinExpr, Model, ObjectiveSense, SolveError, SolveOptions};
 
 /// A random MILP with enough structure to branch: a knapsack over binaries
 /// plus a few coupled general-integer variables.
@@ -47,7 +47,11 @@ struct Trajectory {
 
 fn trajectory(model: &Model, threads: usize) -> Trajectory {
     let mut stats = SolverStats::new();
-    let outcome = model.solver().threads(threads).instrument(&mut stats).run();
+    let outcome = model
+        .solver()
+        .options(SolveOptions::new().with_threads(threads))
+        .instrument(&mut stats)
+        .run();
     let outcome = match outcome {
         Ok(s) => Ok((
             s.values().iter().map(|v| v.to_bits()).collect(),

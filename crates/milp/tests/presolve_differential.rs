@@ -16,7 +16,7 @@
 //! system builder is available without a dependency cycle.
 
 use letdma_core::{Cases, Rng, Xoshiro256};
-use milp::{LinExpr, Model, ObjectiveSense, SolveError};
+use milp::{LinExpr, Model, ObjectiveSense, SolveError, SolveOptions};
 
 /// A random mixed MILP with finite bounds everywhere (no unbounded rays)
 /// and deliberate presolve bait.
@@ -92,8 +92,14 @@ fn random_mip(rng: &mut Xoshiro256) -> Model {
 fn presolve_on_off_agree_on_random_mips() {
     Cases::new("presolve_on_off_agree_on_random_mips", 64).run(|rng| {
         let model = random_mip(rng);
-        let off = model.solver().presolve(false).run();
-        let on = model.solver().presolve(true).run();
+        let off = model
+            .solver()
+            .options(SolveOptions::new().with_presolve(false))
+            .run();
+        let on = model
+            .solver()
+            .options(SolveOptions::new().with_presolve(true))
+            .run();
         match (off, on) {
             (Ok(a), Ok(b)) => {
                 assert!(
@@ -121,7 +127,10 @@ fn presolve_on_off_agree_on_random_mips() {
 fn explicit_lift_reproduces_the_optimum() {
     Cases::new("explicit_lift_reproduces_the_optimum", 64).run(|rng| {
         let model = random_mip(rng);
-        let reference = model.solver().presolve(false).run();
+        let reference = model
+            .solver()
+            .options(SolveOptions::new().with_presolve(false))
+            .run();
         match milp::presolve::presolve(&model, 1e-6) {
             Err(proof) => {
                 // A presolve infeasibility certificate must match reality.
@@ -131,7 +140,11 @@ fn explicit_lift_reproduces_the_optimum() {
                 );
             }
             Ok(red) => {
-                let reduced_outcome = red.model.solver().presolve(false).run();
+                let reduced_outcome = red
+                    .model
+                    .solver()
+                    .options(SolveOptions::new().with_presolve(false))
+                    .run();
                 match (&reference, reduced_outcome) {
                     (Ok(a), Ok(b)) => {
                         let lifted = red.lift.lift_values(b.values());
@@ -166,8 +179,11 @@ fn presolved_trajectories_are_thread_count_invariant() {
             let mut stats = letdma_core::SolverStats::new();
             let outcome = model
                 .solver()
-                .presolve(true)
-                .threads(threads)
+                .options(
+                    SolveOptions::new()
+                        .with_presolve(true)
+                        .with_threads(threads),
+                )
                 .instrument(&mut stats)
                 .run();
             let digest = match outcome {

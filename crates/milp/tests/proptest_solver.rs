@@ -7,7 +7,7 @@
 //! the `LETDMA_CASE_SEED` needed to replay it.
 
 use letdma_core::{Cases, Rng, Xoshiro256};
-use milp::{LinExpr, Model, ObjectiveSense, Sense, SolveError};
+use milp::{LinExpr, Model, ObjectiveSense, Sense, SolveError, SolveOptions};
 
 /// A randomly generated binary program.
 #[derive(Debug, Clone)]
@@ -195,8 +195,11 @@ fn time_limited_solve_is_anytime() {
     );
     let s = m
         .solver()
-        .time_limit(std::time::Duration::from_millis(5))
-        .warm_start(vec![0.0; n])
+        .options(
+            SolveOptions::new()
+                .with_time_limit(std::time::Duration::from_millis(5))
+                .with_warm_start(vec![0.0; n]),
+        )
         .run()
         .expect("anytime solve must return the warm start at worst");
     assert!(m.is_feasible(s.values(), 1e-6));
@@ -210,7 +213,11 @@ fn degenerate_empty_and_all_fixed_models() {
     for presolve in [false, true] {
         // Entirely empty model: no variables, no rows, no objective.
         let empty = Model::new();
-        let s = empty.solver().presolve(presolve).run().unwrap();
+        let s = empty
+            .solver()
+            .options(SolveOptions::new().with_presolve(presolve))
+            .run()
+            .unwrap();
         assert_eq!(s.values().len(), 0);
         assert_eq!(s.objective(), 0.0);
 
@@ -220,7 +227,11 @@ fn degenerate_empty_and_all_fixed_models() {
         let y = m.add_continuous("y", -1.5, -1.5);
         m.add_constraint("r", (1.0 * x + 2.0 * y).le(10.0));
         m.set_objective(ObjectiveSense::Minimize, 1.0 * x + 1.0 * y);
-        let s = m.solver().presolve(presolve).run().unwrap();
+        let s = m
+            .solver()
+            .options(SolveOptions::new().with_presolve(presolve))
+            .run()
+            .unwrap();
         assert_eq!(s.values(), &[3.0, -1.5]);
         assert!((s.objective() - 1.5).abs() < 1e-9);
         assert!(m.is_feasible(s.values(), 1e-9));
@@ -238,7 +249,9 @@ fn degenerate_row_infeasible_by_bounds_alone() {
         m.add_constraint("impossible", (2.0 * x + 1.0 * y).ge(5.0));
         m.set_objective(ObjectiveSense::Maximize, 1.0 * x);
         assert!(matches!(
-            m.solver().presolve(presolve).run(),
+            m.solver()
+                .options(SolveOptions::new().with_presolve(presolve))
+                .run(),
             Err(SolveError::Infeasible)
         ));
     }
@@ -255,7 +268,9 @@ fn degenerate_integer_fixed_to_fractional_value() {
         m.add_constraint("pin", (2.0 * y).eq(5.0));
         m.set_objective(ObjectiveSense::Minimize, 1.0 * y);
         assert!(matches!(
-            m.solver().presolve(presolve).run(),
+            m.solver()
+                .options(SolveOptions::new().with_presolve(presolve))
+                .run(),
             Err(SolveError::Infeasible)
         ));
     }
@@ -270,8 +285,11 @@ fn node_limit_respected() {
     m.set_objective(ObjectiveSense::Maximize, 2.0 * x + 5.0 * y);
     let s = m
         .solver()
-        .node_limit(3)
-        .warm_start(vec![0.0, 0.0])
+        .options(
+            SolveOptions::new()
+                .with_node_limit(3)
+                .with_warm_start(vec![0.0, 0.0]),
+        )
         .run()
         .unwrap();
     assert!(s.stats().nodes <= 3 + 1); // root + limit slack

@@ -68,18 +68,6 @@ impl TimeNs {
         self.0
     }
 
-    /// Returns this time as (possibly fractional) microseconds.
-    #[must_use]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// Returns this time as (possibly fractional) milliseconds.
-    #[must_use]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Checked subtraction; `None` when `rhs > self`.
     #[must_use]
     pub const fn checked_sub(self, rhs: Self) -> Option<Self> {

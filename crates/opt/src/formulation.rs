@@ -39,7 +39,6 @@ pub(crate) type ClassKey = (MemoryId, CommKind);
 
 /// The assembled MILP plus every variable handle needed for warm starts and
 /// solution extraction.
-#[allow(dead_code)] // some handles are kept for diagnostics/tests only
 pub(crate) struct Formulation {
     pub model: Model,
     /// `𝓒(s_0)` in canonical order; `z` indexes into this.
@@ -52,8 +51,6 @@ pub(crate) struct Formulation {
     pub cgi: Vec<Var>,
     /// Transfer classes in deterministic order.
     pub classes: Vec<ClassKey>,
-    /// Class index of each comm.
-    pub class_of: Vec<usize>,
     /// `GC_{g,K}` group-class selectors.
     pub gc: Vec<Vec<Var>>,
     /// Per memory: the real slots in canonical order.
@@ -87,8 +84,6 @@ pub(crate) struct Formulation {
     pub lambda_o_us: f64,
     /// Per-comm copy cost in µs.
     pub copy_us: Vec<f64>,
-    /// Big-M for Constraint 9 (total worst-case duration, µs).
-    pub big_m_us: f64,
     /// Whether λ/RG/RGI variables exist for every comm task.
     pub has_lambda: bool,
     /// The objective variant this formulation encodes.
@@ -109,24 +104,6 @@ impl std::fmt::Debug for Formulation {
 /// Converts an exact time to f64 microseconds.
 pub(crate) fn us(t: TimeNs) -> f64 {
     t.as_ns() as f64 / 1_000.0
-}
-
-#[allow(dead_code)] // diagnostic helpers used by tests and tools
-impl Formulation {
-    /// Memory index of `mem` in `mem_slots`.
-    pub(crate) fn mem_index(&self, mem: MemoryId) -> Option<usize> {
-        self.mem_slots.iter().position(|(m, _)| *m == mem)
-    }
-
-    /// Slot index of `slot` within its memory.
-    pub(crate) fn slot_index(&self, mem_idx: usize, slot: Slot) -> Option<usize> {
-        self.mem_slots[mem_idx].1.iter().position(|&s| s == slot)
-    }
-
-    /// Index of `comm` in the canonical comm list.
-    pub(crate) fn comm_index(&self, comm: Communication) -> Option<usize> {
-        self.comms.binary_search(&comm).ok()
-    }
 }
 
 /// Builds the full MILP for `system` under `config`.
@@ -463,8 +440,6 @@ pub(crate) fn build(system: &System, config: &OptConfig) -> Formulation {
         .iter()
         .map(|c| us(system.costs().omega_c().cost_of(c.bytes(system))))
         .collect();
-    let total_copy_us: f64 = copy_us.iter().sum();
-    let big_m_us = lambda_o_us * g_max as f64 + total_copy_us + 1.0;
 
     // ----- λ, RG, RGI and Constraint 9 -----------------------------------
     let need_lambda = config.objective == Objective::MinDelayRatio
@@ -627,7 +602,6 @@ pub(crate) fn build(system: &System, config: &OptConfig) -> Formulation {
         cg,
         cgi,
         classes,
-        class_of,
         gc,
         mem_slots,
         ad,
@@ -643,7 +617,6 @@ pub(crate) fn build(system: &System, config: &OptConfig) -> Formulation {
         objective_var,
         lambda_o_us,
         copy_us,
-        big_m_us,
         has_lambda: need_lambda,
         objective: config.objective,
     }
@@ -695,17 +668,5 @@ mod tests {
         sys.set_acquisition_deadline(p, Some(TimeNs::from_ms(1)));
         let f = build(&sys, &OptConfig::default());
         assert!(f.has_lambda);
-    }
-
-    #[test]
-    fn slot_and_comm_lookups() {
-        let sys = pair_system();
-        let f = build(&sys, &OptConfig::default());
-        let gm = f.mem_index(MemoryId::Global).unwrap();
-        assert_eq!(f.mem_slots[gm].1.len(), 1);
-        assert_eq!(f.slot_index(gm, f.mem_slots[gm].1[0]), Some(0));
-        for (z, &c) in f.comms.clone().iter().enumerate() {
-            assert_eq!(f.comm_index(c), Some(z));
-        }
     }
 }

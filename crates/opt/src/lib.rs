@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use letdma_model::SystemBuilder;
-//! use letdma_opt::{Objective, Optimizer};
+//! use letdma_opt::{Objective, OptConfig, Optimizer};
 //! use std::time::Duration;
 //!
 //! let mut b = SystemBuilder::new(2);
@@ -34,8 +34,11 @@
 //! let system = b.build()?;
 //!
 //! let solution = Optimizer::new(&system)
-//!     .objective(Objective::MinTransfers)
-//!     .time_limit(Duration::from_secs(5))
+//!     .config(
+//!         OptConfig::new()
+//!             .with_objective(Objective::MinTransfers)
+//!             .with_time_limit(Duration::from_secs(5)),
+//!     )
 //!     .run()?;
 //! println!("transfers: {}", solution.num_transfers());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -61,6 +64,6 @@ mod solution;
 
 pub use config::{Objective, OptConfig};
 pub use improve::{ImproveGoal, Reorder};
-pub use optimizer::{formulation_lp, formulation_model, heuristic_solution, OptError, Optimizer};
+pub use optimizer::{formulation_model, heuristic_solution, OptError, Optimizer};
 pub use prepare::{prepare, structure_key, Prepared};
 pub use solution::{LetDmaSolution, Provenance, Resolution};

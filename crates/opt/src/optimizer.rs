@@ -91,9 +91,8 @@ impl Error for OptError {
 
 /// A configured optimization session over one [`System`].
 ///
-/// Built by [`Optimizer::new`]; chain the setters, then call
-/// [`run`](Optimizer::run). This replaces the old `optimize`/`optimize_with`
-/// free-function pair with a single entry point.
+/// Built by [`Optimizer::new`]; pass the settings as one [`OptConfig`]
+/// through [`config`](Optimizer::config), then call [`run`](Optimizer::run).
 ///
 /// # Examples
 ///
@@ -117,7 +116,7 @@ impl Error for OptError {
 /// ```
 /// use letdma_core::SolverStats;
 /// use letdma_model::SystemBuilder;
-/// use letdma_opt::{Objective, Optimizer};
+/// use letdma_opt::{Objective, OptConfig, Optimizer};
 ///
 /// # let mut b = SystemBuilder::new(2);
 /// # let p = b.task("p").period_ms(5).core_index(0).add()?;
@@ -126,8 +125,11 @@ impl Error for OptError {
 /// # let system = b.build()?;
 /// let mut stats = SolverStats::new();
 /// let solution = Optimizer::new(&system)
-///     .objective(Objective::MinTransfers)
-///     .threads(2)
+///     .config(
+///         OptConfig::new()
+///             .with_objective(Objective::MinTransfers)
+///             .with_threads(2),
+///     )
 ///     .instrument(&mut stats)
 ///     .run()?;
 /// assert!(stats.phases().iter().any(|(name, _, _)| *name == "milp-search"));
@@ -161,46 +163,11 @@ impl<'s> Optimizer<'s, 'static> {
 }
 
 impl<'s, 'i> Optimizer<'s, 'i> {
-    /// Replaces the whole configuration at once.
+    /// Sets every setting of the run at once: the one way to choose the
+    /// objective, the budgets, the warm start, the thread count, presolve
+    /// and the deadline.
     pub fn config(mut self, config: OptConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Selects one of the paper's three objective variants.
-    pub fn objective(mut self, objective: Objective) -> Self {
-        self.config = self.config.with_objective(objective);
-        self
-    }
-
-    /// Sets the wall-clock budget of the MILP search.
-    pub fn time_limit(mut self, limit: Duration) -> Self {
-        self.config = self.config.with_time_limit(limit);
-        self
-    }
-
-    /// Sets the node budget of the MILP search.
-    pub fn node_limit(mut self, limit: u64) -> Self {
-        self.config = self.config.with_node_limit(limit);
-        self
-    }
-
-    /// Enables or disables the heuristic warm start.
-    pub fn warm_start(mut self, warm_start: bool) -> Self {
-        self.config = self.config.with_warm_start(warm_start);
-        self
-    }
-
-    /// Requests an explicit MILP worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config = self.config.with_threads(threads);
-        self
-    }
-
-    /// Forces MILP presolve on or off, overriding the `LETDMA_PRESOLVE`
-    /// environment variable (see [`OptConfig::presolve`]).
-    pub fn presolve(mut self, presolve: bool) -> Self {
-        self.config = self.config.with_presolve(presolve);
         self
     }
 
@@ -251,10 +218,7 @@ impl<'s, 'i> Optimizer<'s, 'i> {
     ///    ([`OptError::BudgetExhausted`] or [`OptError::Solver`]) reach
     ///    the caller.
     pub fn run(self) -> Result<LetDmaSolution, OptError> {
-        match self.instrument {
-            Some(instrument) => run_pipeline(self.system, &self.config, None, instrument),
-            None => run_pipeline(self.system, &self.config, None, &mut NoopInstrument),
-        }
+        self.run_with(None)
     }
 
     /// Like [`run`](Optimizer::run), but reuses a cached
@@ -283,15 +247,16 @@ impl<'s, 'i> Optimizer<'s, 'i> {
         if prepared.key() != structure_key(self.system, &self.config) {
             return Err(OptError::PreparedMismatch);
         }
-        match self.instrument {
-            Some(instrument) => run_pipeline(self.system, &self.config, Some(prepared), instrument),
-            None => run_pipeline(
-                self.system,
-                &self.config,
-                Some(prepared),
-                &mut NoopInstrument,
-            ),
-        }
+        self.run_with(Some(prepared))
+    }
+
+    fn run_with(self, prepared: Option<&Prepared>) -> Result<LetDmaSolution, OptError> {
+        let mut noop = NoopInstrument;
+        let instrument: &mut dyn Instrument = match self.instrument {
+            Some(i) => i,
+            None => &mut noop,
+        };
+        run_pipeline(self.system, &self.config, prepared, instrument)
     }
 }
 
@@ -356,15 +321,11 @@ fn run_pipeline(
     // Formulation + solve. On a prepared (cache-hit) run the build is
     // skipped and the cached formulation reused; the phase still opens so
     // the trace shape matches a cold solve.
-    let (built, solve_options) = timed_phase(instrument, "formulation", |_| {
-        let built = match prepared {
-            Some(_) => None,
-            None => Some(formulation::build(system, config)),
-        };
-        let f = match (built.as_ref(), prepared) {
-            (Some(f), _) => f,
-            (_, Some(p)) => &p.formulation,
-            _ => unreachable!("either built live or taken from `prepared`"),
+    let mut built = None;
+    let (f, solve_options) = timed_phase(instrument, "formulation", |_| {
+        let f: &formulation::Formulation = match prepared {
+            Some(p) => &p.formulation,
+            None => built.insert(formulation::build(system, config)),
         };
         let warm = if config.warm_start && heuristic_valid {
             heuristic
@@ -388,13 +349,8 @@ fn run_pipeline(
             Some(p) => Some(p.presolve),
             None => config.presolve,
         };
-        (built, solve_options)
+        (f, solve_options)
     });
-    let f = match (built.as_ref(), prepared) {
-        (Some(f), _) => f,
-        (_, Some(p)) => &p.formulation,
-        _ => unreachable!("either built live or taken from `prepared`"),
-    };
     let reduction = prepared.and_then(|p| p.reduction.clone());
 
     let mut resolution = Resolution::Milp;
@@ -548,16 +504,10 @@ pub fn heuristic_solution(
     }
 }
 
-/// Renders the §VI MILP for `system` in CPLEX LP format (for inspection or
-/// cross-checking with an external solver).
-#[must_use]
-pub fn formulation_lp(system: &System, config: &OptConfig) -> String {
-    formulation::build(system, config).model.to_lp_format()
-}
-
 /// Builds the §VI MILP for `system` and returns the bare [`milp::Model`]
-/// (for presolve inspection, differential testing and LP export of the
-/// *reduced* model — [`formulation_lp`] exports the unreduced one).
+/// (for presolve inspection, differential testing, and CPLEX LP export
+/// through [`milp::Model::to_lp_format`] for cross-checking with an
+/// external solver).
 #[must_use]
 pub fn formulation_model(system: &System, config: &OptConfig) -> milp::Model {
     formulation::build(system, config).model
@@ -601,7 +551,10 @@ mod tests {
         // One transfer takes at least λ_O = 13.36 µs; demand 1 µs.
         sys.set_acquisition_deadline(c, Some(TimeNs::from_us(1)));
         assert_eq!(
-            Optimizer::new(&sys).warm_start(false).run().unwrap_err(),
+            Optimizer::new(&sys)
+                .config(OptConfig::new().with_warm_start(false))
+                .run()
+                .unwrap_err(),
             OptError::Infeasible
         );
     }
@@ -661,7 +614,7 @@ mod tests {
     #[test]
     fn lp_export_contains_constraint_families() {
         let sys = pair_system();
-        let lp = formulation_lp(&sys, &OptConfig::default());
+        let lp = formulation_model(&sys, &OptConfig::default()).to_lp_format();
         for family in ["c1_", "c4succ", "c5u", "c8_", "c10_"] {
             assert!(lp.contains(family), "missing constraint family {family}");
         }

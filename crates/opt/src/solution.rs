@@ -42,7 +42,7 @@ pub enum Resolution {
     /// The first MILP attempt returned the solution.
     Milp,
     /// The first MILP attempt died on a worker panic; the cold
-    /// half-budget retry (no cross-scenario root hooks) returned the
+    /// half-budget retry (no cross-scenario root slot) returned the
     /// solution.
     MilpRetry,
     /// The MILP search (including any retry) produced no incumbent; the

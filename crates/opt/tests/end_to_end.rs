@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use letdma_model::conformance::{verify, VerifyOptions};
 use letdma_model::{CopyCost, CostModel, SystemBuilder, TimeNs};
-use letdma_opt::{heuristic_solution, Objective, Optimizer, Provenance};
+use letdma_opt::{heuristic_solution, Objective, OptConfig, Optimizer, Provenance};
 
 /// Two cores, four producer/consumer chains with mixed periods.
 fn mixed_system() -> letdma_model::System {
@@ -31,8 +31,11 @@ fn milp_matches_or_beats_heuristic_on_transfer_count() {
     let sys = mixed_system();
     let heuristic = heuristic_solution(&sys, false).unwrap();
     let optimized = Optimizer::new(&sys)
-        .objective(Objective::MinTransfers)
-        .time_limit(Duration::from_secs(10))
+        .config(
+            OptConfig::new()
+                .with_objective(Objective::MinTransfers)
+                .with_time_limit(Duration::from_secs(10)),
+        )
         .run()
         .unwrap();
     assert!(
@@ -55,8 +58,11 @@ fn obj_del_reduces_worst_ratio() {
     let sys = mixed_system();
     let heuristic = heuristic_solution(&sys, false).unwrap();
     let optimized = Optimizer::new(&sys)
-        .objective(Objective::MinDelayRatio)
-        .time_limit(Duration::from_secs(10))
+        .config(
+            OptConfig::new()
+                .with_objective(Objective::MinDelayRatio)
+                .with_time_limit(Duration::from_secs(10)),
+        )
         .run()
         .unwrap();
     let h_ratio = heuristic.max_delay_ratio(&sys);
@@ -73,9 +79,12 @@ fn no_obj_finds_feasible_without_warm_start() {
     // Pure feasibility search has no heuristic fallback to lean on, so
     // give it a generous budget (it stops at the first incumbent).
     let sol = Optimizer::new(&sys)
-        .objective(Objective::None)
-        .warm_start(false)
-        .time_limit(Duration::from_secs(120))
+        .config(
+            OptConfig::new()
+                .with_objective(Objective::None)
+                .with_warm_start(false)
+                .with_time_limit(Duration::from_secs(120)),
+        )
         .run()
         .unwrap();
     assert!(matches!(sol.provenance, Provenance::Milp { .. }));
@@ -107,7 +116,7 @@ fn tight_but_feasible_deadlines_solved() {
         }
     }
     let sol = Optimizer::new(&sys)
-        .time_limit(Duration::from_secs(10))
+        .config(OptConfig::new().with_time_limit(Duration::from_secs(10)))
         .run()
         .unwrap();
     let violations = verify(&sys, &sol.layout, &sol.schedule, VerifyOptions::default());

@@ -13,7 +13,7 @@ use std::time::Duration;
 use letdma_core::fault::{self, FaultSite, FaultSpec};
 use letdma_model::conformance::{verify, VerifyOptions};
 use letdma_model::System;
-use letdma_opt::{Optimizer, Resolution};
+use letdma_opt::{OptConfig, Optimizer, Resolution};
 use waters2019::gen::{generate, GenConfig};
 
 static PLANE: Mutex<()> = Mutex::new(());
@@ -57,9 +57,12 @@ fn run_campaign(
     threads: usize,
 ) -> Result<letdma_opt::LetDmaSolution, letdma_opt::OptError> {
     Optimizer::new(system)
-        .time_limit(Duration::from_secs(5))
-        .node_limit(200)
-        .threads(threads)
+        .config(
+            OptConfig::new()
+                .with_time_limit(Duration::from_secs(5))
+                .with_node_limit(200)
+                .with_threads(threads),
+        )
         .run()
 }
 
@@ -123,9 +126,12 @@ fn single_panic_resolves_via_milp_retry() {
         // start (the fire is spent on the first search's root).
         let sol = quiet_panics(|| {
             Optimizer::new(&system)
-                .warm_start(false)
-                .time_limit(Duration::from_secs(30))
-                .node_limit(100_000)
+                .config(
+                    OptConfig::new()
+                        .with_warm_start(false)
+                        .with_time_limit(Duration::from_secs(30))
+                        .with_node_limit(100_000),
+                )
                 .run()
         })
         .expect("the retry must succeed once the fault is spent");
@@ -143,8 +149,7 @@ fn persistent_panics_fall_back_to_heuristic() {
         let system = campaign_system(9);
         let sol = quiet_panics(|| {
             Optimizer::new(&system)
-                .warm_start(false)
-                .node_limit(200)
+                .config(OptConfig::new().with_warm_start(false).with_node_limit(200))
                 .run()
         })
         .expect("the heuristic fallback must absorb persistent panics");

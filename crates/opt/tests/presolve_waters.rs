@@ -84,9 +84,12 @@ fn waters_differential_presolve_on_off() {
     let (sys, _) = waters_system().unwrap();
     for presolve in [false, true] {
         let sol = Optimizer::new(&sys)
-            .objective(Objective::MinTransfers)
-            .time_limit(std::time::Duration::from_secs(10))
-            .presolve(presolve)
+            .config(
+                OptConfig::new()
+                    .with_objective(Objective::MinTransfers)
+                    .with_time_limit(std::time::Duration::from_secs(10))
+                    .with_presolve(presolve),
+            )
             .run()
             .unwrap_or_else(|e| panic!("presolve={presolve}: WATERS must stay solvable: {e}"));
         let violations = verify(&sys, &sol.layout, &sol.schedule, VerifyOptions::default());
@@ -143,7 +146,7 @@ fn presolved_waters_trajectory_thread_invariant() {
     let capture = |threads: usize| {
         let mut stats = SolverStats::new();
         let sol = Optimizer::new(&sys)
-            .objective(Objective::MinTransfers)
+            .config(OptConfig::new().with_objective(Objective::MinTransfers))
             .config(
                 OptConfig::new()
                     .with_objective(Objective::MinTransfers)

@@ -75,12 +75,6 @@ impl BufferRotation {
         }
     }
 
-    /// Number of buffer slots.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Records a write of `slot` over `[start, end)` by `round`.
     ///
     /// # Panics

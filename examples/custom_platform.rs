@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p letdma --example custom_platform`
 
 use letdma::model::{MemoryId, SystemBuilder, TimeNs};
-use letdma::opt::{formulation_lp, heuristic_solution, OptConfig, Optimizer};
+use letdma::opt::{formulation_model, heuristic_solution, OptConfig, Optimizer};
 use letdma::sim::{simulate, Approach, SimConfig};
 use std::error::Error;
 use std::time::Duration;
@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // Export the MILP for inspection or external solvers.
-    let lp = formulation_lp(&system, &config);
+    let lp = formulation_model(&system, &config).to_lp_format();
     println!(
         "\nCPLEX-LP export: {} lines (write it to disk to cross-check):",
         lp.lines().count()

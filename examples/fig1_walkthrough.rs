@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release -p letdma --example fig1_walkthrough`
 
 use letdma::model::SystemBuilder;
-use letdma::opt::{Objective, Optimizer};
+use letdma::opt::{Objective, OptConfig, Optimizer};
 use letdma::sim::{simulate, Approach, SimConfig};
 use std::error::Error;
 use std::time::Duration;
@@ -64,8 +64,11 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Optimize with OBJ-DEL so the solver front-loads τ2's communications.
     let solution = Optimizer::new(&system)
-        .objective(Objective::MinDelayRatio)
-        .time_limit(Duration::from_secs(20))
+        .config(
+            OptConfig::new()
+                .with_objective(Objective::MinDelayRatio)
+                .with_time_limit(Duration::from_secs(20)),
+        )
         .run()?;
 
     println!("optimized transfer order at s0:");

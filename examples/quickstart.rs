@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release -p letdma --example quickstart`
 
 use letdma::model::SystemBuilder;
-use letdma::opt::{Objective, Optimizer};
+use letdma::opt::{Objective, OptConfig, Optimizer};
 use std::error::Error;
 use std::time::Duration;
 
@@ -65,8 +65,11 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // --- 2. Jointly optimize allocation and DMA schedule -----------------
     let solution = Optimizer::new(&system)
-        .objective(Objective::MinDelayRatio) // the paper's OBJ-DEL
-        .time_limit(Duration::from_secs(10))
+        .config(
+            OptConfig::new()
+                .with_objective(Objective::MinDelayRatio) // the paper's OBJ-DEL
+                .with_time_limit(Duration::from_secs(10)),
+        )
         .run()?;
 
     // --- 3. Inspect the result -------------------------------------------

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release -p letdma --example waters_case_study`
 
 use letdma::analysis::{derive_gammas, let_task_segments};
-use letdma::opt::{heuristic_solution, Objective, Optimizer};
+use letdma::opt::{heuristic_solution, Objective, OptConfig, Optimizer};
 use letdma::sim::{simulate, Approach, SimConfig};
 use letdma::waters::waters_system;
 use std::error::Error;
@@ -40,8 +40,11 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // --- 2. optimize -------------------------------------------------------
     let solution = Optimizer::new(&system)
-        .objective(Objective::MinDelayRatio)
-        .time_limit(Duration::from_secs(60))
+        .config(
+            OptConfig::new()
+                .with_objective(Objective::MinDelayRatio)
+                .with_time_limit(Duration::from_secs(60)),
+        )
         .run()?;
     println!(
         "\noptimized: {} DMA transfers, max λ/T = {:.5}",

@@ -183,6 +183,18 @@ if grep -rnwE 'max_transfers|reuse_basis|measure_root_gap|root_import|root_expor
   echo "a retired solve knob or hook reappeared; bring it back with a caller"
   exit 1
 fi
+# The refactor cadence knob (set only by a test), its carrier `LpConfig`,
+# its always-128 counter and the `formulation_lp` wrapper are gone too.
+# Each solve setting is set in one place, its `OptConfig`/`SolveOptions`
+# field, so neither session may grow a per-setting forwarding setter again
+# (a setter takes `self`; `MilpSolution::objective(&self)` is an accessor).
+if grep -rnwE 'with_refactor_interval|RefactorCadence|LpConfig|formulation_lp' \
+    crates/*/src --include='*.rs' \
+  || grep -nE 'pub fn (objective|time_limit|node_limit|warm_start|threads|presolve)\((mut )?self,' \
+    crates/opt/src/optimizer.rs crates/milp/src/solver.rs; then
+  echo "a retired knob or forwarding setter reappeared; set it through OptConfig/SolveOptions"
+  exit 1
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check

@@ -4,7 +4,7 @@
 //! scheduled ahead of the bulky unrelated ones.
 
 use letdma::model::{SystemBuilder, TimeNs};
-use letdma::opt::{Objective, Optimizer};
+use letdma::opt::{Objective, OptConfig, Optimizer};
 use letdma::sim::{simulate, Approach, SimConfig};
 use std::time::Duration;
 
@@ -34,8 +34,11 @@ fn tau2_ready_much_earlier_than_giotto() {
     let system = b.build().unwrap();
 
     let solution = Optimizer::new(&system)
-        .objective(Objective::MinDelayRatio)
-        .time_limit(Duration::from_secs(20))
+        .config(
+            OptConfig::new()
+                .with_objective(Objective::MinDelayRatio)
+                .with_time_limit(Duration::from_secs(20)),
+        )
         .run()
         .unwrap();
 

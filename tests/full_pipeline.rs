@@ -4,7 +4,7 @@
 use letdma::analysis::{apply_gammas, derive_gammas, let_task_segments};
 use letdma::model::conformance::{verify, VerifyOptions};
 use letdma::model::TimeNs;
-use letdma::opt::{heuristic_solution, Objective, Optimizer};
+use letdma::opt::{heuristic_solution, Objective, OptConfig, Optimizer};
 use letdma::sim::{simulate, Approach, SimConfig};
 use letdma::waters::waters_system;
 use std::time::Duration;
@@ -23,8 +23,11 @@ fn waters_pipeline_alpha30() {
 
     // Optimize under the derived deadlines.
     let solution = Optimizer::new(&system)
-        .objective(Objective::MinDelayRatio)
-        .time_limit(Duration::from_secs(20))
+        .config(
+            OptConfig::new()
+                .with_objective(Objective::MinDelayRatio)
+                .with_time_limit(Duration::from_secs(20)),
+        )
         .run()
         .unwrap();
     let violations = verify(
@@ -107,7 +110,7 @@ fn waters_alpha_sweep_shape() {
         }
         apply_gammas(&mut sys, &sens);
         if Optimizer::new(&sys)
-            .time_limit(Duration::from_secs(10))
+            .config(OptConfig::new().with_time_limit(Duration::from_secs(10)))
             .run()
             .is_ok()
         {

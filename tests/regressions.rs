@@ -60,8 +60,11 @@ fn fig1_tau2_latency_improvement_pinned() {
     let system = b.build().unwrap();
 
     let solution = Optimizer::new(&system)
-        .objective(Objective::MinDelayRatio)
-        .time_limit(Duration::from_secs(20))
+        .config(
+            OptConfig::new()
+                .with_objective(Objective::MinDelayRatio)
+                .with_time_limit(Duration::from_secs(20)),
+        )
         .run()
         .expect("Fig. 1 example solves");
     let proposed = simulate(
