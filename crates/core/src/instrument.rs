@@ -95,9 +95,11 @@ pub enum Counter {
     /// refactorizations (1000 = no fill; reported once per solve like
     /// [`RootGapBps`](Self::RootGapBps)).
     FillInRatio,
-    /// Columns priced by entering-variable selection across all simplex
-    /// iterations (all `n` per Devex iteration, up to the first improving
-    /// column under Bland's rule).
+    /// Columns whose reduced cost the simplex computed by a full dot
+    /// product `c_j − yᵀa_j`: every nonbasic column at each reduced-cost
+    /// refresh (phase start, refactorization, optimality check). Between
+    /// refreshes the reduced costs are updated from the pivot row and
+    /// count nothing.
     PricingCandidates,
     /// Solve jobs accepted by the serve admission controller (each entered
     /// the queue and was eventually dispatched to a worker).

@@ -30,16 +30,16 @@ impl Devex {
         self.weights.resize(n, 1.0);
     }
 
-    /// Chooses the entering column among all columns. `eval(j)` prices
-    /// column `j`: `Some((d, dir))` when it is an improving candidate
-    /// (reduced cost `d`, movement direction `dir ∈ {−1, +1}`), `None`
-    /// otherwise. `None` is returned only after every column was priced,
-    /// so it asserts optimality.
+    /// Chooses the entering column among all columns, as `(column, dir)`.
+    /// `eval(j)` prices column `j`: `Some((d, dir))` when it is an
+    /// improving candidate (reduced cost `d`, movement direction
+    /// `dir ∈ {−1, +1}`), `None` otherwise. `None` is returned only after
+    /// every column was priced, so it asserts optimality.
     pub(crate) fn select(
         &self,
         mut eval: impl FnMut(usize) -> Option<(f64, f64)>,
-    ) -> Option<(usize, f64, f64)> {
-        let mut best: Option<(usize, f64, f64, f64)> = None; // (j, d, dir, score)
+    ) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64, f64)> = None; // (j, dir, score)
         for (j, &w) in self.weights.iter().enumerate() {
             if let Some((d, dir)) = eval(j) {
                 let score = d * d / w;
@@ -48,45 +48,41 @@ impl Devex {
                     Some((.., bs)) => score > bs,
                 };
                 if better {
-                    best = Some((j, d, dir, score));
+                    best = Some((j, dir, score));
                 }
             }
         }
-        best.map(|(j, d, dir, _)| (j, d, dir))
+        best.map(|(j, dir, _)| (j, dir))
     }
 
     /// Observes a basis change: column `entering` replaced the variable
     /// `leaving` (basic in the pivot row), with pivot element `pivot`.
-    /// `alpha(j)` returns the pre-pivot row coefficient `e_r' B⁻¹ a_j` of
-    /// column `j` when `j` is nonbasic in the *new* basis (so the leaving
-    /// variable is included and the entering one is not), `None` when `j`
-    /// is basic.
+    /// `row` yields `(j, α_j)`, the nonzero pre-pivot row coefficients
+    /// `e_r' B⁻¹ a_j` of the columns nonbasic in the *new* basis (so the
+    /// leaving variable is included and the entering one is not); every
+    /// other weight keeps its value. `row` is consumed to its end, so the
+    /// caller may fold its own per-column update into it.
+    ///
+    /// Every weight stays within [`MAX_WEIGHT`](Self::MAX_WEIGHT) between
+    /// updates, so the framework restarts exactly when a weight written
+    /// here exceeds it.
     pub(crate) fn update(
         &mut self,
         entering: usize,
         leaving: usize,
         pivot: f64,
-        mut alpha: impl FnMut(usize) -> Option<f64>,
+        row: impl Iterator<Item = (usize, f64)>,
     ) {
-        if pivot == 0.0 || self.weights.is_empty() {
-            return;
-        }
+        debug_assert!(pivot != 0.0, "the ratio test never accepts a zero pivot");
         let gamma_q = self.weights[entering];
         let inv_pivot2 = 1.0 / (pivot * pivot);
         let mut max_w: f64 = 1.0;
-        for j in 0..self.weights.len() {
-            if j == entering {
-                continue;
+        for (j, a) in row {
+            let cand = a * a * inv_pivot2 * gamma_q;
+            if cand > self.weights[j] {
+                self.weights[j] = cand;
+                max_w = max_w.max(cand);
             }
-            if let Some(a) = alpha(j) {
-                if a != 0.0 {
-                    let cand = a * a * inv_pivot2 * gamma_q;
-                    if cand > self.weights[j] {
-                        self.weights[j] = cand;
-                    }
-                }
-            }
-            max_w = max_w.max(self.weights[j]);
         }
         self.weights[leaving] = (gamma_q * inv_pivot2).max(1.0);
         max_w = max_w.max(self.weights[leaving]);
@@ -115,14 +111,14 @@ mod tests {
         let mut p = Devex::default();
         p.reset(6);
         // Equal weights: largest |d| wins.
-        assert_eq!(p.select(eval_fixture), Some((3, 5.0, -1.0)));
+        assert_eq!(p.select(eval_fixture), Some((3, -1.0)));
         // A heavy weight on column 3 flips the choice to column 4:
         // 25/10 < 9/1.
         p.weights[3] = 10.0;
-        assert_eq!(p.select(eval_fixture), Some((4, -3.0, 1.0)));
+        assert_eq!(p.select(eval_fixture), Some((4, 1.0)));
         // Update: entering 4 (γ=1), pivot 2, leaving variable 0; column 1
         // has α=4 ⇒ γ₁ = max(1, 16/4·1) = 4; γ₀ = max(1/4, 1) = 1.
-        p.update(4, 0, 2.0, |j| if j == 1 { Some(4.0) } else { None });
+        p.update(4, 0, 2.0, [(1, 4.0)].into_iter());
         assert_eq!(p.weights[1], 4.0);
         assert_eq!(p.weights[0], 1.0);
     }
@@ -131,7 +127,7 @@ mod tests {
     fn devex_reference_reset_on_overflow() {
         let mut p = Devex::default();
         p.reset(3);
-        p.update(0, 1, 1e-6, |j| if j == 2 { Some(1.0) } else { None });
+        p.update(0, 1, 1e-6, [(2, 1.0)].into_iter());
         // γ₂ would be 1e12 > MAX_WEIGHT: the framework restarts at 1.
         assert!(p.weights.iter().all(|&w| w == 1.0));
     }

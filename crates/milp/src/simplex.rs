@@ -18,10 +18,16 @@
 //!
 //! Entering columns are chosen by Devex pricing (see `pricing.rs`), with
 //! an automatic switch to Bland's rule when the objective stalls
-//! (anti-cycling). Devex updates its reference weights from the pivot
-//! row `ρᵀA` (`ρ = e_r' B⁻¹`), which the solver accumulates through a
-//! row-wise copy of `A`, built once per solver at its first pivot, over
-//! the rows where `ρ_i ≠ 0` only. The basis is the sparse LU of
+//! (anti-cycling). Both read one maintained reduced-cost vector `d`. After
+//! each basis change the solver forms the pivot row `ρᵀA`
+//! (`ρ = e_r' B⁻¹`) through a row-wise copy of `A`, built once per solver
+//! at its first pivot, over the rows where `ρ_i ≠ 0` only; one pass over
+//! its nonzeros updates both the Devex reference weights and
+//! `d_j ← d_j − (d_q/α_q)·α_j`. `d` is recomputed from scratch (one BTRAN
+//! of the basic costs and a dot product per nonbasic column) at the start
+//! of each phase, after every refactorization, and before the solver
+//! declares a basis optimal, so an optimality claim always rests on fresh
+//! duals. The basis is the sparse LU of
 //! [`SparseLu`] (Markowitz pivot selection, product-form eta updates, a
 //! refactorization every [`SparseLu::REFACTOR_INTERVAL`] updates or on
 //! eta-file growth).
@@ -120,6 +126,16 @@ pub struct SimplexSolver {
     basis_inv: SparseLu,
     /// Devex reference weights of the entering-variable choice.
     pricing: Devex,
+    /// Reduced costs `d_j = c_j − yᵀa_j` of the running phase, len `n`;
+    /// zero on basic columns. Updated from the pivot row after each basis
+    /// change, recomputed from scratch by
+    /// [`refresh_reduced_costs`](Self::refresh_reduced_costs).
+    d: Vec<f64>,
+    /// `d` was recomputed from scratch and no basis change has updated it
+    /// since (bound flips leave `d` as it is).
+    d_fresh: bool,
+    /// Per-iteration work vectors, sized once and reused.
+    work: Work,
     /// Current values of all columns.
     x: Vec<f64>,
     /// Multiplier for converting the model objective to minimization.
@@ -150,17 +166,20 @@ pub struct SimplexSolver {
     /// FTRAN solves performed (ratio-test columns and the basic-value
     /// recomputation of a basis import).
     pub ftran_calls: u64,
-    /// BTRAN solves performed (pricing duals, Devex pivot rows).
+    /// BTRAN solves performed (the duals of each reduced-cost refresh,
+    /// one pivot row per basis change).
     pub btran_calls: u64,
-    /// Columns priced when choosing entering variables: every column per
-    /// Devex iteration, up to the first improving one under Bland's rule.
+    /// Columns whose reduced cost was computed by a full dot product
+    /// `c_j − yᵀa_j`: every nonbasic column at each reduced-cost refresh.
+    /// The pivot-row update between refreshes computes none.
     pub pricing_candidates: u64,
     /// Wall-clock spent refactorizing the basis from scratch.
     pub time_factorize: Duration,
     /// Wall-clock spent in `ftran`/`btran` solves and pivot updates.
     pub time_solve: Duration,
-    /// Wall-clock spent choosing entering variables (reduced-cost scans)
-    /// and updating the Devex weights (the pivot row `ρᵀA`).
+    /// Wall-clock spent choosing entering variables, recomputing reduced
+    /// costs, and updating them together with the Devex weights from the
+    /// pivot row `ρᵀA`.
     pub time_pricing: Duration,
 }
 
@@ -275,6 +294,9 @@ impl SimplexSolver {
             basis: Vec::new(),
             basis_inv: SparseLu::new(),
             pricing: Devex::default(),
+            d: vec![0.0; n],
+            d_fresh: false,
+            work: Work::new(m, n),
             x: vec![0.0; n],
             obj_scale,
             obj_offset,
@@ -490,8 +512,10 @@ impl SimplexSolver {
     /// Runs primal pivoting until optimal/unbounded for the given cost.
     fn optimize(&mut self, cost: &[f64]) -> PivotResult {
         let mut stall = 0u32;
-        // Each phase starts a fresh Devex reference framework.
+        // Each phase starts a fresh Devex reference framework and prices
+        // its own cost from scratch.
         self.pricing.reset(self.n);
+        self.refresh_reduced_costs(cost);
         loop {
             if self.iterations >= self.iteration_limit {
                 return PivotResult::IterationLimit;
@@ -511,80 +535,24 @@ impl SimplexSolver {
             }
             self.iterations += 1;
 
-            // y = c_B' B⁻¹ (BTRAN of the basic costs, sparse by basis
-            // position in ascending order).
-            let m = self.m;
-            let cb: Vec<(usize, f64)> = self
-                .basis
-                .iter()
-                .enumerate()
-                .filter(|&(_, &bj)| cost[bj] != 0.0)
-                .map(|(i, &bj)| (i, cost[bj]))
-                .collect();
-            let mut y = vec![0.0; m];
-            let t0 = Instant::now();
-            self.basis_inv.btran(&cb, &mut y);
-            self.time_solve += t0.elapsed();
-            self.btran_calls += 1;
-
-            // Pricing: `eval` owns eligibility and the reduced cost of one
-            // column; Devex owns the choice among the candidates. Bland's
-            // rule (first improving column) bypasses Devex — the
-            // anti-cycling guarantee needs the index order.
-            let t_pricing = Instant::now();
             let use_bland = stall > 64;
-            let entering = {
-                let status = &self.status;
-                let lower = &self.lower;
-                let upper = &self.upper;
-                let cols = &self.cols;
-                let eval = |j: usize| -> Option<(f64, f64)> {
-                    let dir_needed = match status[j] {
-                        ColStatus::Basic(_) => return None,
-                        ColStatus::AtLower => 1.0,
-                        ColStatus::AtUpper => -1.0,
-                        ColStatus::FreeZero => 0.0,
-                    };
-                    // Fixed columns (lower == upper) can never move:
-                    // skipping them is essential — otherwise they enter
-                    // with zero-length bound flips and the iteration spins.
-                    if upper[j] - lower[j] <= 0.0 {
-                        return None;
-                    }
-                    let mut d = cost[j];
-                    for &(i, a) in &cols[j] {
-                        d -= y[i] * a;
-                    }
-                    let (improves, dir) = if dir_needed == 0.0 {
-                        // Free variable moves against the sign of d.
-                        (d.abs() > EPS, if d > 0.0 { -1.0 } else { 1.0 })
-                    } else if dir_needed > 0.0 {
-                        (d < -EPS, 1.0)
-                    } else {
-                        (d > EPS, -1.0)
-                    };
-                    improves.then_some((d, dir))
-                };
-                if use_bland {
-                    let first = (0..self.n).find_map(|j| eval(j).map(|(d, dir)| (j, d, dir)));
-                    self.pricing_candidates += first.map_or(self.n, |(j, ..)| j + 1) as u64;
-                    first
-                } else {
-                    self.pricing_candidates += self.n as u64;
-                    self.pricing.select(eval)
-                }
-            };
-            self.time_pricing += t_pricing.elapsed();
-            let Some((q, _dq, dir)) = entering else {
+            let mut entering = self.choose_entering(use_bland);
+            if entering.is_none() && !self.d_fresh {
+                // Updated reduced costs never prove optimality: recompute
+                // them, and keep pivoting if a column still improves.
+                self.refresh_reduced_costs(cost);
+                entering = self.choose_entering(use_bland);
+            }
+            let Some((q, dir)) = entering else {
                 return PivotResult::Optimal;
             };
 
             // FTRAN: w = B⁻¹ A_q.
-            let mut w = vec![0.0; m];
             let t0 = Instant::now();
-            self.basis_inv.ftran(&self.cols[q], &mut w);
+            self.basis_inv.ftran(&self.cols[q], &mut self.work.w);
             self.time_solve += t0.elapsed();
             self.ftran_calls += 1;
+            let w = &self.work.w;
 
             // Two-pass (Harris-style) ratio test. Entering moves by t ≥ 0
             // in direction `dir`; basic i changes by −dir·t·w_i. Pass 1
@@ -694,16 +662,20 @@ impl SimplexSolver {
                     };
                     self.status[q] = ColStatus::Basic(r);
                     self.basis[r] = q;
-                    // Devex needs the *pre-pivot* row e_r' B⁻¹ to update
-                    // its reference weights, so price it before the basis
-                    // representation absorbs the pivot.
-                    self.update_devex(r, q, leaving_col, w[r]);
+                    // The updates need the *pre-pivot* row e_r' B⁻¹, so
+                    // form it before the basis representation absorbs the
+                    // pivot.
+                    self.update_pricing(r, q, leaving_col);
                     let t0 = Instant::now();
-                    self.basis_inv.pivot(r, &w);
+                    self.basis_inv.pivot(r, &self.work.w);
                     self.time_solve += t0.elapsed();
-                    if self.basis_inv.wants_refactor(self.refactor_interval) && !self.refactorize()
-                    {
-                        return PivotResult::Numerical;
+                    if self.basis_inv.wants_refactor(self.refactor_interval) {
+                        if !self.refactorize() {
+                            return PivotResult::Numerical;
+                        }
+                        // A fresh factorization bounds the drift of the
+                        // updated reduced costs.
+                        self.refresh_reduced_costs(cost);
                     }
                 }
             }
@@ -718,41 +690,133 @@ impl SimplexSolver {
         }
     }
 
-    /// Updates the Devex weights after the pivot that brings `entering`
-    /// into basis row `r` in place of `leaving` (statuses already
-    /// flipped, `basis_inv` not yet updated). The pivot row
-    /// `α = ρᵀA`, `ρ = e_r' B⁻¹`, is accumulated row-wise over the rows
-    /// with `ρ_i ≠ 0` only; rows are visited in ascending order, so every
-    /// `α_j` equals the column-wise dot product `ρ · a_j` bit for bit.
-    fn update_devex(&mut self, r: usize, entering: usize, leaving: usize, pivot: f64) {
-        let mut rho = vec![0.0; self.m];
+    /// Chooses the entering column from the maintained reduced costs:
+    /// `(column, direction)`, or `None` when no column improves. Devex owns
+    /// the choice among the candidates; Bland's rule (first improving
+    /// column) bypasses it, since the anti-cycling guarantee needs the
+    /// index order.
+    fn choose_entering(&mut self, use_bland: bool) -> Option<(usize, f64)> {
         let t0 = Instant::now();
-        self.basis_inv.btran(&[(r, 1.0)], &mut rho);
+        let eval = |j: usize| -> Option<(f64, f64)> {
+            let dir_needed = match self.status[j] {
+                ColStatus::Basic(_) => return None,
+                ColStatus::AtLower => 1.0,
+                ColStatus::AtUpper => -1.0,
+                ColStatus::FreeZero => 0.0,
+            };
+            // Fixed columns (lower == upper) can never move: skipping them
+            // is essential — otherwise they enter with zero-length bound
+            // flips and the iteration spins.
+            if self.upper[j] - self.lower[j] <= 0.0 {
+                return None;
+            }
+            let d = self.d[j];
+            let (improves, dir) = if dir_needed == 0.0 {
+                // Free variable moves against the sign of d.
+                (d.abs() > EPS, if d > 0.0 { -1.0 } else { 1.0 })
+            } else if dir_needed > 0.0 {
+                (d < -EPS, 1.0)
+            } else {
+                (d > EPS, -1.0)
+            };
+            improves.then_some((d, dir))
+        };
+        let choice = if use_bland {
+            (0..self.n).find_map(|j| eval(j).map(|(_, dir)| (j, dir)))
+        } else {
+            self.pricing.select(eval)
+        };
+        self.time_pricing += t0.elapsed();
+        choice
+    }
+
+    /// Recomputes the reduced costs of `cost` from scratch: the duals
+    /// `y = c_B' B⁻¹` by one BTRAN (sparse by basis position in ascending
+    /// order), then `d_j = c_j − yᵀa_j` on every nonbasic column.
+    fn refresh_reduced_costs(&mut self, cost: &[f64]) {
+        let cb: Vec<(usize, f64)> = self
+            .basis
+            .iter()
+            .enumerate()
+            .filter(|&(_, &bj)| cost[bj] != 0.0)
+            .map(|(i, &bj)| (i, cost[bj]))
+            .collect();
+        let t0 = Instant::now();
+        self.basis_inv.btran(&cb, &mut self.work.y);
         self.time_solve += t0.elapsed();
         self.btran_calls += 1;
         let t0 = Instant::now();
-        let alpha = self.pivot_row(&rho);
-        let status = &self.status;
-        self.pricing.update(entering, leaving, pivot, |j| {
-            (!matches!(status[j], ColStatus::Basic(_))).then_some(alpha[j])
-        });
+        let y = &self.work.y;
+        let mut priced = 0;
+        for (j, dj) in self.d.iter_mut().enumerate() {
+            *dj = if matches!(self.status[j], ColStatus::Basic(_)) {
+                0.0
+            } else {
+                priced += 1;
+                let mut d = cost[j];
+                for &(i, a) in &self.cols[j] {
+                    d -= y[i] * a;
+                }
+                d
+            };
+        }
+        self.pricing_candidates += priced;
+        self.d_fresh = true;
         self.time_pricing += t0.elapsed();
     }
 
-    /// `ρᵀA` over every column, touching only the rows where `ρ_i ≠ 0`.
-    fn pivot_row(&mut self, rho: &[f64]) -> Vec<f64> {
+    /// Updates the reduced costs and the Devex weights after the pivot
+    /// that brings `entering` into basis row `r` in place of `leaving`
+    /// (statuses already flipped, `basis_inv` not yet updated, `work.w`
+    /// holding `B⁻¹ a_entering`). One pass over the nonzeros of the pivot
+    /// row `α = ρᵀA`, `ρ = e_r' B⁻¹`, applies `d_j ← d_j − (d_q/α_q)·α_j`
+    /// and the Devex weight update on every column nonbasic in the new
+    /// basis; the leaving column, basic before with `d = 0`, comes out at
+    /// `−d_q·α_l/α_q`.
+    fn update_pricing(&mut self, r: usize, entering: usize, leaving: usize) {
+        let t0 = Instant::now();
+        self.basis_inv.btran(&[(r, 1.0)], &mut self.work.rho);
+        self.time_solve += t0.elapsed();
+        self.btran_calls += 1;
+        let t0 = Instant::now();
+        self.pivot_row();
+        let pivot = self.work.w[r];
+        let theta = self.d[entering] / pivot;
+        let (status, d, alpha) = (&self.status, &mut self.d, &self.work.alpha);
+        let row = self
+            .work
+            .alpha_nz
+            .iter()
+            .filter(|&&j| !matches!(status[j], ColStatus::Basic(_)))
+            .map(|&j| (j, alpha[j]))
+            .inspect(|&(j, a)| d[j] -= theta * a);
+        self.pricing.update(entering, leaving, pivot, row);
+        self.d[entering] = 0.0;
+        self.d_fresh = false;
+        self.work.clear_pivot_row();
+        self.time_pricing += t0.elapsed();
+    }
+
+    /// Accumulates `α = ρᵀA` (`ρ = work.rho`) into `work.alpha`, touching
+    /// only the rows where `ρ_i ≠ 0`, and lists the touched columns in
+    /// `work.alpha_nz`. Rows are visited in ascending order, so every
+    /// `α_j` equals the column-wise dot product `ρ · a_j` bit for bit.
+    fn pivot_row(&mut self) {
         if self.row_start.is_empty() {
             self.build_rows();
         }
-        let mut alpha = vec![0.0; self.n];
-        for (i, &ri) in rho.iter().enumerate() {
+        let work = &mut self.work;
+        for (i, &ri) in work.rho.iter().enumerate() {
             if ri != 0.0 {
                 for &(j, a) in &self.row_entries[self.row_start[i]..self.row_start[i + 1]] {
-                    alpha[j] += ri * a;
+                    if !work.touched[j] {
+                        work.touched[j] = true;
+                        work.alpha_nz.push(j);
+                    }
+                    work.alpha[j] += ri * a;
                 }
             }
         }
-        alpha
     }
 
     /// Builds the row-wise copy of `cols`; columns enter each row in
@@ -952,6 +1016,46 @@ impl WarmBasis {
     }
 }
 
+/// Work vectors of the pivoting loop, allocated once per solver so no
+/// iteration allocates.
+struct Work {
+    /// Duals `y = c_B' B⁻¹` of a reduced-cost refresh, len `m`.
+    y: Vec<f64>,
+    /// Entering column `B⁻¹ a_q`, by basis position, len `m`.
+    w: Vec<f64>,
+    /// Row `ρ = e_r' B⁻¹` of the basis inverse, len `m`.
+    rho: Vec<f64>,
+    /// Pivot row `ρᵀA`, len `n`; nonzero only on `alpha_nz`.
+    alpha: Vec<f64>,
+    /// Columns the pivot row touched, each once.
+    alpha_nz: Vec<usize>,
+    /// `touched[j]` ⇔ `j ∈ alpha_nz`.
+    touched: Vec<bool>,
+}
+
+impl Work {
+    fn new(m: usize, n: usize) -> Self {
+        Self {
+            y: vec![0.0; m],
+            w: vec![0.0; m],
+            rho: vec![0.0; m],
+            alpha: vec![0.0; n],
+            alpha_nz: Vec::new(),
+            touched: vec![false; n],
+        }
+    }
+
+    /// Zeroes the pivot row for the next pivot, in time proportional to
+    /// its nonzeros.
+    fn clear_pivot_row(&mut self) {
+        for &j in &self.alpha_nz {
+            self.alpha[j] = 0.0;
+            self.touched[j] = false;
+        }
+        self.alpha_nz.clear();
+    }
+}
+
 /// Result of one `optimize` run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PivotResult {
@@ -968,6 +1072,7 @@ mod tests {
     use super::*;
     use crate::model::{Model, ObjectiveSense};
     use crate::LinExpr;
+    use letdma_core::{Rng, Xoshiro256};
 
     fn solve(model: &Model) -> LpOutcome {
         SimplexSolver::from_model(model).solve()
@@ -1264,9 +1369,175 @@ mod tests {
         m
     }
 
-    /// The row-wise Devex pivot row `ρᵀA` equals the column-wise dot
-    /// product `ρ · a_j` on every nonbasic column, for every row `r` of
-    /// the basis reached after each of the first pivots of a solve.
+    /// A seeded LP in the style of the `proptest_solver` suite: integer
+    /// coefficients in [−4, 4] over boxed columns, rows of every sense, and
+    /// right-hand sides set so a random half-integral point of the box is
+    /// feasible.
+    fn seeded_random_lp(seed: u64) -> Model {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut m = Model::new();
+        let mut point = Vec::new();
+        let vars: Vec<_> = (0..12)
+            .map(|j| {
+                let upper = rng.i64_inclusive(1, 3);
+                point.push(rng.i64_inclusive(0, 2 * upper) as f64 / 2.0);
+                m.add_continuous(format!("x{j}"), 0.0, upper as f64)
+            })
+            .collect();
+        for k in 0..8 {
+            let coefs: Vec<f64> = (0..vars.len())
+                .map(|_| rng.i64_inclusive(-4, 4) as f64)
+                .collect();
+            let at_point: f64 = coefs.iter().zip(&point).map(|(c, p)| c * p).sum();
+            let expr = LinExpr::weighted_sum(vars.iter().copied().zip(coefs));
+            let slack = rng.i64_inclusive(0, 3) as f64;
+            let cmp = match rng.usize_below(3) {
+                0 => expr.le(at_point + slack),
+                1 => expr.ge(at_point - slack),
+                _ => expr.eq(at_point),
+            };
+            m.add_constraint(format!("c{k}"), cmp);
+        }
+        let obj = LinExpr::weighted_sum(
+            vars.iter()
+                .copied()
+                .map(|v| (v, rng.i64_inclusive(-5, 5) as f64)),
+        );
+        m.set_objective(ObjectiveSense::Minimize, obj);
+        m
+    }
+
+    /// The LPs whose pivot paths the pricing tests replay.
+    fn pricing_lps() -> [(&'static str, Model); 3] {
+        [
+            ("transport", transport_lp()),
+            ("flip", bound_flip_lp()),
+            ("random", seeded_random_lp(25)),
+        ]
+    }
+
+    /// The cost vector of the phase `lp` stopped in: phase 1 prices the
+    /// artificials, which are closed once it ends.
+    fn phase_cost(lp: &SimplexSolver) -> Vec<f64> {
+        if lp.artificial_columns().all(|j| lp.upper[j] == 0.0) {
+            return lp.cost.clone();
+        }
+        let mut cost = vec![0.0; lp.n];
+        for j in lp.artificial_columns() {
+            cost[j] = 1.0;
+        }
+        cost
+    }
+
+    /// Reduced costs of `lp`'s current basis under `cost`, computed from
+    /// scratch in the solver's own operation order.
+    fn fresh_reduced_costs(lp: &SimplexSolver, cost: &[f64]) -> Vec<f64> {
+        let cb: Vec<(usize, f64)> = lp
+            .basis
+            .iter()
+            .enumerate()
+            .filter(|&(_, &bj)| cost[bj] != 0.0)
+            .map(|(i, &bj)| (i, cost[bj]))
+            .collect();
+        let mut y = vec![0.0; lp.m];
+        lp.basis_inv.btran(&cb, &mut y);
+        (0..lp.n)
+            .map(|j| {
+                if matches!(lp.status[j], ColStatus::Basic(_)) {
+                    return 0.0;
+                }
+                let mut d = cost[j];
+                for &(i, a) in &lp.cols[j] {
+                    d -= y[i] * a;
+                }
+                d
+            })
+            .collect()
+    }
+
+    /// Drift oracle of the reduced-cost update: stopped at every iteration
+    /// limit, the maintained `d` matches a from-scratch `c_j − yᵀa_j` on
+    /// every nonbasic column within `1e-9·(1 + |c_j|)`, is zero on basic
+    /// columns, and is bit for bit the from-scratch vector whenever no
+    /// pivot has been applied since the last refactorization. A short
+    /// refactorization cadence puts refactorizations inside these small
+    /// solves.
+    #[test]
+    fn updated_reduced_costs_match_fresh_pricing() {
+        for (name, model) in pricing_lps() {
+            for interval in [SparseLu::REFACTOR_INTERVAL, 2] {
+                let mut full = SimplexSolver::from_model(&model);
+                full.refactor_interval = interval;
+                assert_optimal_any(&full.solve(), name);
+                assert!(full.pivots() >= 2, "{name}: too few pivots to sample");
+                let mut refactored = false;
+                for limit in 1..=full.iterations {
+                    let mut lp = SimplexSolver::from_model(&model);
+                    lp.refactor_interval = interval;
+                    lp.iteration_limit = limit;
+                    let _ = lp.solve();
+                    let cost = phase_cost(&lp);
+                    let fresh = fresh_reduced_costs(&lp, &cost);
+                    for j in 0..lp.n {
+                        let tol = 1e-9 * (1.0 + cost[j].abs());
+                        assert!(
+                            (lp.d[j] - fresh[j]).abs() <= tol,
+                            "{name}: interval {interval}, limit {limit}, column {j}: \
+                             maintained {} vs fresh {}",
+                            lp.d[j],
+                            fresh[j]
+                        );
+                    }
+                    if lp.basis_inv.updates_since_refactor() == 0 {
+                        refactored |= lp.refactorizations() > 0;
+                        assert_eq!(
+                            lp.d, fresh,
+                            "{name}: interval {interval}, limit {limit}: \
+                             a fresh factorization must reprice from scratch"
+                        );
+                    }
+                }
+                if interval == 2 {
+                    assert!(refactored, "{name}: no stop right after a refactorization");
+                }
+            }
+        }
+    }
+
+    /// `Optimal` is returned only from reduced costs recomputed from
+    /// scratch after the last basis change: the maintained `d` of every
+    /// optimal solve is bit for bit the from-scratch vector, and no
+    /// column improves under it.
+    #[test]
+    fn optimal_rests_on_fresh_reduced_costs() {
+        let models = pricing_lps()
+            .into_iter()
+            .chain([("three-row", three_row_lp())])
+            .chain((0..16).map(|seed| ("random", seeded_random_lp(seed))));
+        for (name, model) in models {
+            for interval in [SparseLu::REFACTOR_INTERVAL, 2] {
+                let mut lp = SimplexSolver::from_model(&model);
+                lp.refactor_interval = interval;
+                assert_optimal_any(&lp.solve(), name);
+                assert!(lp.d_fresh, "{name}: optimal on updated reduced costs");
+                assert_eq!(lp.d, fresh_reduced_costs(&lp, &lp.cost), "{name}");
+                assert_eq!(lp.choose_entering(false), None, "{name}");
+                assert_eq!(lp.choose_entering(true), None, "{name}");
+            }
+        }
+    }
+
+    fn assert_optimal_any(outcome: &LpOutcome, name: &str) {
+        assert!(
+            matches!(outcome, LpOutcome::Optimal { .. }),
+            "{name}: expected optimal, got {outcome:?}"
+        );
+    }
+
+    /// The row-wise pivot row `ρᵀA` equals the column-wise dot product
+    /// `ρ · a_j` on every nonbasic column and lists each touched column
+    /// once, for every row `r` of the basis reached after each of the
+    /// first pivots of a solve; clearing it leaves all zeros.
     #[test]
     fn row_wise_pivot_row_matches_column_dot_products() {
         for (name, model) in [("transport", transport_lp()), ("flip", bound_flip_lp())] {
@@ -1278,10 +1549,19 @@ mod tests {
                 lp.iteration_limit = limit;
                 let _ = lp.solve();
                 for r in 0..lp.m {
-                    let mut rho = vec![0.0; lp.m];
-                    lp.basis_inv.btran(&[(r, 1.0)], &mut rho);
-                    let alpha = lp.pivot_row(&rho);
+                    lp.basis_inv.btran(&[(r, 1.0)], &mut lp.work.rho);
+                    lp.pivot_row();
+                    let rho = &lp.work.rho;
+                    let alpha = &lp.work.alpha;
+                    let mut listed = lp.work.alpha_nz.clone();
+                    listed.sort_unstable();
+                    listed.dedup();
+                    assert_eq!(listed.len(), lp.work.alpha_nz.len(), "{name}: duplicates");
                     for j in 0..lp.n {
+                        assert!(
+                            alpha[j] == 0.0 || listed.binary_search(&j).is_ok(),
+                            "{name}: limit {limit}, row {r}: column {j} unlisted"
+                        );
                         if matches!(lp.status[j], ColStatus::Basic(_)) {
                             continue;
                         }
@@ -1292,6 +1572,9 @@ mod tests {
                             alpha[j]
                         );
                     }
+                    lp.work.clear_pivot_row();
+                    assert!(lp.work.alpha.iter().all(|&a| a == 0.0));
+                    assert!(lp.work.touched.iter().all(|&t| !t));
                 }
             }
         }

@@ -34,6 +34,7 @@
 //!   returns the final snapshot.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -400,8 +401,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread itself panicked (solver panics are
-    /// isolated inside the pipeline, so this indicates a queue bug).
+    /// Panics if a worker thread itself panicked (a panic inside a job is
+    /// answered by the per-job guard, so this indicates a queue bug).
     #[must_use]
     pub fn shutdown(mut self) -> SolverStats {
         assert!(self.stop_workers(), "serve worker never panics");
@@ -446,10 +447,31 @@ fn worker_loop(shared: &Shared) {
                 state = shared.available.wait(state).expect("server state lock");
             }
         };
-        let outcome = run_job(shared, &job.system, job.config, job.deadline);
+        let outcome = guarded(|| run_job(shared, &job.system, job.config, job.deadline));
         // A send error means the batch's caller is gone; keep serving.
         let _ = job.reply.send(SolveResponse::new(job.id, outcome));
     }
+}
+
+/// Runs one job's work behind a panic guard: a panic anywhere in it, the
+/// formulation build and presolve of a cache miss included, answers the
+/// job with [`ServeError::Solve`] instead of unwinding out of the worker
+/// and leaving the server one worker short for good. `AssertUnwindSafe`
+/// holds because the shared state a job touches sits behind mutexes, and
+/// a preparation that panics never reaches the cache.
+fn guarded(
+    job: impl FnOnce() -> Result<SolveReport, ServeError>,
+) -> Result<SolveReport, ServeError> {
+    panic::catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        Err(ServeError::Solve(format!(
+            "panic while serving the job: {message}"
+        )))
+    })
 }
 
 fn run_job(
@@ -522,5 +544,33 @@ fn run_job(
         }),
         Err(OptError::DeadlineExpired) => Err(ServeError::DeadlineExpired),
         Err(error) => Err(ServeError::Solve(error.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic inside a job's work is answered with a typed solve error
+    /// carrying the panic message; a job that returns passes through.
+    #[test]
+    fn a_panicking_job_is_answered_with_a_solve_error() {
+        match guarded(|| panic!("presolve blew up")) {
+            Err(ServeError::Solve(message)) => {
+                assert!(message.contains("presolve blew up"), "{message}");
+            }
+            other => panic!("expected a solve error, got {other:?}"),
+        }
+        let code = 7;
+        match guarded(|| panic!("formulation blew up: {code}")) {
+            Err(ServeError::Solve(message)) => {
+                assert!(message.contains("formulation blew up: 7"), "{message}");
+            }
+            other => panic!("expected a solve error, got {other:?}"),
+        }
+        assert_eq!(
+            guarded(|| Err(ServeError::DeadlineExpired)),
+            Err(ServeError::DeadlineExpired)
+        );
     }
 }

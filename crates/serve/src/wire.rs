@@ -16,8 +16,9 @@
 //!   the decoder replays the shipped events through the collector's
 //!   [`Instrument`] impl, resolving phase names against [`KNOWN_PHASES`]
 //!   and counter/event names against [`Counter::ALL`] /
-//!   [`NodeEvent::ALL`]. Unknown names are a hard error: schema drift
-//!   fails loudly instead of silently dropping counters.
+//!   [`NodeEvent::ALL`]. Unknown names are skipped, so a reply from a
+//!   server that still ships a retired counter decodes to the stats it
+//!   would carry without that entry.
 //!
 //! Decoding is strict (a missing or mistyped field is an error with the
 //! field's name in the message); it is a codec for our own output, not a
@@ -35,9 +36,10 @@ use letdma_opt::{Objective, OptConfig, Resolution};
 use crate::api::{JobId, ServeError, SolveReport, SolveRequest, SolveResponse, PROTOCOL};
 
 /// Every wall-clock phase name the pipeline can report, used to resolve
-/// decoded phase names back to `&'static str`. The exhaustive-decode test
-/// in `tests/serve.rs` round-trips a real solve's stats, so a phase added
-/// to the pipeline without extending this list fails that test.
+/// decoded phase names back to `&'static str`; the decoder skips any
+/// other name. `tests/serve.rs` checks every phase of a real in-process
+/// solve against this list, so a phase added to the pipeline without
+/// extending it fails that test.
 pub const KNOWN_PHASES: &[&str] = &[
     "heuristic",
     "formulation",
@@ -354,11 +356,9 @@ fn stats_from(value: &Json) -> Result<SolverStats, String> {
     // order (phase order in the collector is discovery order).
     for phase in arr_field(value, "phases")? {
         let shipped = str_field(phase, "name")?;
-        let name = KNOWN_PHASES
-            .iter()
-            .find(|&&known| known == shipped)
-            .copied()
-            .ok_or_else(|| format!("unknown phase `{shipped}`"))?;
+        let Some(&name) = KNOWN_PHASES.iter().find(|&&known| known == shipped) else {
+            continue;
+        };
         let elapsed = Duration::from_nanos(u64_field(phase, "ns")?);
         let count = u64_field(phase, "count")?;
         for i in 0..count {
@@ -367,22 +367,18 @@ fn stats_from(value: &Json) -> Result<SolverStats, String> {
         }
     }
     for (shipped, v) in obj_fields(value, "counters")? {
-        let counter = Counter::ALL
-            .iter()
-            .find(|c| c.name() == shipped)
-            .copied()
-            .ok_or_else(|| format!("unknown counter `{shipped}`"))?;
+        let Some(&counter) = Counter::ALL.iter().find(|c| c.name() == shipped) else {
+            continue;
+        };
         let Json::Int(n) = v else {
             return Err(format!("counter `{shipped}` is not an integer"));
         };
         stats.count(counter, *n as u64);
     }
     for (shipped, v) in obj_fields(value, "node_events")? {
-        let event = NodeEvent::ALL
-            .iter()
-            .find(|e| e.name() == shipped)
-            .copied()
-            .ok_or_else(|| format!("unknown node event `{shipped}`"))?;
+        let Some(&event) = NodeEvent::ALL.iter().find(|e| e.name() == shipped) else {
+            continue;
+        };
         let Json::Int(n) = v else {
             return Err(format!("node event `{shipped}` is not an integer"));
         };

@@ -203,6 +203,58 @@ fn wire_responses_round_trip() {
     assert!(!report.stats.phases().is_empty());
 }
 
+/// A reply from a server that still ships a retired counter, phase or
+/// node event decodes to the same stats as the reply without that entry:
+/// the decoder skips names it does not know, as it skips unknown request
+/// fields. `refactor cadence` is a counter that was retired with its knob.
+#[test]
+fn wire_replies_with_retired_names_still_decode() {
+    let mut client = Client::new(LoopbackTransport::new(ServeConfig::new().with_workers(1)));
+    let responses = client
+        .solve_batch(&[SolveRequest::new(comm_system(5), base_config())])
+        .expect("loopback batch");
+    let text = wire::encode_responses(&responses);
+    let splice = |open: &str, entry: &str| {
+        assert_eq!(text.matches(open).count(), 1, "one `{open}` in the reply");
+        let spliced = text.replacen(open, &format!("{open}{entry}, "), 1);
+        assert!(
+            !spliced.contains(", }") && !spliced.contains(", ]"),
+            "nonempty"
+        );
+        spliced
+    };
+    for older in [
+        splice("\"counters\": {", "\"refactor cadence\": 128"),
+        splice("\"node_events\": {", "\"warm fathomed\": 3"),
+        splice(
+            "\"phases\": [",
+            "{\"name\": \"dual-simplex\", \"ns\": 5, \"count\": 1}",
+        ),
+    ] {
+        assert_ne!(older, text);
+        let decoded = wire::decode_responses(&older).expect("a retired name decodes");
+        assert_eq!(decoded, responses);
+    }
+}
+
+/// Every phase a real in-process solve reports is in
+/// `wire::KNOWN_PHASES`, so the decoder, which skips unknown names, never
+/// drops one of this build's own phases.
+#[test]
+fn every_pipeline_phase_is_known_to_the_wire_codec() {
+    let system = comm_system(5);
+    let mut stats = SolverStats::new();
+    Optimizer::new(&system)
+        .config(base_config())
+        .instrument(&mut stats)
+        .run()
+        .expect("direct solve");
+    assert!(!stats.phases().is_empty());
+    for &(name, _, _) in stats.phases() {
+        assert!(wire::KNOWN_PHASES.contains(&name), "phase `{name}` unknown");
+    }
+}
+
 /// Typed errors survive the codec.
 #[test]
 fn wire_errors_round_trip() {

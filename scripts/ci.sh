@@ -73,6 +73,18 @@ grep -q '"phase1_iterations_saved"' "$milp_t1" || {
 grep -q '"root_gap_bps"' "$milp_t1" || {
   echo "bench-milp output lacks the presolve root-gap field"; exit 1; }
 
+echo "== committed BENCH_milp.json is current (bench-milp --nodes 12) =="
+# The committed report is the --nodes 12 sweep (about 100 s on 2 vCPUs).
+# It is deterministic, so regenerating it must reproduce the file byte for
+# byte: a change that moves simplex iteration counts cannot land without
+# the regenerated file.
+milp_n12="$(mktemp -t bench_milp_n12.XXXXXX.json)"
+trap 'rm -f "$milp_t1" "$milp_t4" "$milp_n12"' EXIT
+cargo run --release -p letdma-bench --bin repro --offline -- \
+  bench-milp --nodes 12 --out "$milp_n12"
+cmp "$milp_n12" BENCH_milp.json || {
+  echo "BENCH_milp.json is stale; regenerate it with: repro bench-milp --nodes 12"; exit 1; }
+
 echo "== corpus smoke (8 scenarios, LETDMA_THREADS=1 and 4, byte-identical) =="
 # The scenario-corpus campaign end-to-end on a small slice: generator →
 # heuristic → node-limited MILP → Properties-1–3 conformance → all five
@@ -84,7 +96,7 @@ echo "== corpus smoke (8 scenarios, LETDMA_THREADS=1 and 4, byte-identical) =="
 # thread-count-invariance claim.
 corpus_t1="$(mktemp -t bench_corpus_t1.XXXXXX.json)"
 corpus_t4="$(mktemp -t bench_corpus_t4.XXXXXX.json)"
-trap 'rm -f "$milp_t1" "$milp_t4" "$corpus_t1" "$corpus_t4"' EXIT
+trap 'rm -f "$milp_t1" "$milp_t4" "$milp_n12" "$corpus_t1" "$corpus_t4"' EXIT
 LETDMA_THREADS=1 cargo run --release -p letdma-bench --bin repro --offline -- \
   corpus --scenarios 8 --nodes 8 --out "$corpus_t1"
 LETDMA_THREADS=4 cargo run --release -p letdma-bench --bin repro --offline -- \
