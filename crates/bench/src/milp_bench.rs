@@ -15,8 +15,9 @@
 //! * `presolve` — the reductions and the root-gap tightening
 //!   ([`Counter::RootGapBps`]);
 //! * `reuse` — the scenario solved twice through one [`prepare`]d entry:
-//!   the second run imports the first run's optimal root basis and skips
-//!   phase 1 at the root ([`Counter::Phase1IterationsSaved`]).
+//!   the second run imports the first run's optimal root basis, which is
+//!   feasible on the same data, so it skips phase 1 at the root
+//!   ([`Counter::Phase1IterationsSaved`]).
 //!
 //! DESIGN.md §"Removed: value-free dual re-solves and the crash basis"
 //! records what earlier schemas measured (the warm/cold split of
@@ -34,8 +35,9 @@ pub struct SolveReport {
     pub nodes: u64,
     /// Simplex iterations (phase 1 + phase 2, all node LPs).
     pub simplex_iterations: u64,
-    /// The phase-1 share of `simplex_iterations`: pivots spent driving
-    /// artificial variables out of the basis before any optimization.
+    /// The phase-1 share of `simplex_iterations`: iterations spent
+    /// driving the basic variables inside their bounds before any
+    /// optimization.
     pub phase1_iterations: u64,
 }
 
@@ -107,8 +109,8 @@ pub struct ReuseReport {
     /// Root imports that landed in the second run (1 when the donor basis
     /// transferred, 0 when it fell back cold).
     pub cross_warm_starts: u64,
-    /// The donor phase-1 bill the import skipped
-    /// ([`Counter::Phase1IterationsSaved`]).
+    /// The donor phase-1 bill the import skipped, less the import's own
+    /// root phase-1 iterations ([`Counter::Phase1IterationsSaved`]).
     pub phase1_iterations_saved: u64,
     /// Phase-1 iterations the importing run still paid (child LPs; 0 at
     /// the root when the import landed).

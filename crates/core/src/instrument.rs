@@ -26,7 +26,8 @@ use std::time::Duration;
 pub enum Counter {
     /// Simplex iterations (pricing loops entered), both phases.
     SimplexIterations,
-    /// Simplex iterations spent in the artificial phase 1.
+    /// Simplex iterations spent in phase 1, which minimizes the bound
+    /// violations of the basic variables until the point is feasible.
     Phase1Iterations,
     /// Basis changes (entering/leaving pivots; excludes bound flips).
     Pivots,
@@ -122,9 +123,10 @@ pub enum Counter {
     /// attaches one).
     CrossScenarioWarmStarts,
     /// Phase-1 iterations avoided by successful cross-scenario root warm
-    /// starts: the donor root LP's phase-1 count, charged once per
-    /// successful import (a deterministic proxy; the exact reduction is
-    /// measured by the `reuse` block in `BENCH_milp.json`).
+    /// starts: the donor root LP's phase-1 count less the import's own
+    /// phase-1 iterations (saturating at zero), charged once per successful
+    /// import (a deterministic proxy; the exact reduction is measured by
+    /// the `reuse` block in `BENCH_milp.json`).
     Phase1IterationsSaved,
     /// Transport round trips re-attempted by the serve TCP client after a
     /// connect/write/read failure (each retry re-sends the whole batch

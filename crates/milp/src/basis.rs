@@ -3,8 +3,8 @@
 //! The simplex only ever touches the basis through five operations — a
 //! BTRAN solve over a sparse right-hand side, an FTRAN solve of a sparse
 //! column, a rank-one pivot update, a from-scratch refactorization and a
-//! reset to the signed-identity starting basis. [`SparseLu`] provides
-//! them: a sparse LU factorization of the basis (Markowitz pivot
+//! reset to the identity (the all-slack starting basis). [`SparseLu`]
+//! provides them: a sparse LU factorization of the basis (Markowitz pivot
 //! selection with Suhl–Suhl threshold partial pivoting, stored as sparse
 //! triangular factors) plus product-form eta updates between
 //! refactorizations. Every solve costs
@@ -371,20 +371,17 @@ impl SparseLu {
         }
     }
 
-    /// Re-initializes to a *signed identity*: `B = diag(signs)`.
-    ///
-    /// The artificial starting basis of phase 1 is diagonal: `+1` rows for
-    /// basic slacks/`p`-artificials, `−1` rows where the negative
-    /// `q`-artificial is basic.
-    pub fn reset(&mut self, signs: &[f64]) {
-        let m = signs.len();
+    /// Re-initializes to the `m × m` identity: the all-slack starting
+    /// basis of a cold solve, and the empty factorization a
+    /// [`refactorize`](Self::refactorize) of an imported basis starts from.
+    pub fn reset(&mut self, m: usize) {
         self.m = m;
         self.rowp = (0..m).collect();
         self.row_of = (0..m).collect();
         self.colp = (0..m).collect();
         self.lcols = vec![Vec::new(); m];
         self.ucols = vec![Vec::new(); m];
-        self.udiag = signs.to_vec();
+        self.udiag = vec![1.0; m];
         self.etas.clear();
         self.eta_nnz_current = 0;
         self.lu_nnz = m as u64;
@@ -654,19 +651,19 @@ mod tests {
     #[test]
     fn sparse_lu_reset_is_signed_identity() {
         let mut b = SparseLu::new();
-        b.reset(&[1.0, -1.0, 1.0]);
+        b.reset(3);
         let mut w = vec![0.0; 3];
         b.ftran(&[(0, 3.0), (1, 5.0), (2, -2.0)], &mut w);
-        assert_eq!(w, vec![3.0, -5.0, -2.0]);
+        assert_eq!(w, vec![3.0, 5.0, -2.0]);
         let mut y = vec![0.0; 3];
         b.btran(&[(1, 4.0)], &mut y);
-        assert_eq!(y, vec![0.0, -4.0, 0.0]);
+        assert_eq!(y, vec![0.0, 4.0, 0.0]);
     }
 
     #[test]
     fn sparse_lu_factorizes_and_solves() {
         let mut b = SparseLu::new();
-        b.reset(&[1.0, 1.0, 1.0]);
+        b.reset(3);
         let cols: Vec<SparseCol> = vec![
             vec![(0, 2.0), (2, 1.0)],
             vec![(1, 3.0)],
@@ -698,7 +695,7 @@ mod tests {
     #[test]
     fn sparse_lu_pivot_updates_track_the_new_basis() {
         let mut b = SparseLu::new();
-        b.reset(&[1.0, 1.0]);
+        b.reset(2);
         let a0: SparseCol = vec![(0, 2.0), (1, 1.0)];
         let mut w = vec![0.0; 2];
         b.ftran(&a0, &mut w);
@@ -718,7 +715,7 @@ mod tests {
     #[test]
     fn sparse_lu_rejects_singular_and_keeps_state() {
         let mut b = SparseLu::new();
-        b.reset(&[1.0, 1.0]);
+        b.reset(2);
         let c0: SparseCol = vec![(0, 1.0), (1, 1.0)];
         let c1: SparseCol = vec![(0, 2.0), (1, 2.0)]; // linearly dependent
         assert!(!b.refactorize(&[&c0, &c1]));
@@ -732,7 +729,7 @@ mod tests {
     #[test]
     fn sparse_lu_fill_trigger_fires_on_eta_growth() {
         let mut b = SparseLu::new();
-        b.reset(&[1.0; 4]);
+        b.reset(4);
         assert!(!b.wants_refactor(128));
         // Dense pivots append 4 nonzeros each; five of them grow the eta
         // file to 20, past the 2·(lu_nnz + m) = 16 trigger.
@@ -844,8 +841,8 @@ mod tests {
         assert!(factored >= 60, "only {factored} of 120 cases factored");
     }
 
-    /// The shape of a WATERS root basis: mostly slack and artificial
-    /// singletons, a sparse `{0, ±1}` structural block.
+    /// The shape of a WATERS root basis: mostly slack singletons, a
+    /// sparse `{0, ±1}` structural block.
     #[test]
     fn head_skipping_search_matches_the_full_rescan_on_a_waters_shaped_basis() {
         let mut rng = Xoshiro256::seed_from_u64(0x3A7E_5201);

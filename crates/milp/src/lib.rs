@@ -14,13 +14,15 @@
 //! # One LP path
 //!
 //! Every node LP is a cold **primal** simplex solve
-//! ([`simplex::SimplexSolver::solve`]): artificial-variable phase 1,
-//! Devex pricing with Bland anti-cycling, a Harris-style two-pass ratio
-//! test, one basis representation (the sparse LU of [`SparseLu`]) and one
-//! refactorization cadence. The only warm start is at the root: a sibling
-//! scenario's optimal root basis ([`WarmBasis`], shared through a
-//! [`RootBasisSlot`]) is installed and, when primal feasible, phase 2
-//! runs directly from it.
+//! ([`simplex::SimplexSolver::solve`]) over the structural and slack
+//! columns alone, from the all-slack basis: a composite phase 1 that
+//! minimizes the bound violations of the basic variables, Devex pricing
+//! with Bland anti-cycling, a Harris-style two-pass ratio test, one basis
+//! representation (the sparse LU of [`SparseLu`]) and one refactorization
+//! cadence. The only warm start is at the root: a sibling scenario's
+//! optimal root basis ([`WarmBasis`], shared through a [`RootBasisSlot`])
+//! is installed and solved from on the same path, phase 1 repairing it
+//! where the new data makes it infeasible.
 //!
 //! # Examples
 //!

@@ -9,12 +9,20 @@
 //!                 l ≤ x ≤ u        (bounds may be infinite)
 //! ```
 //!
-//! Feasibility is obtained with an *artificial-variable phase 1*: every row
-//! receives a pair of nonnegative artificial columns `p_i − q_i` whose sum is
-//! minimized; the initial all-artificial basis is trivially feasible, so the
-//! same bounded-variable pivoting loop serves both phases. After phase 1 the
-//! artificials are fixed to zero and the loop continues with the real
-//! objective from the current basis.
+//! Every solve starts from a basis partition and runs one path: install
+//! the basis, repair its point with phase 1 if any basic variable lies
+//! outside its bounds, then optimize with phase 2. A cold solve starts
+//! from the all-slack basis `B = I` (every structural on its bound nearest
+//! zero, each slack basic at its row residual); a root import starts from
+//! a donor's basis. Phase 1 is *composite* (Maros, *Computational
+//! Techniques of the Simplex Method*, 2003): it minimizes the sum of the
+//! bound violations of the basic variables, with cost −1/+1 on the basics
+//! below/above their bounds and 0 elsewhere, in the same pivoting loop as
+//! phase 2. An infeasible basic blocks the ratio test only at its violated
+//! bound, and only when moving toward it; when one leaves, only its own
+//! reduced cost changes, and when any other basic changes feasibility
+//! class in a step, the phase-1 costs and the reduced costs are
+//! recomputed. The only columns are the structurals and the slacks.
 //!
 //! Entering columns are chosen by Devex pricing (see `pricing.rs`), with
 //! an automatic switch to Bland's rule when the objective stalls
@@ -36,9 +44,10 @@
 //!
 //! [`SimplexSolver::snapshot`] captures an optimal basis partition as a
 //! [`WarmBasis`]; [`SimplexSolver::solve_from_basis`] installs it on another
-//! model of the same shape and, when the implied point is primal feasible
-//! there, runs phase 2 directly — the cross-scenario root reuse of
-//! DESIGN.md §"Warm-start architecture". Every other solve starts cold.
+//! model of the same shape and solves from there: phase 2 directly when
+//! the implied point is primal feasible on the new data, phase 1 first
+//! when it is not — the cross-scenario root reuse of DESIGN.md
+//! §"Warm-start architecture". Every other solve starts cold.
 
 // Index-based loops mirror the mathematical notation (rows i, columns j,
 // groups g); iterator rewrites would obscure the correspondence.
@@ -97,7 +106,7 @@ pub(crate) type Column = Vec<(usize, f64)>;
 pub struct SimplexSolver {
     /// Number of rows.
     m: usize,
-    /// Total number of columns (structural + slack + 2·m artificial).
+    /// Total number of columns (structural + one slack per row).
     n: usize,
     /// Number of structural columns (the model's own variables).
     n_struct: usize,
@@ -203,9 +212,7 @@ impl SimplexSolver {
     pub fn from_model(model: &Model) -> Self {
         let m = model.num_constraints();
         let n_struct = model.num_vars();
-        let n_slack = m;
-        let n_art = 2 * m;
-        let n = n_struct + n_slack + n_art;
+        let n = n_struct + m;
 
         let mut cols: Vec<Column> = vec![Vec::new(); n];
         let mut b = vec![0.0; m];
@@ -257,16 +264,6 @@ impl SimplexSolver {
                     upper[s] = 0.0;
                 }
             }
-            // Artificial pair p_i (+1) and q_i (−1), both ≥ 0; their upper
-            // bounds start open for phase 1 and are closed afterwards.
-            let p = n_struct + n_slack + 2 * i;
-            let q = p + 1;
-            cols[p].push((i, 1.0));
-            cols[q].push((i, -1.0));
-            lower[p] = 0.0;
-            upper[p] = f64::INFINITY;
-            lower[q] = 0.0;
-            upper[q] = f64::INFINITY;
         }
 
         let obj_scale = match model.sense {
@@ -342,48 +339,92 @@ impl SimplexSolver {
         self.basis_inv.fill_nonzeros()
     }
 
-    /// Solves the LP relaxation from scratch (phase 1 then phase 2).
+    /// Solves the LP relaxation from the all-slack basis `B = I`: every
+    /// structural rests on its bound nearest zero and each slack is basic
+    /// at its row residual; phase 1 then repairs the point if it is
+    /// infeasible, and phase 2 optimizes.
     #[must_use]
     pub fn solve(&mut self) -> LpOutcome {
         if self.m == 0 {
             return self.solve_unconstrained();
         }
-        self.initialize_artificial_basis();
-
-        // Phase 1: minimize the sum of artificials.
-        let mut phase1_cost = vec![0.0; self.n];
-        for j in self.artificial_columns() {
-            phase1_cost[j] = 1.0;
+        for j in 0..self.n_struct {
+            let (l, u) = (self.lower[j], self.upper[j]);
+            self.status[j] = if l.is_finite() && (l.abs() <= u.abs() || !u.is_finite()) {
+                ColStatus::AtLower
+            } else if u.is_finite() {
+                ColStatus::AtUpper
+            } else {
+                ColStatus::FreeZero
+            };
         }
-        let phase1_result = self.optimize(&phase1_cost);
+        self.basis = (self.n_struct..self.n).collect();
+        for (i, &s) in self.basis.iter().enumerate() {
+            self.status[s] = ColStatus::Basic(i);
+        }
+        self.basis_inv.reset(self.m);
+        // Bounds nearest zero are finite and `B = I` is exact, so the
+        // install cannot fail.
+        self.settle().unwrap_or(LpOutcome::Numerical)
+    }
+
+    /// Solves from the installed basis partition (`basis`, `status`, and
+    /// `basis_inv` factorizing it): puts every nonbasic column on its
+    /// bound, computes `x_B = B⁻¹ (b − N x_N)`, runs phase 1 if any basic
+    /// lies outside its bounds, then phase 2. `None` means a nonbasic
+    /// rests on an infinite bound or `x_B` is not finite.
+    fn settle(&mut self) -> Option<LpOutcome> {
+        let mut resid = self.b.clone();
+        for j in 0..self.n {
+            let v = match self.status[j] {
+                ColStatus::Basic(_) => continue,
+                ColStatus::AtLower => self.lower[j],
+                ColStatus::AtUpper => self.upper[j],
+                ColStatus::FreeZero => 0.0,
+            };
+            if !v.is_finite() {
+                return None;
+            }
+            self.x[j] = v;
+            if v != 0.0 {
+                for &(i, a) in &self.cols[j] {
+                    resid[i] -= a * v;
+                }
+            }
+        }
+        let resid: Vec<(usize, f64)> = resid
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0.0)
+            .map(|(i, &v)| (i, v))
+            .collect();
+        let mut xb = vec![0.0; self.m];
+        let t0 = Instant::now();
+        self.basis_inv.ftran(&resid, &mut xb);
+        self.time_solve += t0.elapsed();
+        self.ftran_calls += 1;
+        for (i, &bj) in self.basis.iter().enumerate() {
+            if !xb[i].is_finite() {
+                return None;
+            }
+            self.x[bj] = xb[i];
+        }
+
+        self.iterations = 0;
+        let phase1 = self.optimize(true);
         self.phase1_iterations = self.iterations;
-        match phase1_result {
+        match phase1 {
+            PivotResult::Optimal if self.infeasibility() > 1e-6 => {
+                return Some(LpOutcome::Infeasible)
+            }
             PivotResult::Optimal => {}
-            PivotResult::Unbounded => {
-                // Σ artificials ≥ 0 can never be unbounded below.
-                unreachable!("phase 1 objective is bounded below by zero");
-            }
-            PivotResult::IterationLimit => return LpOutcome::IterationLimit,
-            PivotResult::TimedOut => return LpOutcome::TimedOut,
-            PivotResult::Numerical => return LpOutcome::Numerical,
+            // The sum of violations is bounded below by zero: an unbounded
+            // phase-1 ray is a numerical artefact.
+            PivotResult::Unbounded | PivotResult::Numerical => return Some(LpOutcome::Numerical),
+            PivotResult::IterationLimit => return Some(LpOutcome::IterationLimit),
+            PivotResult::TimedOut => return Some(LpOutcome::TimedOut),
         }
-        self.phase1_iterations = self.iterations;
-        let infeasibility: f64 = self.artificial_columns().map(|j| self.x[j]).sum();
-        if infeasibility > 1e-6 {
-            return LpOutcome::Infeasible;
-        }
-        // Close the artificials so phase 2 cannot reopen them.
-        for j in self.artificial_columns().collect::<Vec<_>>() {
-            self.upper[j] = 0.0;
-            self.x[j] = 0.0;
-            if !matches!(self.status[j], ColStatus::Basic(_)) {
-                self.status[j] = ColStatus::AtLower;
-            }
-        }
-
-        // Phase 2: the real objective.
-        let cost = self.cost.clone();
-        match self.optimize(&cost) {
+        Some(match self.optimize(false) {
             PivotResult::Optimal => LpOutcome::Optimal {
                 values: self.x[..self.n_struct].to_vec(),
                 objective: self.current_objective(),
@@ -392,7 +433,7 @@ impl SimplexSolver {
             PivotResult::IterationLimit => LpOutcome::IterationLimit,
             PivotResult::TimedOut => LpOutcome::TimedOut,
             PivotResult::Numerical => LpOutcome::Numerical,
-        }
+        })
     }
 
     /// Degenerate case: no constraints — every variable sits at its
@@ -428,95 +469,66 @@ impl SimplexSolver {
         self.obj_scale * min_obj + self.obj_offset
     }
 
-    fn artificial_columns(&self) -> impl Iterator<Item = usize> {
-        let start = self.n_struct + self.m;
-        let end = self.n;
-        start..end
+    /// Phase-1 class of column `j`'s value: −1 below its lower bound, +1
+    /// above its upper bound, 0 within them (to `EPS·(1 + |bound|)`). The
+    /// phase-1 cost of a basic column is its class.
+    fn infeasibility_sign(&self, j: usize) -> f64 {
+        let (x, l, u) = (self.x[j], self.lower[j], self.upper[j]);
+        if x < l - EPS * (1.0 + l.abs()) {
+            -1.0
+        } else if x > u + EPS * (1.0 + u.abs()) {
+            1.0
+        } else {
+            0.0
+        }
     }
 
-    /// Puts every non-artificial column at its bound nearest zero, then
-    /// builds the starting basis: per row, the slack when it can absorb
-    /// the residual (slack-preferring — most rows of a typical model start
-    /// feasible this way), else one sign-matched artificial. The result is
-    /// a ±1 diagonal, so the basis representation is reset, never
-    /// refactorized.
-    fn initialize_artificial_basis(&mut self) {
-        let m = self.m;
-        for j in 0..self.n_struct + m {
-            let (l, u) = (self.lower[j], self.upper[j]);
-            let (v, st) = if l.is_finite() && u.is_finite() {
-                if l.abs() <= u.abs() {
-                    (l, ColStatus::AtLower)
-                } else {
-                    (u, ColStatus::AtUpper)
-                }
-            } else if l.is_finite() {
-                (l, ColStatus::AtLower)
-            } else if u.is_finite() {
-                (u, ColStatus::AtUpper)
-            } else {
-                (0.0, ColStatus::FreeZero)
-            };
-            self.x[j] = v;
-            self.status[j] = st;
-        }
-        // Residual r_i (with the slack parked at its bound-nearest-zero
-        // value) decides the starting basis of each row: the slack itself
-        // when the residual fits within the slack bounds — most rows of a
-        // typical model start feasible this way and phase 1 only has to
-        // repair the rest — otherwise one artificial of the sign-matching
-        // pair.
-        let mut residual = self.b.clone();
-        for j in 0..self.n_struct + m {
-            let v = self.x[j];
-            if v != 0.0 {
-                for &(i, a) in &self.cols[j] {
-                    residual[i] -= a * v;
-                }
-            }
-        }
-        self.basis = Vec::with_capacity(m);
-        let mut signs = vec![0.0; m];
-        for i in 0..m {
-            let s = self.n_struct + i;
-            let p = self.n_struct + m + 2 * i;
-            let q = p + 1;
-            // The residual above subtracted the slack's parked value; the
-            // row's remaining defect is what the basic variable must absorb.
-            let defect = residual[i] + self.x[s];
-            self.status[p] = ColStatus::AtLower;
-            self.status[q] = ColStatus::AtLower;
-            self.x[p] = 0.0;
-            self.x[q] = 0.0;
-            if defect >= self.lower[s] && defect <= self.upper[s] {
-                // Slack basic (coefficient +1 ⇒ identity inverse row).
-                self.status[s] = ColStatus::Basic(i);
-                self.x[s] = defect;
-                self.basis.push(s);
-                signs[i] = 1.0;
-                continue;
-            }
-            // Keep the slack parked; an artificial absorbs the rest.
-            let rest = residual[i];
-            let (chosen, binv_sign) = if rest >= 0.0 { (p, 1.0) } else { (q, -1.0) };
-            self.status[chosen] = ColStatus::Basic(i);
-            self.x[chosen] = rest.abs();
-            self.basis.push(chosen);
-            // Column of q is −e_i, so B⁻¹ row is −e_i when q is basic.
-            signs[i] = binv_sign;
-        }
-        self.basis_inv.reset(&signs);
-        self.iterations = 0;
+    /// Sum of the bound violations of the basics outside their bounds.
+    fn infeasibility(&self) -> f64 {
+        self.basis
+            .iter()
+            .map(|&j| match self.infeasibility_sign(j) {
+                s if s < 0.0 => self.lower[j] - self.x[j],
+                s if s > 0.0 => self.x[j] - self.upper[j],
+                _ => 0.0,
+            })
+            .sum()
     }
 
-    /// Runs primal pivoting until optimal/unbounded for the given cost.
-    fn optimize(&mut self, cost: &[f64]) -> PivotResult {
+    /// Writes the phase-1 cost of the current point into `cost` (the class
+    /// of each basic, 0 on nonbasics) and reports whether any basic is
+    /// infeasible.
+    fn phase1_cost(&self, cost: &mut [f64]) -> bool {
+        cost.fill(0.0);
+        let mut infeasible = false;
+        for &j in &self.basis {
+            cost[j] = self.infeasibility_sign(j);
+            infeasible |= cost[j] != 0.0;
+        }
+        infeasible
+    }
+
+    /// Runs primal pivoting until no column improves the phase's cost: the
+    /// composite phase-1 cost when `phase1` (which also stops as soon as no
+    /// basic is infeasible), the model's cost otherwise.
+    fn optimize(&mut self, phase1: bool) -> PivotResult {
+        let mut cost = if phase1 {
+            vec![0.0; self.n]
+        } else {
+            self.cost.clone()
+        };
+        if phase1 && !self.phase1_cost(&mut cost) {
+            return PivotResult::Optimal;
+        }
         let mut stall = 0u32;
         // Each phase starts a fresh Devex reference framework and prices
         // its own cost from scratch.
         self.pricing.reset(self.n);
-        self.refresh_reduced_costs(cost);
+        self.refresh_reduced_costs(&cost);
         loop {
+            if phase1 && self.basis.iter().all(|&j| cost[j] == 0.0) {
+                return PivotResult::Optimal;
+            }
             if self.iterations >= self.iteration_limit {
                 return PivotResult::IterationLimit;
             }
@@ -540,7 +552,7 @@ impl SimplexSolver {
             if entering.is_none() && !self.d_fresh {
                 // Updated reduced costs never prove optimality: recompute
                 // them, and keep pivoting if a column still improves.
-                self.refresh_reduced_costs(cost);
+                self.refresh_reduced_costs(&cost);
                 entering = self.choose_entering(use_bland);
             }
             let Some((q, dir)) = entering else {
@@ -565,22 +577,10 @@ impl SimplexSolver {
             let mut t_limit = flip_range;
             for (i, &wi) in w.iter().enumerate() {
                 let delta = -dir * wi;
-                if delta.abs() <= self.min_pivot {
-                    continue;
-                }
                 let bj = self.basis[i];
-                let xi = self.x[bj];
-                let limit = if delta > 0.0 {
-                    self.upper[bj]
-                } else {
-                    self.lower[bj]
-                };
-                if !limit.is_finite() {
-                    continue;
-                }
-                let t = ((limit - xi) / delta + FEAS_RELAX / delta.abs()).max(0.0);
-                if t < t_limit {
-                    t_limit = t;
+                if let Some((limit, _)) = self.blocking_bound(bj, delta, phase1) {
+                    let t = ((limit - self.x[bj]) / delta + FEAS_RELAX / delta.abs()).max(0.0);
+                    t_limit = t_limit.min(t);
                 }
             }
             if !t_limit.is_finite() {
@@ -591,20 +591,11 @@ impl SimplexSolver {
             let mut chosen: Option<(usize, bool, f64, f64)> = None; // (row, hits_upper, t, |pivot|)
             for (i, &wi) in w.iter().enumerate() {
                 let delta = -dir * wi;
-                if delta.abs() <= self.min_pivot {
-                    continue;
-                }
                 let bj = self.basis[i];
-                let xi = self.x[bj];
-                let (limit, hits_upper) = if delta > 0.0 {
-                    (self.upper[bj], true)
-                } else {
-                    (self.lower[bj], false)
-                };
-                if !limit.is_finite() {
+                let Some((limit, hits_upper)) = self.blocking_bound(bj, delta, phase1) else {
                     continue;
-                }
-                let t = ((limit - xi) / delta).max(0.0);
+                };
+                let t = ((limit - self.x[bj]) / delta).max(0.0);
                 if t <= t_limit + 1e-12 {
                     let take = match &chosen {
                         None => true,
@@ -637,6 +628,7 @@ impl SimplexSolver {
             }
             self.x[q] += dir * t;
 
+            let mut reprice = false;
             match leaving {
                 None => {
                     // Bound flip: entering jumped to its opposite bound.
@@ -666,6 +658,13 @@ impl SimplexSolver {
                     // form it before the basis representation absorbs the
                     // pivot.
                     self.update_pricing(r, q, leaving_col);
+                    if phase1 {
+                        // The leaving column now rests on a bound, so its
+                        // phase-1 cost drops to 0; `y` depends on basic
+                        // costs only, so no other reduced cost moves.
+                        self.d[leaving_col] -= cost[leaving_col];
+                        cost[leaving_col] = 0.0;
+                    }
                     let t0 = Instant::now();
                     self.basis_inv.pivot(r, &self.work.w);
                     self.time_solve += t0.elapsed();
@@ -675,9 +674,23 @@ impl SimplexSolver {
                         }
                         // A fresh factorization bounds the drift of the
                         // updated reduced costs.
-                        self.refresh_reduced_costs(cost);
+                        reprice = true;
                     }
                 }
+            }
+            // Another basic that changed feasibility class in this step (a
+            // tie, Harris slack) changes the basic phase-1 costs, so `y`.
+            if phase1
+                && self
+                    .basis
+                    .iter()
+                    .any(|&j| self.infeasibility_sign(j) != cost[j])
+            {
+                self.phase1_cost(&mut cost);
+                reprice = true;
+            }
+            if reprice {
+                self.refresh_reduced_costs(&cost);
             }
 
             // Stall detection for Bland switching: a step of positive
@@ -688,6 +701,31 @@ impl SimplexSolver {
                 stall += 1;
             }
         }
+    }
+
+    /// The bound at which basic column `j` blocks a step that changes it
+    /// by `delta` per unit, as `(bound, is_upper)`; `None` for a change
+    /// below the pivot threshold or an infinite bound. In phase 1 an
+    /// infeasible basic blocks only at its violated bound, and only when
+    /// moving toward it; phase 2 treats every basic as feasible.
+    fn blocking_bound(&self, j: usize, delta: f64, phase1: bool) -> Option<(f64, bool)> {
+        if delta.abs() <= self.min_pivot {
+            return None;
+        }
+        let sigma = if phase1 {
+            self.infeasibility_sign(j)
+        } else {
+            0.0
+        };
+        let upper = if sigma == 0.0 {
+            delta > 0.0
+        } else if sigma * delta < 0.0 {
+            sigma > 0.0
+        } else {
+            return None;
+        };
+        let limit = if upper { self.upper[j] } else { self.lower[j] };
+        limit.is_finite().then_some((limit, upper))
     }
 
     /// Chooses the entering column from the maintained reduced costs:
@@ -879,22 +917,20 @@ impl SimplexSolver {
         }
     }
 
-    /// Attempts a **primal** warm start from another scenario's root-basis
-    /// snapshot, skipping phase 1 entirely: the donor basis is installed,
-    /// the basic values are recomputed against *this* model's data, and —
-    /// if they land inside their bounds — phase 2 runs directly from that
-    /// point. `None` means the basis could not be installed feasibly
-    /// (shape mismatch, singular refactorization, or primal infeasibility
-    /// on this model's data) and the caller must solve cold; the attempt
-    /// leaves no observable state beyond the work counters, so the cold
-    /// fallback is exactly a from-scratch [`solve`](Self::solve).
+    /// Solves from another scenario's root-basis snapshot: the donor basis
+    /// is installed, the basic values are recomputed against *this*
+    /// model's data, and the solve continues on the path of a cold
+    /// [`solve`](Self::solve) — phase 1 repairs the point where it stands
+    /// if a basic lies outside its bounds, then phase 2 optimizes. `None`
+    /// means only that the basis could not be installed (shape mismatch, a
+    /// nonbasic status on an infinite bound of this model, or a singular
+    /// refactorization); the caller then solves cold.
     ///
     /// This is cross-scenario root reuse (see DESIGN.md §"Warm-start
     /// architecture"): it serves re-solves of one structure at the root,
-    /// where full primal values are required. There the donor's optimal
-    /// basis is primal feasible by construction and phase 2 terminates in
-    /// a handful of iterations; on a model of the same shape with other
-    /// data the install is opportunistic.
+    /// where full primal values are required. On the donor's own data the
+    /// optimal basis is primal feasible, so phase 1 runs no iteration and
+    /// phase 2 terminates in a handful.
     pub fn solve_from_basis(&mut self, warm: &WarmBasis) -> Option<LpOutcome> {
         let m = self.m;
         if m == 0
@@ -904,11 +940,6 @@ impl SimplexSolver {
         {
             return None;
         }
-        // Close the artificials exactly like the cold path does after
-        // phase 1: the donor basis never contains an open artificial.
-        for j in self.artificial_columns().collect::<Vec<_>>() {
-            self.upper[j] = 0.0;
-        }
         self.basis.clone_from(&warm.basis);
         self.status.clone_from(&warm.status);
         for (i, &bj) in self.basis.iter().enumerate() {
@@ -916,79 +947,11 @@ impl SimplexSolver {
                 return None;
             }
         }
-        // Nonbasic columns rest on *this* model's bounds.
-        for j in 0..self.n {
-            self.x[j] = match self.status[j] {
-                ColStatus::Basic(_) => continue,
-                ColStatus::AtLower => self.lower[j],
-                ColStatus::AtUpper => self.upper[j],
-                ColStatus::FreeZero => 0.0,
-            };
-            if !self.x[j].is_finite() {
-                return None;
-            }
-        }
-        // Rebuild B⁻¹ from scratch for the imported basis.
-        self.basis_inv.reset(&vec![1.0; m]);
+        self.basis_inv.reset(m);
         if !self.refactorize() {
             return None;
         }
-        // x_B = B⁻¹ (b − N x_N).
-        let mut resid = self.b.clone();
-        for j in 0..self.n {
-            if matches!(self.status[j], ColStatus::Basic(_)) {
-                continue;
-            }
-            let v = self.x[j];
-            if v != 0.0 {
-                for &(i, a) in &self.cols[j] {
-                    resid[i] -= a * v;
-                }
-            }
-        }
-        let resid: Vec<(usize, f64)> = resid
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        let mut xb = vec![0.0; m];
-        let t0 = Instant::now();
-        self.basis_inv.ftran(&resid, &mut xb);
-        self.time_solve += t0.elapsed();
-        self.ftran_calls += 1;
-        for (i, &bj) in self.basis.iter().enumerate() {
-            if !xb[i].is_finite() {
-                return None;
-            }
-            self.x[bj] = xb[i];
-        }
-        // Primal feasibility of the imported basis on this model's data.
-        // EPS-scale violations are tolerated: the primal ratio test clamps
-        // negative ratios to zero, so a basic value resting a hair outside
-        // its bound is repaired by a degenerate pivot, exactly as after a
-        // cold phase 1.
-        for &bj in &self.basis {
-            let v = self.x[bj];
-            let tol = EPS * (1.0 + v.abs());
-            if v < self.lower[bj] - tol || v > self.upper[bj] + tol {
-                return None;
-            }
-        }
-        // Phase 2 straight away: phase 1 was never entered.
-        self.iterations = 0;
-        self.phase1_iterations = 0;
-        let cost = self.cost.clone();
-        Some(match self.optimize(&cost) {
-            PivotResult::Optimal => LpOutcome::Optimal {
-                values: self.x[..self.n_struct].to_vec(),
-                objective: self.current_objective(),
-            },
-            PivotResult::Unbounded => LpOutcome::Unbounded,
-            PivotResult::IterationLimit => LpOutcome::IterationLimit,
-            PivotResult::TimedOut => LpOutcome::TimedOut,
-            PivotResult::Numerical => LpOutcome::Numerical,
-        })
+        self.settle()
     }
 }
 
@@ -1007,8 +970,8 @@ pub struct WarmBasis {
 
 impl WarmBasis {
     /// Phase-1 iterations the snapshotted solve spent — the deterministic
-    /// proxy for what a successful cross-scenario root import of this
-    /// basis saves (the import skips phase 1 entirely; see
+    /// proxy for what a cross-scenario root import of this basis saves,
+    /// less the import's own phase-1 iterations (see
     /// [`SimplexSolver::solve_from_basis`]).
     #[must_use]
     pub fn phase1_iterations(&self) -> u64 {
@@ -1311,6 +1274,7 @@ mod tests {
     fn expired_deadline_times_out_cold_solve() {
         let m = three_row_lp();
         let mut lp = SimplexSolver::from_model(&m);
+        assert_eq!(lp.n, lp.n_struct + lp.m, "one slack per row, nothing else");
         lp.deadline = Some(Instant::now());
         assert_eq!(lp.solve(), LpOutcome::TimedOut);
         assert_eq!(lp.iterations, 0, "no pivots after the deadline");
@@ -1407,26 +1371,49 @@ mod tests {
         m
     }
 
+    /// Two `≥` rows whose slacks start above their bounds and reach them
+    /// in the same phase-1 step: `x` enters and meets both rows at
+    /// `x = 2`, one slack leaves and the other stays basic on its bound,
+    /// so phase 1 recomputes its costs and reduced costs.
+    ///
+    /// ```text
+    ///     min  3x + y + z
+    ///     s.t. x + y  ≥ 2
+    ///          x + 2z ≥ 2
+    ///          x, y, z ∈ [0, 4]
+    /// ```
+    ///
+    /// Optimum: x = 0, y = 2, z = 1, objective 3.
+    fn phase1_tie_lp() -> Model {
+        let mut m = Model::new();
+        let x = m.add_continuous("x", 0.0, 4.0);
+        let y = m.add_continuous("y", 0.0, 4.0);
+        let z = m.add_continuous("z", 0.0, 4.0);
+        m.add_constraint("a", (x + y).ge(2.0));
+        m.add_constraint("b", (x + 2.0 * z).ge(2.0));
+        m.set_objective(ObjectiveSense::Minimize, 3.0 * x + y + z);
+        m
+    }
+
     /// The LPs whose pivot paths the pricing tests replay.
-    fn pricing_lps() -> [(&'static str, Model); 3] {
+    fn pricing_lps() -> [(&'static str, Model); 4] {
         [
             ("transport", transport_lp()),
             ("flip", bound_flip_lp()),
             ("random", seeded_random_lp(25)),
+            ("tie", phase1_tie_lp()),
         ]
     }
 
-    /// The cost vector of the phase `lp` stopped in: phase 1 prices the
-    /// artificials, which are closed once it ends.
+    /// The cost vector of the phase `lp` stopped in: the composite phase-1
+    /// cost while a basic is infeasible, the model's cost once none is.
     fn phase_cost(lp: &SimplexSolver) -> Vec<f64> {
-        if lp.artificial_columns().all(|j| lp.upper[j] == 0.0) {
-            return lp.cost.clone();
-        }
         let mut cost = vec![0.0; lp.n];
-        for j in lp.artificial_columns() {
-            cost[j] = 1.0;
+        if lp.phase1_cost(&mut cost) {
+            cost
+        } else {
+            lp.cost.clone()
         }
-        cost
     }
 
     /// Reduced costs of `lp`'s current basis under `cost`, computed from
@@ -1525,6 +1512,46 @@ mod tests {
                 assert_eq!(lp.choose_entering(true), None, "{name}");
             }
         }
+    }
+
+    /// An imported basis that is infeasible on the new data is repaired
+    /// where it stands: the optimal basis of each `seeded_random_lp(a)`,
+    /// installed on each `seeded_random_lp(100 + b)` (same shape, other
+    /// data), reaches the cold solve's outcome and objective, and most of
+    /// these imports run phase 1 to get there. Only a singular install is
+    /// refused.
+    #[test]
+    fn imported_basis_is_repaired_on_new_data() {
+        let donors: Vec<WarmBasis> = (0..24)
+            .map(|a| {
+                let mut lp = SimplexSolver::from_model(&seeded_random_lp(a));
+                assert_optimal_any(&lp.solve(), "donor");
+                lp.snapshot()
+            })
+            .collect();
+        let mut repaired = 0;
+        for b in 0..24 {
+            let model = seeded_random_lp(100 + b);
+            let cold = solve(&model);
+            for (a, donor) in donors.iter().enumerate() {
+                let mut lp = SimplexSolver::from_model(&model);
+                let Some(outcome) = lp.solve_from_basis(donor) else {
+                    continue;
+                };
+                repaired += usize::from(lp.phase1_iterations > 0);
+                match (&cold, &outcome) {
+                    (
+                        LpOutcome::Optimal { objective: z, .. },
+                        LpOutcome::Optimal { objective, .. },
+                    ) => assert!(
+                        (objective - z).abs() <= 1e-6 * (1.0 + z.abs()),
+                        "donor {a} on LP {b}: objective {objective} vs cold {z}"
+                    ),
+                    _ => assert_eq!(outcome, cold, "donor {a} on LP {b}"),
+                }
+            }
+        }
+        assert!(repaired > 50, "only {repaired} imports ran phase 1");
     }
 
     fn assert_optimal_any(outcome: &LpOutcome, name: &str) {

@@ -149,7 +149,9 @@ impl SolveOptions {
 /// Every solve of the structure attaches the same slot with
 /// [`Solver::root_slot`]. A solve that finds it empty is the **donor**:
 /// it publishes its root LP's optimal basis. A solve that finds it
-/// published starts its root from that basis. Reading never blocks: an
+/// published starts its root from that basis, which phase 1 repairs where
+/// it stands when this solve's data makes it infeasible (see
+/// [`SimplexSolver::solve_from_basis`]). Reading never blocks: an
 /// unpublished slot just means "no donor yet", and the reader becomes a
 /// donor itself.
 ///
@@ -594,12 +596,14 @@ impl<'m, 'i> Solver<'m, 'i> {
     /// The slot is read once, when the root node starts:
     ///
     /// * **published** — a **primal warm start of the root LP**: the
-    ///   donor basis is installed on the (presolved) root and, when it is
-    ///   primal feasible on this model's data, phase 2 runs directly from
-    ///   it, skipping phase 1 entirely. An install that fails for any
-    ///   reason (shape mismatch, infeasibility, numerics) falls back to the
-    ///   cold primal root, so the returned *solution* is identical either
-    ///   way; only the *pivot path* (and hence the trajectory) differs.
+    ///   donor basis is installed on the (presolved) root and the root LP
+    ///   solves from it: phase 2 directly when the basis is primal
+    ///   feasible on this model's data, phase 1 first to repair it where
+    ///   it stands when it is not. An import that does not settle the
+    ///   root (shape mismatch, a singular install, the iteration brake or
+    ///   a numerical breakdown) falls back to the cold primal root, so the
+    ///   returned *solution* is identical either way; only the *pivot
+    ///   path* (and hence the trajectory) differs.
     /// * **empty** — this solve is the **donor**: its optimal root basis
     ///   is published right after the root LP solves (before any
     ///   branching). When the root never reaches an optimal basis
@@ -687,9 +691,10 @@ struct LpShard {
     tolerance_escalations: u64,
     numerical_recoveries: u64,
     /// Cross-scenario root warm starts: attempts to start the root LP from
-    /// a donor scenario's optimal basis, how many settled the root without
-    /// phase 1, and the donor's phase-1 iteration bill that each hit
-    /// avoided (see [`Solver::root_slot`]).
+    /// a donor scenario's optimal basis, how many settled the root at an
+    /// optimum, and the donor's phase-1 iteration bill that each hit
+    /// avoided, less the hit's own phase-1 iterations (see
+    /// [`Solver::root_slot`]).
     cross_attempts: u64,
     cross_hits: u64,
     phase1_saved: u64,
@@ -1065,17 +1070,17 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Attempts the cross-scenario *primal* warm start at the root:
-    /// install a donor scenario's optimal basis on this model, verify the
-    /// implied point is primal feasible under this model's bounds, and run
-    /// phase 2 only (see [`SimplexSolver::solve_from_basis`]).
+    /// install a donor scenario's optimal basis on this model and solve
+    /// from it — phase 1 repairs the point where it stands if it is
+    /// infeasible on this model's data, then phase 2 (see
+    /// [`SimplexSolver::solve_from_basis`]).
     ///
-    /// `None` means the basis did not transfer — shape mismatch, a bound
-    /// change made the donor vertex infeasible, a singular
-    /// refactorization, or a numerical breakdown in phase 2 — and the
-    /// caller must run the cold root solve exactly as if no donor existed,
-    /// so the search *consequences* of a failed import are identical to
-    /// never attempting it. The attempt is recorded in the returned shard
-    /// either way.
+    /// `None` means the import did not settle the root — shape mismatch,
+    /// a singular refactorization, the iteration brake or a numerical
+    /// breakdown — and the caller must run the cold root solve exactly as
+    /// if no donor existed, so the search *consequences* of a failed
+    /// import are identical to never attempting it. The attempt is
+    /// recorded in the returned shard either way.
     fn solve_root_import(&self, basis: &WarmBasis) -> (Option<PureLp>, LpShard) {
         let mut shard = LpShard {
             cross_attempts: 1,
@@ -1090,8 +1095,11 @@ impl<'a> BranchAndBound<'a> {
             Some(LpOutcome::Optimal { values, objective }) => {
                 shard.cross_hits = 1;
                 // What the hit avoided: the donor's phase-1 bill for the
-                // same structure (phase 2 still ran, and is counted).
-                shard.phase1_saved = basis.phase1_iterations();
+                // same structure, less the import's own repair (phase 2
+                // still ran, and is counted).
+                shard.phase1_saved = basis
+                    .phase1_iterations()
+                    .saturating_sub(lp.phase1_iterations);
                 Some(PureLp::Solved {
                     values,
                     min_obj: self.scale * objective,
@@ -1099,14 +1107,14 @@ impl<'a> BranchAndBound<'a> {
                     basis: None,
                 })
             }
-            // A genuine phase-2 certificate or brake from a feasible
-            // start: as trustworthy as the cold path's.
+            // A completed phase 1 or phase 2 certifies as the cold path
+            // does; a deadline stops both alike.
+            Some(LpOutcome::Infeasible) => Some(PureLp::Infeasible),
             Some(LpOutcome::Unbounded) => Some(PureLp::Unbounded),
             Some(LpOutcome::TimedOut) => Some(PureLp::TimedOut),
-            // Install failure, iteration limit, numerical breakdown, or an
-            // (unreachable from a feasible start) infeasibility claim:
+            // Install failure, iteration limit or numerical breakdown:
             // distrust the import and fall back cold.
-            _ => None,
+            None | Some(LpOutcome::IterationLimit | LpOutcome::Numerical) => None,
         };
         (settled, shard)
     }

@@ -33,13 +33,12 @@ impl DenseInverse {
         Self::default()
     }
 
-    fn reset(&mut self, signs: &[f64]) {
-        let m = signs.len();
+    fn reset(&mut self, m: usize) {
         self.m = m;
         self.binv.clear();
         self.binv.resize(m * m, 0.0);
-        for (i, &s) in signs.iter().enumerate() {
-            self.binv[i * m + i] = s;
+        for i in 0..m {
+            self.binv[i * m + i] = 1.0;
         }
         self.updates_since_refactor = 0;
     }
@@ -255,8 +254,8 @@ fn refactorized_solves_agree_on_random_bases() {
 
         let mut dense = DenseInverse::new();
         let mut sparse = SparseLu::new();
-        dense.reset(&vec![1.0; m]);
-        sparse.reset(&vec![1.0; m]);
+        dense.reset(m);
+        sparse.reset(m);
         assert!(dense.refactorize(&refs), "case {case}: dense refused");
         assert!(sparse.refactorize(&refs), "case {case}: sparse refused");
 
@@ -316,8 +315,8 @@ fn integer_bases_with_exact_cancellation_agree() {
 
         let mut dense = DenseInverse::new();
         let mut sparse = SparseLu::new();
-        dense.reset(&vec![1.0; m]);
-        sparse.reset(&vec![1.0; m]);
+        dense.reset(m);
+        sparse.reset(m);
         let ok_dense = dense.refactorize(&refs);
         let ok_sparse = sparse.refactorize(&refs);
         assert_eq!(
@@ -355,8 +354,8 @@ fn long_pivot_chains_stay_in_agreement() {
         let mut cols: Vec<SparseCol> = (0..m).map(|i| vec![(i, 1.0)]).collect();
         let mut dense = DenseInverse::new();
         let mut sparse = SparseLu::new();
-        dense.reset(&vec![1.0; m]);
-        sparse.reset(&vec![1.0; m]);
+        dense.reset(m);
+        sparse.reset(m);
 
         let (mut wd, mut ws) = (vec![0.0; m], vec![0.0; m]);
         let mut pivots = 0u64;
@@ -434,8 +433,8 @@ fn singular_bases_fail_on_both() {
 
         let mut dense = DenseInverse::new();
         let mut sparse = SparseLu::new();
-        dense.reset(&vec![1.0; m]);
-        sparse.reset(&vec![1.0; m]);
+        dense.reset(m);
+        sparse.reset(m);
         assert!(!dense.refactorize(&refs), "case {case}: dense accepted");
         assert!(!sparse.refactorize(&refs), "case {case}: sparse accepted");
         assert_eq!(dense.refactorizations, 0);
@@ -455,8 +454,8 @@ fn singular_bases_fail_on_both() {
 fn structurally_singular_column_is_rejected() {
     let mut dense = DenseInverse::new();
     let mut sparse = SparseLu::new();
-    dense.reset(&[1.0, 1.0, 1.0]);
-    sparse.reset(&[1.0, 1.0, 1.0]);
+    dense.reset(3);
+    sparse.reset(3);
     let c0: SparseCol = vec![(0, 1.0)];
     let empty: SparseCol = vec![];
     let c2: SparseCol = vec![(1, 2.0), (2, 1.0)];
@@ -469,14 +468,14 @@ fn structurally_singular_column_is_rejected() {
 #[test]
 fn reset_builds_signed_identity() {
     let mut b = DenseInverse::new();
-    b.reset(&[1.0, -1.0, 1.0]);
-    assert_eq!(b.binv, vec![1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0]);
+    b.reset(3);
+    assert_eq!(b.binv, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
 }
 
 #[test]
 fn ftran_multiplies_by_inverse() {
     let mut b = DenseInverse::new();
-    b.reset(&[1.0, 1.0]);
+    b.reset(2);
     // Pivot column (2, 1)' into position 0: new B = [[2,0],[1,1]].
     let a0: SparseCol = vec![(0, 2.0), (1, 1.0)];
     let mut w = vec![0.0; 2];
@@ -494,7 +493,7 @@ fn ftran_multiplies_by_inverse() {
 #[test]
 fn btran_matches_inverse_rows() {
     let mut b = DenseInverse::new();
-    b.reset(&[1.0, 1.0]);
+    b.reset(2);
     let a0: SparseCol = vec![(0, 2.0), (1, 1.0)];
     let mut w = vec![0.0; 2];
     b.ftran(&a0, &mut w);
@@ -507,7 +506,7 @@ fn btran_matches_inverse_rows() {
 #[test]
 fn refactorize_recovers_exact_inverse() {
     let mut b = DenseInverse::new();
-    b.reset(&[1.0, 1.0, 1.0]);
+    b.reset(3);
     // Apply a few product-form pivots, then refactorize from the basis
     // columns and compare: the rebuilt inverse must satisfy B·B⁻¹ = I.
     let cols: Vec<SparseCol> = vec![
@@ -537,7 +536,7 @@ fn refactorize_recovers_exact_inverse() {
 #[test]
 fn refactorize_rejects_singular_basis() {
     let mut b = DenseInverse::new();
-    b.reset(&[1.0, 1.0]);
+    b.reset(2);
     let before = b.binv.clone();
     let c0: SparseCol = vec![(0, 1.0), (1, 1.0)];
     let c1: SparseCol = vec![(0, 2.0), (1, 2.0)]; // linearly dependent

@@ -110,6 +110,19 @@ grep -q '"all_properties_pass": true' "$corpus_t1" || {
 grep -q '"triple_buffered"' "$corpus_t1" || {
   echo "corpus output lacks the triple-buffered latency column"; exit 1; }
 
+echo "== committed BENCH_corpus.json is current (corpus --scenarios 64) =="
+# The committed report is the 64-scenario campaign at the default 200-node
+# budget (about 165 s on 2 vCPUs). It is deterministic, so regenerating it
+# must reproduce the file byte for byte: a change that moves a node-limited
+# corpus answer (the LP's choice among optimal vertices feeds the
+# branching) cannot land without the regenerated file.
+corpus_n64="$(mktemp -t bench_corpus_n64.XXXXXX.json)"
+trap 'rm -f "$milp_t1" "$milp_t4" "$milp_n12" "$corpus_t1" "$corpus_t4" "$corpus_n64"' EXIT
+cargo run --release -p letdma-bench --bin repro --offline -- \
+  corpus --scenarios 64 --out "$corpus_n64"
+cmp "$corpus_n64" BENCH_corpus.json || {
+  echo "BENCH_corpus.json is stale; regenerate it with: repro corpus --scenarios 64"; exit 1; }
+
 echo "== serve smoke (workers 1 and 4, cold then warm cache) =="
 # The WATERS batch through the in-process solve service at 1 worker (cold
 # cache) and 4 workers (warm). `repro serve` checks that every response is
