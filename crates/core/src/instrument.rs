@@ -123,7 +123,8 @@ pub enum Counter {
     /// attaches one).
     CrossScenarioWarmStarts,
     /// Phase-1 iterations avoided by successful cross-scenario root warm
-    /// starts: the donor root LP's phase-1 count less the import's own
+    /// starts: the donor root LP's phase-1 count (both stages when the
+    /// donor started from its warm-start incumbent) less the import's own
     /// phase-1 iterations (saturating at zero), charged once per successful
     /// import (a deterministic proxy; the exact reduction is measured by
     /// the `reuse` block in `BENCH_milp.json`).

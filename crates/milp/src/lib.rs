@@ -13,16 +13,19 @@
 //!
 //! # One LP path
 //!
-//! Every node LP is a cold **primal** simplex solve
-//! ([`simplex::SimplexSolver::solve`]) over the structural and slack
-//! columns alone, from the all-slack basis: a composite phase 1 that
-//! minimizes the bound violations of the basic variables, Devex pricing
-//! with Bland anti-cycling, a Harris-style two-pass ratio test, one basis
+//! Every node LP is a **primal** simplex solve over the structural and
+//! slack columns alone, on one path: install a basis, repair its point
+//! with a composite phase 1 that minimizes the bound violations of the
+//! basic variables, then optimize with phase 2 — Devex pricing with Bland
+//! anti-cycling, a Harris-style two-pass ratio test, one basis
 //! representation (the sparse LU of [`SparseLu`]) and one refactorization
-//! cadence. The only warm start is at the root: a sibling scenario's
-//! optimal root basis ([`WarmBasis`], shared through a [`RootBasisSlot`])
-//! is installed and solved from on the same path, phase 1 repairing it
-//! where the new data makes it infeasible.
+//! cadence. Non-root nodes start cold, from the all-slack basis
+//! ([`simplex::SimplexSolver::solve`]). The root starts warm in one of two
+//! ways: from a sibling scenario's optimal root basis ([`WarmBasis`],
+//! shared through a [`RootBasisSlot`]), which phase 1 repairs where the
+//! new data makes it infeasible; or, without one, from the feasible
+//! warm-start incumbent ([`simplex::SimplexSolver::solve_from_point`]),
+//! whose basis needs no repair.
 //!
 //! # Examples
 //!

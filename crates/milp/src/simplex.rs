@@ -14,7 +14,9 @@
 //! outside its bounds, then optimize with phase 2. A cold solve starts
 //! from the all-slack basis `B = I` (every structural on its bound nearest
 //! zero, each slack basic at its row residual); a root import starts from
-//! a donor's basis. Phase 1 is *composite* (Maros, *Computational
+//! a donor's basis; a root start from a feasible incumbent starts from the
+//! optimal basis of the LP with the incumbent's on-bound integers fixed.
+//! Phase 1 is *composite* (Maros, *Computational
 //! Techniques of the Simplex Method*, 2003): it minimizes the sum of the
 //! bound violations of the basic variables, with cost −1/+1 on the basics
 //! below/above their bounds and 0 elsewhere, in the same pivoting loop as
@@ -40,14 +42,18 @@
 //! refactorization every [`SparseLu::REFACTOR_INTERVAL`] updates or on
 //! eta-file growth).
 //!
-//! # Root-basis import
+//! # Root starts
 //!
 //! [`SimplexSolver::snapshot`] captures an optimal basis partition as a
 //! [`WarmBasis`]; [`SimplexSolver::solve_from_basis`] installs it on another
 //! model of the same shape and solves from there: phase 2 directly when
 //! the implied point is primal feasible on the new data, phase 1 first
 //! when it is not — the cross-scenario root reuse of DESIGN.md
-//! §"Warm-start architecture". Every other solve starts cold.
+//! §"Warm-start architecture". [`SimplexSolver::solve_from_point`] starts
+//! from a feasible point instead (the heuristic incumbent of a root
+//! without a donor basis): it solves the LP with the point's on-bound
+//! integral columns fixed, restores their bounds, and runs phase 2 from
+//! that basis, which is primal feasible. Every other solve starts cold.
 
 // Index-based loops mirror the mathematical notation (rows i, columns j,
 // groups g); iterator rewrites would obscure the correspondence.
@@ -57,7 +63,7 @@ use std::time::{Duration, Instant};
 use letdma_core::fault::{self, FaultSite};
 
 use crate::basis::SparseLu;
-use crate::model::{Model, ObjectiveSense, Sense};
+use crate::model::{Model, ObjectiveSense, Sense, VarDef};
 use crate::pricing::Devex;
 
 /// Feasibility/optimality tolerance used throughout the solver.
@@ -110,6 +116,10 @@ pub struct SimplexSolver {
     n: usize,
     /// Number of structural columns (the model's own variables).
     n_struct: usize,
+    /// Which structural columns the model declares integral. The LP
+    /// ignores integrality; only [`solve_from_point`](Self::solve_from_point)
+    /// reads it.
+    integral: Vec<bool>,
     /// Column-major sparse matrix.
     cols: Vec<Column>,
     /// Row-major copy of `cols` (CSR): row `i` holds the `(column,
@@ -151,13 +161,15 @@ pub struct SimplexSolver {
     obj_scale: f64,
     /// Constant offset of the objective.
     obj_offset: f64,
-    /// Iterations executed so far (across phases).
+    /// Iterations of the most recent solve (across phases, and both
+    /// stages of [`solve_from_point`](Self::solve_from_point)).
     pub iterations: u64,
     /// Hard iteration cap.
     pub iteration_limit: u64,
     /// Optional wall-clock deadline, checked periodically.
     pub deadline: Option<Instant>,
-    /// Iterations spent in phase 1 of the most recent solve.
+    /// Iterations spent in phase 1 of the most recent solve (both stages
+    /// of [`solve_from_point`](Self::solve_from_point)).
     pub phase1_iterations: u64,
     /// Bound-to-bound flips (steps without a basis change).
     pub bound_flips: u64,
@@ -280,6 +292,7 @@ impl SimplexSolver {
             m,
             n,
             n_struct,
+            integral: model.vars.iter().map(VarDef::is_integral).collect(),
             cols,
             row_start: Vec::new(),
             row_entries: Vec::new(),
@@ -345,6 +358,8 @@ impl SimplexSolver {
     /// infeasible, and phase 2 optimizes.
     #[must_use]
     pub fn solve(&mut self) -> LpOutcome {
+        self.iterations = 0;
+        self.phase1_iterations = 0;
         if self.m == 0 {
             return self.solve_unconstrained();
         }
@@ -371,8 +386,9 @@ impl SimplexSolver {
     /// Solves from the installed basis partition (`basis`, `status`, and
     /// `basis_inv` factorizing it): puts every nonbasic column on its
     /// bound, computes `x_B = B⁻¹ (b − N x_N)`, runs phase 1 if any basic
-    /// lies outside its bounds, then phase 2. `None` means a nonbasic
-    /// rests on an infinite bound or `x_B` is not finite.
+    /// lies outside its bounds, then phase 2. Adds its iterations to those
+    /// of the solve so far. `None` means a nonbasic rests on an infinite
+    /// bound or `x_B` is not finite.
     fn settle(&mut self) -> Option<LpOutcome> {
         let mut resid = self.b.clone();
         for j in 0..self.n {
@@ -410,9 +426,9 @@ impl SimplexSolver {
             self.x[bj] = xb[i];
         }
 
-        self.iterations = 0;
+        let before = self.iterations;
         let phase1 = self.optimize(true);
-        self.phase1_iterations = self.iterations;
+        self.phase1_iterations += self.iterations - before;
         match phase1 {
             PivotResult::Optimal if self.infeasibility() > 1e-6 => {
                 return Some(LpOutcome::Infeasible)
@@ -932,6 +948,8 @@ impl SimplexSolver {
     /// optimal basis is primal feasible, so phase 1 runs no iteration and
     /// phase 2 terminates in a handful.
     pub fn solve_from_basis(&mut self, warm: &WarmBasis) -> Option<LpOutcome> {
+        self.iterations = 0;
+        self.phase1_iterations = 0;
         let m = self.m;
         if m == 0
             || warm.basis.len() != m
@@ -953,7 +971,69 @@ impl SimplexSolver {
         }
         self.settle()
     }
+
+    /// Solves from a feasible point of this model (the heuristic incumbent
+    /// at the root) instead of from the all-slack basis, in three steps:
+    ///
+    /// 1. every integral column whose `point` value lies on one of its
+    ///    bounds (within `ON_BOUND`) is fixed at that bound, and the
+    ///    smaller LP is solved [cold](Self::solve); continuous columns and
+    ///    general integers strictly inside their bounds stay free;
+    /// 2. the bounds are restored, each formerly fixed column nonbasic at
+    ///    the bound it sits on, so the basis of step 1 is primal feasible
+    ///    for the whole LP;
+    /// 3. the solve continues from that basis on the path every solve
+    ///    takes: phase 1 finds nothing to repair, and phase 2 optimizes.
+    ///
+    /// `iterations` and `phase1_iterations` count both stages. `None`
+    /// means the fixed stage did not reach an optimum (the point is not
+    /// feasible on this model's data, or the stage broke down); the caller
+    /// then solves cold. A deadline stops either stage with `TimedOut`.
+    pub fn solve_from_point(&mut self, point: &[f64]) -> Option<LpOutcome> {
+        if point.len() != self.n_struct {
+            return None;
+        }
+        if self.m == 0 {
+            return Some(self.solve());
+        }
+        let mut fixed = Vec::new();
+        for j in (0..self.n_struct).filter(|&j| self.integral[j]) {
+            let (l, u) = (self.lower[j], self.upper[j]);
+            let at_upper = if (point[j] - l).abs() <= ON_BOUND {
+                false
+            } else if (point[j] - u).abs() <= ON_BOUND {
+                true
+            } else {
+                continue;
+            };
+            fixed.push((j, at_upper, l, u));
+            let bound = if at_upper { u } else { l };
+            (self.lower[j], self.upper[j]) = (bound, bound);
+        }
+        let stage = self.solve();
+        // A fixed column never enters the basis, so each one is still
+        // nonbasic at its value; give it back its range.
+        for &(j, at_upper, l, u) in &fixed {
+            (self.lower[j], self.upper[j]) = (l, u);
+            self.status[j] = if at_upper {
+                ColStatus::AtUpper
+            } else {
+                ColStatus::AtLower
+            };
+        }
+        match stage {
+            LpOutcome::Optimal { .. } => self.settle(),
+            LpOutcome::TimedOut => Some(LpOutcome::TimedOut),
+            _ => None,
+        }
+    }
 }
+
+/// How far an integral column's value in the point of
+/// [`SimplexSolver::solve_from_point`] may lie from a bound and still count
+/// as on it: the tolerance the branch and bound checks a warm start's
+/// feasibility to.
+const ON_BOUND: f64 = 1e-6;
 
 /// A basis snapshot of an optimal LP solve, captured by
 /// [`SimplexSolver::snapshot`] and consumed by
@@ -1552,6 +1632,133 @@ mod tests {
             }
         }
         assert!(repaired > 50, "only {repaired} imports ran phase 1");
+    }
+
+    /// A seeded MILP with a known feasible point: binaries, general
+    /// integers in [0, 4] (the point puts many strictly inside) and
+    /// continuous columns, under rows of every sense whose right-hand sides
+    /// the point satisfies. Returns the model and the point.
+    fn seeded_random_mip(seed: u64) -> (Model, Vec<f64>) {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut m = Model::new();
+        let (mut vars, mut point) = (Vec::new(), Vec::new());
+        for j in 0..14 {
+            let (var, value) = match j % 3 {
+                0 => (
+                    m.add_binary(format!("b{j}")),
+                    rng.i64_inclusive(0, 1) as f64,
+                ),
+                1 => (
+                    m.add_integer(format!("y{j}"), 0.0, 4.0),
+                    rng.i64_inclusive(0, 4) as f64,
+                ),
+                _ => (
+                    m.add_continuous(format!("z{j}"), 0.0, 3.0),
+                    rng.i64_inclusive(0, 6) as f64 / 2.0,
+                ),
+            };
+            vars.push(var);
+            point.push(value);
+        }
+        for k in 0..10 {
+            let coefs: Vec<f64> = (0..vars.len())
+                .map(|_| rng.i64_inclusive(-4, 4) as f64)
+                .collect();
+            let at_point: f64 = coefs.iter().zip(&point).map(|(c, p)| c * p).sum();
+            let expr = LinExpr::weighted_sum(vars.iter().copied().zip(coefs));
+            let slack = rng.i64_inclusive(0, 3) as f64;
+            let cmp = match rng.usize_below(3) {
+                0 => expr.le(at_point + slack),
+                1 => expr.ge(at_point - slack),
+                _ => expr.eq(at_point),
+            };
+            m.add_constraint(format!("c{k}"), cmp);
+        }
+        let obj = LinExpr::weighted_sum(
+            vars.iter()
+                .copied()
+                .map(|v| (v, rng.i64_inclusive(-5, 5) as f64)),
+        );
+        m.set_objective(ObjectiveSense::Minimize, obj);
+        (m, point)
+    }
+
+    /// Starting from a feasible integral point reaches the cold solve's
+    /// outcome and objective. The restored basis is feasible, so the whole
+    /// phase-1 bill is the fixed stage's: a separate solve of the model
+    /// with the on-bound integral columns fixed runs exactly as many
+    /// phase-1 iterations, and no more iterations than both stages.
+    #[test]
+    fn incumbent_start_matches_cold_solve() {
+        let mut interior = 0;
+        for seed in 0..48 {
+            let (model, point) = seeded_random_mip(seed);
+            assert!(model.is_feasible(&point, 1e-9), "seed {seed}");
+            let cold = solve(&model);
+            let mut lp = SimplexSolver::from_model(&model);
+            let outcome = lp
+                .solve_from_point(&point)
+                .unwrap_or_else(|| panic!("seed {seed}: a feasible point must settle"));
+            match (&cold, &outcome) {
+                (LpOutcome::Optimal { objective: z, .. }, LpOutcome::Optimal { objective, .. }) => {
+                    assert!(
+                        (objective - z).abs() <= 1e-6 * (1.0 + z.abs()),
+                        "seed {seed}: objective {objective} vs cold {z}"
+                    );
+                }
+                _ => assert_eq!(outcome, cold, "seed {seed}"),
+            }
+
+            let mut fixed = model.clone();
+            for (j, def) in model.vars.iter().enumerate() {
+                let v = point[j];
+                if def.is_integral() && (v == def.lower || v == def.upper) {
+                    fixed.set_bounds(crate::Var(j as u32), v, v);
+                } else if def.is_integral() {
+                    interior += 1;
+                }
+            }
+            let mut stage = SimplexSolver::from_model(&fixed);
+            assert_optimal_any(&stage.solve(), "fixed stage");
+            assert_eq!(
+                lp.phase1_iterations, stage.phase1_iterations,
+                "seed {seed}: the restored basis must need no repair"
+            );
+            assert!(lp.iterations >= stage.iterations, "seed {seed}");
+        }
+        assert!(interior > 20, "only {interior} interior general integers");
+    }
+
+    /// A point that is not feasible is refused (`None`, the caller solves
+    /// cold), and an expired deadline stops the start before its first
+    /// pivot.
+    #[test]
+    fn incumbent_start_refuses_infeasible_point_and_honors_deadline() {
+        let (model, mut point) = seeded_random_mip(3);
+        let mut lp = SimplexSolver::from_model(&model);
+        lp.deadline = Some(Instant::now());
+        assert_eq!(lp.solve_from_point(&point), Some(LpOutcome::TimedOut));
+        assert_eq!(lp.iterations, 0, "no pivots after the deadline");
+
+        let mut refused = 0;
+        for j in (0..point.len()).filter(|&j| model.vars[j].is_integral()) {
+            let kept = point[j];
+            point[j] = if kept == 0.0 { 1.0 } else { 0.0 };
+            let mut fixed = model.clone();
+            for (k, def) in model.vars.iter().enumerate() {
+                let v = point[k];
+                if def.is_integral() && (v == def.lower || v == def.upper) {
+                    fixed.set_bounds(crate::Var(k as u32), v, v);
+                }
+            }
+            if solve(&fixed) == LpOutcome::Infeasible {
+                let mut lp = SimplexSolver::from_model(&model);
+                assert_eq!(lp.solve_from_point(&point), None, "column {j}");
+                refused += 1;
+            }
+            point[j] = kept;
+        }
+        assert!(refused > 0, "no flipped point was infeasible");
     }
 
     fn assert_optimal_any(outcome: &LpOutcome, name: &str) {

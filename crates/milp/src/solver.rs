@@ -601,14 +601,17 @@ impl<'m, 'i> Solver<'m, 'i> {
     ///   feasible on this model's data, phase 1 first to repair it where
     ///   it stands when it is not. An import that does not settle the
     ///   root (shape mismatch, a singular install, the iteration brake or
-    ///   a numerical breakdown) falls back to the cold primal root, so the
-    ///   returned *solution* is identical either way; only the *pivot
-    ///   path* (and hence the trajectory) differs.
-    /// * **empty** — this solve is the **donor**: its optimal root basis
-    ///   is published right after the root LP solves (before any
-    ///   branching). When the root never reaches an optimal basis
-    ///   (infeasible, unbounded or timed out) nothing is published, and
-    ///   the slot stays open for the next donor.
+    ///   a numerical breakdown) falls back to the root of a solve without
+    ///   a slot, so the returned *solution* is identical either way; only
+    ///   the *pivot path* (and hence the trajectory) differs.
+    /// * **empty** — this solve is the **donor**: its root LP solves as
+    ///   without a slot (from the feasible warm-start incumbent when there
+    ///   is one, cold otherwise), and its optimal root basis is published
+    ///   right after (before any branching), together with the phase-1
+    ///   iterations of both stages of an incumbent start. When the root
+    ///   never reaches an optimal basis (infeasible, unbounded or timed
+    ///   out) nothing is published, and the slot stays open for the next
+    ///   donor.
     ///
     /// Every solve sharing a slot must have the same (presolved) shape —
     /// in practice, one prepared structure under one presolve resolution.
@@ -746,23 +749,29 @@ impl LpShard {
 fn solve_node_lp_guarded(
     model: &Model,
     overrides: &[(Var, f64, f64)],
+    start: Option<&[f64]>,
     deadline: Option<Instant>,
     scale: f64,
     capture: bool,
 ) -> (PureLp, LpShard) {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solve_node_lp(model, overrides, deadline, scale, capture)
+        solve_node_lp(model, overrides, start, deadline, scale, capture)
     }))
     .unwrap_or_else(|_| (PureLp::Panicked, LpShard::default()))
 }
 
-/// Solves the LP relaxation of one node from a cold start. Free function
-/// (no `&self`) so worker threads can run it without borrowing the search
+/// Solves the LP relaxation of one node: from the feasible point `start`
+/// when one is given (the root's warm-start incumbent; see
+/// [`SimplexSolver::solve_from_point`]), from a cold start otherwise, or
+/// when the start fails to settle the LP (the iteration brake, a numerical
+/// breakdown, or a fixed stage without an optimum). Free function (no
+/// `&self`) so worker threads can run it without borrowing the search
 /// driver. `capture` snapshots the optimal basis (the root of a donor
 /// solve).
 fn solve_node_lp(
     model: &Model,
     overrides: &[(Var, f64, f64)],
+    start: Option<&[f64]>,
     deadline: Option<Instant>,
     scale: f64,
     capture: bool,
@@ -782,11 +791,32 @@ fn solve_node_lp(
         }
         scratch.set_bounds(v, nl, nu);
     }
-    let mut lp = SimplexSolver::from_model(&scratch);
-    lp.deadline = deadline;
-    let mut outcome = lp.solve();
-    shard.lp_solves = 1;
-    shard.absorb_lp(&lp);
+    let new_lp = || {
+        let mut lp = SimplexSolver::from_model(&scratch);
+        lp.deadline = deadline;
+        lp
+    };
+    let mut lp = new_lp();
+    let mut started = None;
+    if let Some(point) = start {
+        started = lp.solve_from_point(point);
+        shard.lp_solves += 1;
+        shard.absorb_lp(&lp);
+        if matches!(
+            started,
+            None | Some(LpOutcome::IterationLimit | LpOutcome::Numerical)
+        ) {
+            // Distrust the start and solve cold, as a failed import does.
+            started = None;
+            lp = new_lp();
+        }
+    }
+    let mut outcome = started.unwrap_or_else(|| {
+        let outcome = lp.solve();
+        shard.lp_solves += 1;
+        shard.absorb_lp(&lp);
+        outcome
+    });
     if matches!(outcome, LpOutcome::Numerical) {
         // Numerical recovery: rebuild the solver from scratch (which *is*
         // the forced refactorization — a fresh exact basis, no drifted
@@ -796,8 +826,7 @@ fn solve_node_lp(
         // ratio tests accept; loosening the optimality tolerance instead
         // could overstate the node bound and wrongly fathom.
         shard.tolerance_escalations = 1;
-        let mut retry = SimplexSolver::from_model(&scratch);
-        retry.deadline = deadline;
+        let mut retry = new_lp();
         retry.min_pivot = 1e-7;
         retry.refactor_interval = 64;
         outcome = retry.solve();
@@ -1061,12 +1090,21 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    /// Solves one node LP inline on the coordinator (the sequential path,
-    /// the root node, and the defensive fallback for a worker skip that the
-    /// monotonicity argument says cannot be consumed). `capture` snapshots
-    /// the optimal basis: the root of a donor solve.
-    fn solve_inline(&self, overrides: &[(Var, f64, f64)], capture: bool) -> (PureLp, LpShard) {
-        solve_node_lp_guarded(self.model, overrides, self.deadline(), self.scale, capture)
+    /// Solves one non-root node LP cold, inline on the coordinator (the
+    /// sequential path, and the defensive fallback for a worker skip that
+    /// the monotonicity argument says cannot be consumed).
+    fn solve_inline(&self, overrides: &[(Var, f64, f64)]) -> (PureLp, LpShard) {
+        let deadline = self.deadline();
+        solve_node_lp_guarded(self.model, overrides, None, deadline, self.scale, false)
+    }
+
+    /// Solves the root LP inline without a donor basis: from the
+    /// warm-start incumbent when there is one (the only incumbent before
+    /// the root), cold otherwise. `capture` snapshots the optimal basis:
+    /// the root of a donor solve.
+    fn solve_root(&self, capture: bool) -> (PureLp, LpShard) {
+        let start = self.incumbent.as_ref().map(|(values, _)| values.as_slice());
+        solve_node_lp_guarded(self.model, &[], start, self.deadline(), self.scale, capture)
     }
 
     /// Attempts the cross-scenario *primal* warm start at the root:
@@ -1163,16 +1201,16 @@ impl<'a> BranchAndBound<'a> {
                     match settled {
                         Some(lp) => (lp, import_shard),
                         None => {
-                            // Count the failed attempt, then run the cold
-                            // root exactly as a donor-less solve would.
+                            // Count the failed attempt, then run the root
+                            // exactly as a donor-less solve would.
                             self.absorb_shard(&import_shard);
-                            self.solve_inline(&[], false)
+                            self.solve_root(false)
                         }
                     }
                 }
                 // An empty slot: this solve is the donor.
-                Some(None) => self.solve_inline(&[], true),
-                None => self.solve_inline(&[], false),
+                Some(None) => self.solve_root(true),
+                None => self.solve_root(false),
             };
             self.absorb_shard(&shard);
             match lp {
@@ -1443,6 +1481,7 @@ impl<'a> BranchAndBound<'a> {
                             let (lp, shard) = solve_node_lp_guarded(
                                 model,
                                 &node.overrides,
+                                None,
                                 deadline,
                                 scale,
                                 false,
@@ -1556,7 +1595,7 @@ impl<'a> BranchAndBound<'a> {
             // A worker skip can only be consumed if the incumbent that
             // justified it disappeared — impossible, since incumbents only
             // improve — but solving inline keeps even that path correct.
-            Some(JobOutcome::Skipped) | None => self.solve_inline(&node.overrides, false),
+            Some(JobOutcome::Skipped) | None => self.solve_inline(&node.overrides),
         };
         self.nodes += 1;
         self.instrument.count(Counter::Nodes, 1);

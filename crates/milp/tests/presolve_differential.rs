@@ -16,11 +16,11 @@
 //! system builder is available without a dependency cycle.
 
 use letdma_core::{Cases, Rng, Xoshiro256};
-use milp::{LinExpr, Model, ObjectiveSense, SolveError, SolveOptions};
+use milp::{LinExpr, Model, ObjectiveSense, SolveError, SolveOptions, Var};
 
 /// A random mixed MILP with finite bounds everywhere (no unbounded rays)
-/// and deliberate presolve bait.
-fn random_mip(rng: &mut Xoshiro256) -> Model {
+/// and deliberate presolve bait, with its variables.
+fn random_mip(rng: &mut Xoshiro256) -> (Model, Vec<Var>) {
     let n_bin = rng.usize_range(1, 5);
     let n_int = rng.usize_range(0, 3);
     let n_cont = rng.usize_range(0, 3);
@@ -83,7 +83,7 @@ fn random_mip(rng: &mut Xoshiro256) -> Model {
         ObjectiveSense::Minimize
     };
     m.set_objective(sense, obj);
-    m
+    (m, vars)
 }
 
 /// Presolve on and off must agree on feasibility and optimal objective,
@@ -91,7 +91,7 @@ fn random_mip(rng: &mut Xoshiro256) -> Model {
 #[test]
 fn presolve_on_off_agree_on_random_mips() {
     Cases::new("presolve_on_off_agree_on_random_mips", 64).run(|rng| {
-        let model = random_mip(rng);
+        let (model, _) = random_mip(rng);
         let off = model
             .solver()
             .options(SolveOptions::new().with_presolve(false))
@@ -126,7 +126,7 @@ fn presolve_on_off_agree_on_random_mips() {
 #[test]
 fn explicit_lift_reproduces_the_optimum() {
     Cases::new("explicit_lift_reproduces_the_optimum", 64).run(|rng| {
-        let model = random_mip(rng);
+        let (model, _) = random_mip(rng);
         let reference = model
             .solver()
             .options(SolveOptions::new().with_presolve(false))
@@ -174,7 +174,7 @@ fn explicit_lift_reproduces_the_optimum() {
 #[test]
 fn presolved_trajectories_are_thread_count_invariant() {
     Cases::new("presolved_trajectories_are_thread_count_invariant", 24).run(|rng| {
-        let model = random_mip(rng);
+        let (model, _) = random_mip(rng);
         let capture = |threads: usize| {
             let mut stats = letdma_core::SolverStats::new();
             let outcome = model
@@ -199,5 +199,66 @@ fn presolved_trajectories_are_thread_count_invariant() {
         let seq = capture(1);
         let par = capture(4);
         assert_eq!(seq, par, "presolve-on trajectory diverged at 4 threads");
+    });
+}
+
+/// A feasible point of the original model, projected with
+/// [`milp::Lift::project_values`], is feasible on the presolved model:
+/// bound tightening keeps every feasible point, and coefficient
+/// strengthening and the aggregation cuts are valid for integral ones. The
+/// search relies on this when it starts the root LP from the projected
+/// warm start. The points are the optima of the model's own objective and
+/// of three random ones, plus the feasible draws among 200 random points
+/// of the box that are integral where the model says so.
+#[test]
+fn projected_feasible_points_stay_feasible() {
+    Cases::new("projected_feasible_points_stay_feasible", 64).run(|rng| {
+        let (model, vars) = random_mip(rng);
+        let Ok(red) = milp::presolve::presolve(&model, 1e-6) else {
+            return;
+        };
+        let mut points = Vec::new();
+        for k in 0..4 {
+            let mut directed = model.clone();
+            if k > 0 {
+                let obj =
+                    LinExpr::weighted_sum(vars.iter().map(|&v| (v, rng.f64_range(-1.0, 1.0))));
+                directed.set_objective(ObjectiveSense::Minimize, obj);
+            }
+            if let Ok(sol) = directed
+                .solver()
+                .options(SolveOptions::new().with_presolve(false))
+                .run()
+            {
+                points.push(sol.values().to_vec());
+            }
+        }
+        for _ in 0..200 {
+            let point: Vec<f64> = vars
+                .iter()
+                .map(|&v| {
+                    let def = model.var_def(v);
+                    if def.is_integral() {
+                        let (lo, hi) = (def.lower().ceil() as i64, def.upper().floor() as i64);
+                        rng.i64_inclusive(lo, hi) as f64
+                    } else {
+                        rng.f64_range(def.lower(), def.upper())
+                    }
+                })
+                .collect();
+            if model.is_feasible(&point, 1e-9) {
+                points.push(point);
+            }
+        }
+        for point in &points {
+            let projected = red
+                .lift
+                .project_values(point, 1e-6)
+                .unwrap_or_else(|| panic!("{point:?} contradicts a presolve fixing"));
+            assert!(
+                red.model.is_feasible(&projected, 1e-6),
+                "{point:?} is feasible on the original model but not on the presolved one"
+            );
+        }
     });
 }

@@ -13,7 +13,8 @@ use milp::{SolveError, SolveOptions};
 
 use crate::config::{Objective, OptConfig};
 use crate::formulation;
-use crate::heuristic;
+use crate::heuristic::{self, HeuristicSolution};
+use crate::improve::{ImproveGoal, Reorder};
 use crate::prepare::{structure_key, Prepared};
 use crate::solution::{extract, from_heuristic, warm_start_assignment, LetDmaSolution, Resolution};
 
@@ -277,45 +278,10 @@ fn run_pipeline(
         return Err(OptError::NoCommunications);
     }
 
-    let verify_options = VerifyOptions {
-        include_private_labels: config.include_private_labels,
-        check_acquisition_deadlines: true,
-        check_property3: true,
-    };
-
-    // Constructive heuristic (also the fallback and the warm start). For
-    // the delay-minimizing objective, a local-search pass reorders the
-    // transfers: relocations keep grouping and layout intact, so validity
-    // is preserved while latency-critical transfers move to the front (the
-    // Fig. 1 reordering). The other objectives take the schedule as
-    // constructed — NO-OBJ is "any feasible solution" in the paper, and
-    // OBJ-DMAT only counts transfers. When acquisition deadlines are set,
-    // the pass also runs for feasibility's sake (it reduces violations
-    // lexicographically first).
-    let has_deadlines = system
-        .tasks()
-        .iter()
-        .any(|t| t.acquisition_deadline().is_some());
-    let reorder_goal = if config.objective == Objective::MinDelayRatio {
-        Some(crate::improve::ImproveGoal::MinDelayRatio)
-    } else if has_deadlines {
-        Some(crate::improve::ImproveGoal::Feasibility)
-    } else {
-        None
-    };
+    let verify_options = verify_options(config);
+    let reorder_goal = reorder_goal(system, config);
     let (heuristic, heuristic_valid) = timed_phase(instrument, "heuristic", |_| {
-        let heuristic = heuristic::construct(system, config.include_private_labels).map(|mut h| {
-            if let Some(goal) = reorder_goal {
-                h.schedule = crate::improve::Reorder::new(system, &h.schedule)
-                    .goal(goal)
-                    .run();
-            }
-            h
-        });
-        let heuristic_valid = heuristic
-            .as_ref()
-            .is_some_and(|h| verify(system, &h.layout, &h.schedule, verify_options).is_empty());
-        (heuristic, heuristic_valid)
+        run_heuristic(system, config, reorder_goal, verify_options)
     });
 
     // Formulation + solve. On a prepared (cache-hit) run the build is
@@ -363,7 +329,7 @@ fn run_pipeline(
             solver = solver.reduction(red);
         }
         // Cross-scenario root reuse through the preparation's slot, on the
-        // *first* search only — the panic-retry below always solves cold.
+        // *first* search only — the panic-retry below never attaches it.
         if let Some(p) = prepared {
             solver = solver.root_slot(Arc::clone(&p.root_slot));
         }
@@ -398,9 +364,7 @@ fn run_pipeline(
             // but its order may still admit improvement within the budget's
             // gap; relocation moves are free wins.
             if let Some(goal) = reorder_goal {
-                let improved = crate::improve::Reorder::new(system, &solution.schedule)
-                    .goal(goal)
-                    .run();
+                let improved = Reorder::new(system, &solution.schedule).goal(goal).run();
                 if improved != solution.schedule {
                     solution.schedule = improved;
                     solution.latencies = solution.schedule.worst_case_latencies(system);
@@ -467,6 +431,59 @@ fn milp_time_limit(
     Ok(Some(limit.map_or(remaining, |limit| limit.min(remaining))))
 }
 
+/// The checks every returned solution passes: Properties 1–3, contiguity
+/// and acquisition deadlines.
+fn verify_options(config: &OptConfig) -> VerifyOptions {
+    VerifyOptions {
+        include_private_labels: config.include_private_labels,
+        check_acquisition_deadlines: true,
+        check_property3: true,
+    }
+}
+
+/// The local-search goal the pipeline reorders transfers for, both the
+/// heuristic's and the MILP's. For the delay-minimizing objective the pass
+/// moves latency-critical transfers to the front (the Fig. 1 reordering);
+/// relocations keep grouping and layout intact, so validity is preserved.
+/// The other objectives take the schedule as constructed — NO-OBJ is "any
+/// feasible solution" in the paper, and OBJ-DMAT only counts transfers —
+/// unless acquisition deadlines are set: then the pass runs for
+/// feasibility's sake (it reduces violations lexicographically first).
+fn reorder_goal(system: &System, config: &OptConfig) -> Option<ImproveGoal> {
+    let has_deadlines = system
+        .tasks()
+        .iter()
+        .any(|t| t.acquisition_deadline().is_some());
+    if config.objective == Objective::MinDelayRatio {
+        Some(ImproveGoal::MinDelayRatio)
+    } else if has_deadlines {
+        Some(ImproveGoal::Feasibility)
+    } else {
+        None
+    }
+}
+
+/// The constructive heuristic reordered for `goal` (the fallback and the
+/// warm start), and whether it passes conformance, which it must to seed
+/// the MILP.
+fn run_heuristic(
+    system: &System,
+    config: &OptConfig,
+    goal: Option<ImproveGoal>,
+    verify_options: VerifyOptions,
+) -> (Option<HeuristicSolution>, bool) {
+    let heuristic = heuristic::construct(system, config.include_private_labels).map(|mut h| {
+        if let Some(goal) = goal {
+            h.schedule = Reorder::new(system, &h.schedule).goal(goal).run();
+        }
+        h
+    });
+    let valid = heuristic
+        .as_ref()
+        .is_some_and(|h| verify(system, &h.layout, &h.schedule, verify_options).is_empty());
+    (heuristic, valid)
+}
+
 /// Runs only the constructive heuristic (no MILP), validating the result.
 ///
 /// # Errors
@@ -481,7 +498,7 @@ pub fn heuristic_solution(
 ) -> Result<LetDmaSolution, OptError> {
     let mut h =
         heuristic::construct(system, include_private_labels).ok_or(OptError::NoCommunications)?;
-    h.schedule = crate::improve::Reorder::new(system, &h.schedule).run();
+    h.schedule = Reorder::new(system, &h.schedule).run();
     let violations = verify(
         system,
         &h.layout,
@@ -516,7 +533,7 @@ pub fn formulation_model(system: &System, config: &OptConfig) -> milp::Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use letdma_model::{SystemBuilder, TimeNs};
+    use letdma_model::{SystemBuilder, TimeNs, TransferSchedule};
 
     fn pair_system() -> System {
         let mut b = SystemBuilder::new(2);
@@ -609,6 +626,128 @@ mod tests {
         let sys = pair_system();
         let sol = heuristic_solution(&sys, false).unwrap();
         assert_eq!(sol.num_transfers(), 2);
+    }
+
+    /// `system` with acquisition deadlines derived at `alpha_pct` from
+    /// `schedule`, as the experiments derive them.
+    fn with_alpha(mut system: System, alpha_pct: u32, schedule: &TransferSchedule) -> System {
+        use letdma_analysis::{apply_gammas, derive_gammas, let_task_segments};
+        let segments = let_task_segments(&system, schedule);
+        let sens = derive_gammas(&system, alpha_pct, &segments).expect("gammas");
+        assert!(sens.schedulable, "α = {alpha_pct}%");
+        apply_gammas(&mut system, &sens);
+        system
+    }
+
+    /// The four Table I objective cells: WATERS 2019 at α ∈ {0.2, 0.4} ×
+    /// OBJ-DMAT / OBJ-DEL, with deadlines from the reordered heuristic as
+    /// Table I derives them.
+    fn waters_cases() -> Vec<(String, System, Objective)> {
+        let (base, _) = waters2019::waters_system().expect("case study builds");
+        let schedule = heuristic_solution(&base, false).expect("valid").schedule;
+        let mut cases = Vec::new();
+        for alpha_pct in [20, 40] {
+            let system = with_alpha(base.clone(), alpha_pct, &schedule);
+            for objective in [Objective::MinTransfers, Objective::MinDelayRatio] {
+                let name = format!("WATERS α = 0.{}, {objective}", alpha_pct / 10);
+                cases.push((name, system.clone(), objective));
+            }
+        }
+        cases
+    }
+
+    /// The 60-scenario pool the `serve` benchmark draws from: corpus seed
+    /// `0xDAC2_2021`, deadlines at α = 0.5 from the constructed heuristic,
+    /// the objectives alternating.
+    fn pool_cases() -> Vec<(String, System, Objective)> {
+        waters2019::corpus::corpus(60, 0xDAC2_2021)
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let system = waters2019::gen::try_generate(&spec.config).expect("generates");
+                let schedule = heuristic::construct(&system, false)
+                    .expect("communications")
+                    .schedule;
+                let objective = if i % 2 == 0 {
+                    Objective::MinTransfers
+                } else {
+                    Objective::MinDelayRatio
+                };
+                (
+                    format!("pool {i}"),
+                    with_alpha(system, 50, &schedule),
+                    objective,
+                )
+            })
+            .collect()
+    }
+
+    /// Solves each case's presolved root LP cold and from the projected
+    /// heuristic warm start, as the search does: both reach the same
+    /// objective. Returns the iterations both ways, summed over the cases.
+    fn root_objectives_agree(cases: Vec<(String, System, Objective)>) -> (u64, u64) {
+        use milp::simplex::{LpOutcome, SimplexSolver};
+        let (mut cold_iterations, mut start_iterations) = (0, 0);
+        for (name, system, objective) in cases {
+            let config = OptConfig::new().with_objective(objective);
+            let f = formulation::build(&system, &config);
+            let (h, valid) = run_heuristic(
+                &system,
+                &config,
+                reorder_goal(&system, &config),
+                verify_options(&config),
+            );
+            assert!(valid, "{name}: the heuristic must seed the search");
+            let warm = warm_start_assignment(&system, &f, &h.expect("valid"))
+                .unwrap_or_else(|| panic!("{name}: no warm start"));
+            let red = milp::presolve::presolve(&f.model, milp::INTEGRALITY_TOL)
+                .unwrap_or_else(|_| panic!("{name}: presolve infeasible"));
+            let point = red
+                .lift
+                .project_values(&warm, milp::INTEGRALITY_TOL)
+                .unwrap_or_else(|| panic!("{name}: the warm start contradicts a fixing"));
+            assert!(red.model.is_feasible(&point, 1e-6), "{name}");
+
+            let mut cold = SimplexSolver::from_model(&red.model);
+            let cold_outcome = cold.solve();
+            let mut lp = SimplexSolver::from_model(&red.model);
+            let outcome = lp
+                .solve_from_point(&point)
+                .unwrap_or_else(|| panic!("{name}: the incumbent start must settle"));
+            match (&cold_outcome, &outcome) {
+                (LpOutcome::Optimal { objective: z, .. }, LpOutcome::Optimal { objective, .. }) => {
+                    assert!(
+                        (objective - z).abs() <= 1e-6 * (1.0 + z.abs()),
+                        "{name}: root objective {objective} from the incumbent vs {z} cold"
+                    )
+                }
+                _ => panic!("{name}: cold {cold_outcome:?}, from the incumbent {outcome:?}"),
+            }
+            cold_iterations += cold.iterations;
+            start_iterations += lp.iterations;
+        }
+        (cold_iterations, start_iterations)
+    }
+
+    /// The four Table I objective cells: same root objective both ways,
+    /// and fewer iterations from the incumbent in total.
+    #[test]
+    fn waters_root_from_incumbent_matches_cold_root() {
+        let (cold, start) = root_objectives_agree(waters_cases());
+        assert!(
+            start < cold,
+            "{start} iterations from the incumbent, {cold} cold"
+        );
+    }
+
+    /// The 60 cold misses of the `serve` benchmark pool, likewise.
+    #[test]
+    fn serve_pool_root_from_incumbent_matches_cold_root() {
+        let (cold, start) = root_objectives_agree(pool_cases());
+        assert!(
+            start < cold,
+            "{start} iterations from the incumbent, {cold} cold"
+        );
     }
 
     #[test]

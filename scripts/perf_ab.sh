@@ -13,7 +13,10 @@
 #
 # Output: one line per run with its end-to-end metrics, then, per metric,
 # each side's median and quartiles (linear interpolation, as perfbench's
-# own percentiles) and the number of pairs each side won.
+# own percentiles) and the number of pairs each side won. A metric whose
+# parent runs alone spread wider than its `bound` in BENCHMARK.json
+# (interquartile range over the median) is marked `unresolved`: this batch
+# cannot tell a change within that bound from noise.
 set -euo pipefail
 
 if [ "$#" -ne 5 ]; then
@@ -70,6 +73,11 @@ for ((p = 1; p <= pairs; p++)); do
     fi
 done
 
+# The relative bound of each end-to-end metric, "<name> <bound>" per line:
+# the last "name" seen before each "bound" in BENCHMARK.json.
+bounds="$(awk -F'"' '/"name":/ { name = $4 }
+    /"bound":/ { v = $3; gsub(/[:, ]/, "", v); print name, v }' "$root/BENCHMARK.json")"
+
 # quartiles <file>: "q1 median q3" of the numbers in <file>, one per line.
 quartiles() {
     sort -g "$1" | awk '{ x[NR - 1] = $1 }
@@ -87,6 +95,13 @@ for m in $metrics; do
     # for neither side.
     wins="$(paste "$tmp/p" "$tmp/c" | awk '$2 < $1 { lo++ } $2 > $1 { hi++ }
         END { printf "%d %d", lo, hi }')"
-    printf '%-15s parent %s [%s, %s]  change %s [%s, %s]  change lower in %s pairs, higher in %s\n' \
-        "$m" "$pmed" "$pq1" "$pq3" "$cmed" "$cq1" "$cq3" ${wins% *} ${wins#* }
+    bound="$(awk -v m="$m" '$1 == m { print $2 }' <<<"$bounds")"
+    verdict=""
+    if [ -n "$bound" ] && awk -v q1="$pq1" -v q3="$pq3" -v med="$pmed" -v b="$bound" 'BEGIN {
+        med = med < 0 ? -med : med
+        exit !(med == 0 ? q3 > q1 : (q3 - q1) / med > b) }'; then
+        verdict="  unresolved: parent spread exceeds the $bound bound"
+    fi
+    printf '%-15s parent %s [%s, %s]  change %s [%s, %s]  change lower in %s pairs, higher in %s%s\n' \
+        "$m" "$pmed" "$pq1" "$pq3" "$cmed" "$cq1" "$cq3" ${wins% *} ${wins#* } "$verdict"
 done
