@@ -20,12 +20,14 @@
 //! anti-cycling, a Harris-style two-pass ratio test, one basis
 //! representation (the sparse LU of [`SparseLu`]) and one refactorization
 //! cadence. Non-root nodes start cold, from the all-slack basis
-//! ([`simplex::SimplexSolver::solve`]). The root starts warm in one of two
-//! ways: from a sibling scenario's optimal root basis ([`WarmBasis`],
-//! shared through a [`RootBasisSlot`]), which phase 1 repairs where the
-//! new data makes it infeasible; or, without one, from the feasible
-//! warm-start incumbent ([`simplex::SimplexSolver::solve_from_point`]),
-//! whose basis needs no repair.
+//! ([`simplex::SimplexSolver::solve`]). The root is node 0 of the same
+//! guarded node evaluation, and its LP alone climbs a start ladder: a
+//! sibling scenario's optimal root basis ([`WarmBasis`], shared through a
+//! [`RootBasisSlot`]), which phase 1 repairs where the new data makes it
+//! infeasible; then the feasible warm-start incumbent
+//! ([`simplex::SimplexSolver::solve_from_point`]), whose basis needs no
+//! repair; then the all-slack basis. A start that does not settle the LP
+//! hands it to the next rung.
 //!
 //! # Examples
 //!

@@ -50,10 +50,11 @@
 //! the implied point is primal feasible on the new data, phase 1 first
 //! when it is not — the cross-scenario root reuse of DESIGN.md
 //! §"Warm-start architecture". [`SimplexSolver::solve_from_point`] starts
-//! from a feasible point instead (the heuristic incumbent of a root
-//! without a donor basis): it solves the LP with the point's on-bound
-//! integral columns fixed, restores their bounds, and runs phase 2 from
-//! that basis, which is primal feasible. Every other solve starts cold.
+//! from a feasible point instead (the heuristic incumbent, the root's
+//! next start when no donor basis settles it): it solves the LP with the
+//! point's on-bound integral columns fixed, restores their bounds, and
+//! runs phase 2 from that basis, which is primal feasible. Every other
+//! solve starts cold.
 
 // Index-based loops mirror the mathematical notation (rows i, columns j,
 // groups g); iterator rewrites would obscure the correspondence.
@@ -185,7 +186,7 @@ pub struct SimplexSolver {
     /// ratio test for pivots that cannot blow up the maintained inverse.
     pub min_pivot: f64,
     /// FTRAN solves performed (ratio-test columns and the basic-value
-    /// recomputation of a basis import).
+    /// solve of each basis install).
     pub ftran_calls: u64,
     /// BTRAN solves performed (the duals of each reduced-cost refresh,
     /// one pivot row per basis change).
@@ -218,8 +219,8 @@ impl std::fmt::Debug for SimplexSolver {
 
 impl SimplexSolver {
     /// Builds the computational form from a model, using the model's
-    /// *current* variable bounds (so branch-and-bound nodes can tighten
-    /// bounds and rebuild).
+    /// variable bounds (a branch-and-bound node then narrows them to its
+    /// own domain).
     #[must_use]
     pub fn from_model(model: &Model) -> Self {
         let m = model.num_constraints();
@@ -324,6 +325,15 @@ impl SimplexSolver {
             time_solve: Duration::ZERO,
             time_pricing: Duration::ZERO,
         }
+    }
+
+    /// Intersects the bounds of structural column `j` with `[lower,
+    /// upper]` (one branching override of a node); `false` when the
+    /// intersection is empty.
+    pub(crate) fn tighten_bounds(&mut self, j: usize, lower: f64, upper: f64) -> bool {
+        self.lower[j] = self.lower[j].max(lower);
+        self.upper[j] = self.upper[j].min(upper);
+        self.lower[j] <= self.upper[j]
     }
 
     /// Basis changes (entering/leaving pivots) applied so far.
@@ -940,7 +950,7 @@ impl SimplexSolver {
     /// if a basic lies outside its bounds, then phase 2 optimizes. `None`
     /// means only that the basis could not be installed (shape mismatch, a
     /// nonbasic status on an infinite bound of this model, or a singular
-    /// refactorization); the caller then solves cold.
+    /// refactorization); the caller then takes its next start.
     ///
     /// This is cross-scenario root reuse (see DESIGN.md §"Warm-start
     /// architecture"): it serves re-solves of one structure at the root,

@@ -8,6 +8,16 @@
 //! hitting the time or node limit still returns the best feasible solution
 //! found together with the proven bound.
 //!
+//! # One node-LP path
+//!
+//! The root is node 0: it is solved inline on the coordinator, through
+//! the same panic guard, fault plane, retry ladder and merge as every
+//! other node. Only its start differs. A node LP climbs down one start
+//! ladder, and only the root has the upper rungs: the donor basis
+//! published in the solve's [`RootBasisSlot`], then the feasible
+//! warm-start incumbent, then the cold slack basis, then an escalated
+//! retry. Every other node starts cold.
+//!
 //! # Parallel search
 //!
 //! Node LPs are evaluated by a [`std::thread`]-scoped worker pool. The
@@ -149,8 +159,9 @@ impl SolveOptions {
 /// Every solve of the structure attaches the same slot with
 /// [`Solver::root_slot`]. A solve that finds it empty is the **donor**:
 /// it publishes its root LP's optimal basis. A solve that finds it
-/// published starts its root from that basis, which phase 1 repairs where
-/// it stands when this solve's data makes it infeasible (see
+/// published starts its root from that basis, the first rung of the
+/// root's start ladder, which phase 1 repairs where it stands when this
+/// solve's data makes it infeasible (see
 /// [`SimplexSolver::solve_from_basis`]). Reading never blocks: an
 /// unpublished slot just means "no donor yet", and the reader becomes a
 /// donor itself.
@@ -593,17 +604,19 @@ impl<'m, 'i> Solver<'m, 'i> {
 
     /// Shares the root basis with the other solves of the same structure
     /// through `slot` (cross-scenario root reuse; see [`RootBasisSlot`]).
-    /// The slot is read once, when the root node starts:
+    /// The slot is read once, when the root node's LP starts, inside the
+    /// same panic guard as every node LP:
     ///
-    /// * **published** — a **primal warm start of the root LP**: the
-    ///   donor basis is installed on the (presolved) root and the root LP
-    ///   solves from it: phase 2 directly when the basis is primal
-    ///   feasible on this model's data, phase 1 first to repair it where
-    ///   it stands when it is not. An import that does not settle the
-    ///   root (shape mismatch, a singular install, the iteration brake or
-    ///   a numerical breakdown) falls back to the root of a solve without
-    ///   a slot, so the returned *solution* is identical either way; only
-    ///   the *pivot path* (and hence the trajectory) differs.
+    /// * **published** — a **primal warm start of the root LP**, the
+    ///   first rung of its start ladder: the donor basis is installed on
+    ///   the (presolved) root and the root LP solves from it: phase 2
+    ///   directly when the basis is primal feasible on this model's data,
+    ///   phase 1 first to repair it where it stands when it is not. An
+    ///   import that does not settle the root (shape mismatch, a singular
+    ///   install, the iteration brake or a numerical breakdown) hands it
+    ///   to the next rung, the root of a solve without a slot, so the
+    ///   returned *solution* is identical either way; only the *pivot
+    ///   path* (and hence the trajectory) differs.
     /// * **empty** — this solve is the **donor**: its root LP solves as
     ///   without a slot (from the feasible warm-start incumbent when there
     ///   is one, cold otherwise), and its optimal root basis is published
@@ -664,9 +677,6 @@ enum PureLp {
     Solved {
         values: Vec<f64>,
         min_obj: f64,
-        /// Optimal basis of this node, captured only for the root LP of a
-        /// donor solve (one whose [`RootBasisSlot`] was empty).
-        basis: Option<WarmBasis>,
     },
     Infeasible,
     Unbounded,
@@ -719,8 +729,8 @@ struct LpShard {
 }
 
 impl LpShard {
-    /// Accumulates one finished `SimplexSolver`'s work counters (shared by
-    /// the cold, retry and root-import paths).
+    /// Accumulates one finished `SimplexSolver`'s work counters (every
+    /// rung of the start ladder and the retry).
     fn absorb_lp(&mut self, lp: &SimplexSolver) {
         self.iterations += lp.iterations;
         self.phase1_iterations += lp.phase1_iterations;
@@ -740,75 +750,105 @@ impl LpShard {
     }
 }
 
+/// The rungs of a node LP's start ladder that only the root has (see
+/// [`solve_node_lp`]). Every other node passes the default and starts cold.
+#[derive(Default)]
+struct RootStart<'s> {
+    /// The solve's cross-scenario slot: a published basis is the first
+    /// rung, and an empty slot receives this root's optimal basis.
+    slot: Option<&'s RootBasisSlot>,
+    /// The feasible warm-start incumbent (the only incumbent before the
+    /// root), the second rung.
+    incumbent: Option<&'s [f64]>,
+}
+
 /// Panic-isolating wrapper around [`solve_node_lp`]: a panic anywhere in
 /// the node evaluation (injected by the fault plane or a genuine bug)
 /// becomes [`PureLp::Panicked`] instead of unwinding across the worker
 /// pool and aborting the process. `AssertUnwindSafe` is justified because
-/// the closure owns its scratch state: the model is only read, and the
-/// shard of a panicked node is discarded wholesale.
+/// the closure owns its scratch state: the model is only read, the slot is
+/// written only once the LP is solved, and the shard of a panicked node is
+/// discarded wholesale.
 fn solve_node_lp_guarded(
     model: &Model,
     overrides: &[(Var, f64, f64)],
-    start: Option<&[f64]>,
+    root: RootStart<'_>,
     deadline: Option<Instant>,
     scale: f64,
-    capture: bool,
 ) -> (PureLp, LpShard) {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solve_node_lp(model, overrides, start, deadline, scale, capture)
+        solve_node_lp(model, overrides, root, deadline, scale)
     }))
     .unwrap_or_else(|_| (PureLp::Panicked, LpShard::default()))
 }
 
-/// Solves the LP relaxation of one node: from the feasible point `start`
-/// when one is given (the root's warm-start incumbent; see
-/// [`SimplexSolver::solve_from_point`]), from a cold start otherwise, or
-/// when the start fails to settle the LP (the iteration brake, a numerical
-/// breakdown, or a fixed stage without an optimum). Free function (no
-/// `&self`) so worker threads can run it without borrowing the search
-/// driver. `capture` snapshots the optimal basis (the root of a donor
-/// solve).
+/// Solves the LP relaxation of one node (the model's bounds intersected
+/// with `overrides`) down one start ladder: the basis published in
+/// `root.slot` ([`SimplexSolver::solve_from_basis`]), then the feasible
+/// point `root.incumbent` ([`SimplexSolver::solve_from_point`]), then a
+/// cold start, then the escalated retry. A start that does not install,
+/// hits the iteration brake or breaks down numerically hands the node to
+/// the next rung on a fresh solver; any other outcome settles it. A root
+/// whose slot is empty is the donor: it publishes its optimal basis there.
+/// Free function (no `&self`) so worker threads can run it without
+/// borrowing the search driver.
 fn solve_node_lp(
     model: &Model,
     overrides: &[(Var, f64, f64)],
-    start: Option<&[f64]>,
+    root: RootStart<'_>,
     deadline: Option<Instant>,
     scale: f64,
-    capture: bool,
 ) -> (PureLp, LpShard) {
     if fault::should_fire(FaultSite::WorkerPanic) {
         panic!("fault injection: worker panic while solving a node LP");
     }
     let mut shard = LpShard::default();
-    // Apply overrides on a scratch copy of the model bounds.
-    let mut scratch = model.clone();
-    for &(v, l, u) in overrides {
-        let def = scratch.var_def(v);
-        let nl = def.lower().max(l);
-        let nu = def.upper().min(u);
-        if nl > nu {
-            return (PureLp::Infeasible, shard);
-        }
-        scratch.set_bounds(v, nl, nu);
-    }
     let new_lp = || {
-        let mut lp = SimplexSolver::from_model(&scratch);
+        let mut lp = SimplexSolver::from_model(model);
         lp.deadline = deadline;
-        lp
+        let nonempty = overrides
+            .iter()
+            .all(|&(v, l, u)| lp.tighten_bounds(v.index(), l, u));
+        (lp, nonempty)
     };
-    let mut lp = new_lp();
+    let (mut lp, nonempty) = new_lp();
+    if !nonempty {
+        return (PureLp::Infeasible, shard);
+    }
+    let unsettled = |started: &Option<LpOutcome>| {
+        matches!(
+            started,
+            None | Some(LpOutcome::IterationLimit | LpOutcome::Numerical)
+        )
+    };
+    let donor = root.slot.and_then(RootBasisSlot::get);
     let mut started = None;
-    if let Some(point) = start {
+    if let Some(basis) = &donor {
+        started = lp.solve_from_basis(basis);
+        shard.cross_attempts = 1;
+        shard.lp_solves += u64::from(started.is_some());
+        shard.absorb_lp(&lp);
+        if let Some(LpOutcome::Optimal { .. }) = started {
+            shard.cross_hits = 1;
+            // What the hit avoided: the donor's phase-1 bill for the same
+            // structure, less the import's own repair (phase 2 still ran,
+            // and is counted).
+            shard.phase1_saved = basis
+                .phase1_iterations()
+                .saturating_sub(lp.phase1_iterations);
+        }
+        if unsettled(&started) {
+            started = None;
+            lp = new_lp().0;
+        }
+    }
+    if let (None, Some(point)) = (&started, root.incumbent) {
         started = lp.solve_from_point(point);
         shard.lp_solves += 1;
         shard.absorb_lp(&lp);
-        if matches!(
-            started,
-            None | Some(LpOutcome::IterationLimit | LpOutcome::Numerical)
-        ) {
-            // Distrust the start and solve cold, as a failed import does.
+        if unsettled(&started) {
             started = None;
-            lp = new_lp();
+            lp = new_lp().0;
         }
     }
     let mut outcome = started.unwrap_or_else(|| {
@@ -826,7 +866,7 @@ fn solve_node_lp(
         // ratio tests accept; loosening the optimality tolerance instead
         // could overstate the node bound and wrongly fathom.
         shard.tolerance_escalations = 1;
-        let mut retry = new_lp();
+        let mut retry = new_lp().0;
         retry.min_pivot = 1e-7;
         retry.refactor_interval = 64;
         outcome = retry.solve();
@@ -838,11 +878,15 @@ fn solve_node_lp(
         lp = retry;
     }
     let lp = match outcome {
-        LpOutcome::Optimal { values, objective } => PureLp::Solved {
-            values,
-            min_obj: scale * objective,
-            basis: capture.then(|| lp.snapshot()),
-        },
+        LpOutcome::Optimal { values, objective } => {
+            if let (Some(slot), None) = (root.slot, &donor) {
+                slot.publish(Arc::new(lp.snapshot()));
+            }
+            PureLp::Solved {
+                values,
+                min_obj: scale * objective,
+            }
+        }
         LpOutcome::Infeasible => PureLp::Infeasible,
         LpOutcome::Unbounded => PureLp::Unbounded,
         // Neither brake is an infeasibility certificate: fathoming here
@@ -1090,73 +1134,6 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    /// Solves one non-root node LP cold, inline on the coordinator (the
-    /// sequential path, and the defensive fallback for a worker skip that
-    /// the monotonicity argument says cannot be consumed).
-    fn solve_inline(&self, overrides: &[(Var, f64, f64)]) -> (PureLp, LpShard) {
-        let deadline = self.deadline();
-        solve_node_lp_guarded(self.model, overrides, None, deadline, self.scale, false)
-    }
-
-    /// Solves the root LP inline without a donor basis: from the
-    /// warm-start incumbent when there is one (the only incumbent before
-    /// the root), cold otherwise. `capture` snapshots the optimal basis:
-    /// the root of a donor solve.
-    fn solve_root(&self, capture: bool) -> (PureLp, LpShard) {
-        let start = self.incumbent.as_ref().map(|(values, _)| values.as_slice());
-        solve_node_lp_guarded(self.model, &[], start, self.deadline(), self.scale, capture)
-    }
-
-    /// Attempts the cross-scenario *primal* warm start at the root:
-    /// install a donor scenario's optimal basis on this model and solve
-    /// from it — phase 1 repairs the point where it stands if it is
-    /// infeasible on this model's data, then phase 2 (see
-    /// [`SimplexSolver::solve_from_basis`]).
-    ///
-    /// `None` means the import did not settle the root — shape mismatch,
-    /// a singular refactorization, the iteration brake or a numerical
-    /// breakdown — and the caller must run the cold root solve exactly as
-    /// if no donor existed, so the search *consequences* of a failed
-    /// import are identical to never attempting it. The attempt is
-    /// recorded in the returned shard either way.
-    fn solve_root_import(&self, basis: &WarmBasis) -> (Option<PureLp>, LpShard) {
-        let mut shard = LpShard {
-            cross_attempts: 1,
-            ..LpShard::default()
-        };
-        let mut lp = SimplexSolver::from_model(self.model);
-        lp.deadline = self.deadline();
-        let outcome = lp.solve_from_basis(basis);
-        shard.lp_solves = u64::from(outcome.is_some());
-        shard.absorb_lp(&lp);
-        let settled = match outcome {
-            Some(LpOutcome::Optimal { values, objective }) => {
-                shard.cross_hits = 1;
-                // What the hit avoided: the donor's phase-1 bill for the
-                // same structure, less the import's own repair (phase 2
-                // still ran, and is counted).
-                shard.phase1_saved = basis
-                    .phase1_iterations()
-                    .saturating_sub(lp.phase1_iterations);
-                Some(PureLp::Solved {
-                    values,
-                    min_obj: self.scale * objective,
-                    // The slot is already published: nothing to donate.
-                    basis: None,
-                })
-            }
-            // A completed phase 1 or phase 2 certifies as the cold path
-            // does; a deadline stops both alike.
-            Some(LpOutcome::Infeasible) => Some(PureLp::Infeasible),
-            Some(LpOutcome::Unbounded) => Some(PureLp::Unbounded),
-            Some(LpOutcome::TimedOut) => Some(PureLp::TimedOut),
-            // Install failure, iteration limit or numerical breakdown:
-            // distrust the import and fall back cold.
-            None | Some(LpOutcome::IterationLimit | LpOutcome::Numerical) => None,
-        };
-        (settled, shard)
-    }
-
     fn run(mut self) -> Result<MilpSolution, SolveError> {
         // Seed with the warm start, if it is actually feasible.
         if let Some(warm) = &self.options.warm_start {
@@ -1184,78 +1161,18 @@ impl<'a> BranchAndBound<'a> {
             }
         }
 
-        // `exhausted` stays true only when the whole tree was explored (so
-        // the incumbent is proven optimal); any budget break clears it.
-        let mut exhausted = true;
-
-        // Root node, inline on the coordinator.
-        if self.out_of_budget() {
-            exhausted = false;
-        } else {
-            self.nodes += 1;
-            self.instrument.count(Counter::Nodes, 1);
-            let (lp, shard) = match self.root_slot.as_ref().map(|slot| slot.get()) {
-                // A published slot: import the donor's basis.
-                Some(Some(basis)) => {
-                    let (settled, import_shard) = self.solve_root_import(&basis);
-                    match settled {
-                        Some(lp) => (lp, import_shard),
-                        None => {
-                            // Count the failed attempt, then run the root
-                            // exactly as a donor-less solve would.
-                            self.absorb_shard(&import_shard);
-                            self.solve_root(false)
-                        }
-                    }
-                }
-                // An empty slot: this solve is the donor.
-                Some(None) => self.solve_root(true),
-                None => self.solve_root(false),
-            };
-            self.absorb_shard(&shard);
-            match lp {
-                PureLp::Infeasible => {
-                    self.instrument.node_event(NodeEvent::Infeasible);
-                    return Err(SolveError::Infeasible);
-                }
-                PureLp::Unbounded => {
-                    return Err(SolveError::Unbounded);
-                }
-                PureLp::TimedOut => {
-                    self.instrument.node_event(NodeEvent::Abandoned);
-                    exhausted = false;
-                }
-                PureLp::Unresolved => {
-                    // The root LP failed numerically even after the retry:
-                    // no bound exists, but the tree must still be explored.
-                    // Branch conservatively from the root domain; if
-                    // nothing is splittable the solve degrades to the
-                    // warm-start incumbent or a typed limit error.
-                    self.instrument.node_event(NodeEvent::Unresolved);
-                    if !self.branch_conservatively(&[], f64::NEG_INFINITY, 0) {
-                        exhausted = false;
-                    }
-                }
-                PureLp::Panicked => {
-                    self.panics += 1;
-                    self.instrument.count(Counter::PanicsCaught, 1);
-                    exhausted = false;
-                }
-                PureLp::Solved {
-                    values,
-                    min_obj,
-                    basis,
-                } => {
-                    // Publish the optimal root basis for later solves of
-                    // the same structure.
-                    if let (Some(slot), Some(basis)) = (&self.root_slot, basis) {
-                        slot.publish(Arc::new(basis));
-                    }
-                    self.root_bound = Some(min_obj);
-                    self.process_lp(values, min_obj, Vec::new(), 0);
-                }
-            }
-        }
+        // The root is node 0, solved inline on the coordinator through the
+        // merge every node takes. `exhausted` stays true only when the whole
+        // tree was explored (so the incumbent is proven optimal); any budget
+        // break clears it. A root that stops the search is not pushed back:
+        // it leaves no bound to report.
+        let root = Node {
+            overrides: Vec::new(),
+            bound: f64::NEG_INFINITY,
+            depth: 0,
+            seq: 0,
+        };
+        let mut exhausted = matches!(self.merge_job(&root, None)?, MergeControl::Continue);
 
         // Main loop: rounds of up to `ROUND_WIDTH` node LPs.
         loop {
@@ -1481,10 +1398,9 @@ impl<'a> BranchAndBound<'a> {
                             let (lp, shard) = solve_node_lp_guarded(
                                 model,
                                 &node.overrides,
-                                None,
+                                RootStart::default(),
                                 deadline,
                                 scale,
-                                false,
                             );
                             JobOutcome::Finished(lp, Box::new(shard))
                         };
@@ -1576,8 +1492,9 @@ impl<'a> BranchAndBound<'a> {
 
     /// Consumes one job in merge order: re-check fathoming against the
     /// *current* incumbent, enforce budgets, then process the LP result.
-    /// `outcome: None` (and, defensively, a worker-side skip) solves the
-    /// LP inline.
+    /// `outcome: None` (the root and the sequential path, and defensively a
+    /// worker-side skip) solves the LP inline, the root down its start
+    /// ladder.
     fn merge_job(
         &mut self,
         node: &Node,
@@ -1595,7 +1512,23 @@ impl<'a> BranchAndBound<'a> {
             // A worker skip can only be consumed if the incumbent that
             // justified it disappeared — impossible, since incumbents only
             // improve — but solving inline keeps even that path correct.
-            Some(JobOutcome::Skipped) | None => self.solve_inline(&node.overrides),
+            Some(JobOutcome::Skipped) | None => {
+                let root = if node.depth == 0 {
+                    RootStart {
+                        slot: self.root_slot.as_deref(),
+                        incumbent: self.incumbent.as_ref().map(|(v, _)| v.as_slice()),
+                    }
+                } else {
+                    RootStart::default()
+                };
+                solve_node_lp_guarded(
+                    self.model,
+                    &node.overrides,
+                    root,
+                    self.deadline(),
+                    self.scale,
+                )
+            }
         };
         self.nodes += 1;
         self.instrument.count(Counter::Nodes, 1);
@@ -1603,6 +1536,9 @@ impl<'a> BranchAndBound<'a> {
         match lp {
             PureLp::Infeasible => {
                 self.instrument.node_event(NodeEvent::Infeasible);
+                if node.depth == 0 {
+                    return Err(SolveError::Infeasible);
+                }
                 Ok(MergeControl::Continue)
             }
             PureLp::Unbounded => {
@@ -1635,9 +1571,10 @@ impl<'a> BranchAndBound<'a> {
                 // optimizer's degradation ladder takes it from there.
                 Ok(MergeControl::PushBackAndStop)
             }
-            PureLp::Solved {
-                values, min_obj, ..
-            } => {
+            PureLp::Solved { values, min_obj } => {
+                if node.depth == 0 {
+                    self.root_bound = Some(min_obj);
+                }
                 self.process_lp(values, min_obj, node.overrides.clone(), node.depth);
                 Ok(MergeControl::Continue)
             }
@@ -2014,8 +1951,11 @@ mod tests {
     #[test]
     fn root_slot_shape_mismatch_falls_back_cold() {
         // A slot published by a 3-var model, attached to a different model:
-        // the foreign basis cannot transfer, and the fallback must match a
-        // plain cold solve bit for bit.
+        // the foreign basis cannot transfer, so the root takes the next
+        // rung of its start ladder, the warm-start incumbent when there is
+        // one and cold otherwise. Either way the solve must match the same
+        // solve without a slot bit for bit, counters included: the refused
+        // install ran no iteration of its own.
         let slot = Arc::new(RootBasisSlot::new());
         phase1_model()
             .solver()
@@ -2025,26 +1965,46 @@ mod tests {
             .unwrap();
         let foreign = slot.get().expect("donor solved");
         let (other, _) = assignment_model(3);
-        let cold = other
-            .solver()
-            .options(SolveOptions::new().with_presolve(false))
-            .run()
-            .unwrap();
-        let mut stats = letdma_core::SolverStats::new();
-        let s = other
-            .solver()
-            .options(SolveOptions::new().with_presolve(false))
-            .root_slot(Arc::clone(&slot))
-            .instrument(&mut stats)
-            .run()
-            .unwrap();
-        assert_eq!(cold.values(), s.values());
-        assert_eq!(cold.objective().to_bits(), s.objective().to_bits());
-        assert_eq!(cold.stats().nodes, s.stats().nodes);
-        assert_eq!(
-            stats.counter(Counter::CrossScenarioWarmStarts),
-            0,
-            "a rejected import is an attempt, not a hit"
+        // A feasible, non-optimal assignment: row i takes column (i + 1) % 3.
+        let shifted = (0..9).map(|k| f64::from(u8::from(k % 3 == (k / 3 + 1) % 3)));
+        let mut paths = Vec::new();
+        for warm in [None, Some(shifted.collect::<Vec<f64>>())] {
+            let mut options = SolveOptions::new().with_presolve(false);
+            if let Some(w) = &warm {
+                options = options.with_warm_start(w.clone());
+            }
+            let mut base_stats = letdma_core::SolverStats::new();
+            let base = other
+                .solver()
+                .options(options.clone())
+                .instrument(&mut base_stats)
+                .run()
+                .unwrap();
+            let mut stats = letdma_core::SolverStats::new();
+            let s = other
+                .solver()
+                .options(options)
+                .root_slot(Arc::clone(&slot))
+                .instrument(&mut stats)
+                .run()
+                .unwrap();
+            assert_eq!(base.values(), s.values(), "warm={warm:?}");
+            assert_eq!(base.objective().to_bits(), s.objective().to_bits());
+            assert_eq!(base.stats().nodes, s.stats().nodes);
+            let path = |st: &letdma_core::SolverStats| {
+                [Counter::SimplexIterations, Counter::Phase1Iterations].map(|c| st.counter(c))
+            };
+            assert_eq!(path(&base_stats), path(&stats), "warm={warm:?}");
+            paths.push(path(&stats));
+            assert_eq!(
+                stats.counter(Counter::CrossScenarioWarmStarts),
+                0,
+                "a rejected import is an attempt, not a hit"
+            );
+        }
+        assert_ne!(
+            paths[0], paths[1],
+            "the incumbent and cold rungs pivot differently"
         );
         assert!(
             Arc::ptr_eq(&slot.get().expect("still published"), &foreign),
@@ -2132,7 +2092,8 @@ mod tests {
         // Seeded case for SolveOptions::time_limit: with an expired
         // deadline the solver must return the warm-start incumbent as
         // Feasible, and only without any incumbent degrade to a typed
-        // limit error.
+        // limit error. The budget is spent before the root, so no node is
+        // counted and no bound is reported.
         let mut m = Model::new();
         let x = m.add_binary("x");
         let y = m.add_binary("y");
@@ -2149,11 +2110,12 @@ mod tests {
             .unwrap();
         assert_eq!(s.status(), SolveStatus::Feasible);
         assert!((s.objective() - 1.0).abs() < 1e-9);
+        assert_eq!((s.stats().nodes, s.stats().best_bound), (0, None));
         let err = m
             .solver()
             .options(SolveOptions::new().with_time_limit(Duration::ZERO))
             .run()
             .unwrap_err();
-        assert!(matches!(err, SolveError::LimitReached { .. }), "{err}");
+        assert_eq!(err, SolveError::LimitReached { best_bound: None });
     }
 }

@@ -8,11 +8,13 @@
 //! tests behind [`plane`]; every test disarms the plane on entry and exit
 //! so an armed site can never leak into a neighbour.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use letdma_core::fault::{self, FaultSite, FaultSpec};
 use letdma_core::{Counter, NodeEvent, SolverStats};
-use milp::{LinExpr, Model, ObjectiveSense, SolveError, SolveOptions, SolveStatus, Var};
+use milp::{
+    LinExpr, Model, ObjectiveSense, RootBasisSlot, SolveError, SolveOptions, SolveStatus, Var,
+};
 
 static PLANE: Mutex<()> = Mutex::new(());
 
@@ -104,6 +106,51 @@ fn worker_panic_with_warm_start_returns_incumbent() {
         });
         assert_eq!(sol.status(), SolveStatus::Feasible);
         assert!((sol.objective() - 120.0).abs() < 1e-9);
+    });
+}
+
+/// A panic while the root imports a published slot basis is caught by
+/// the same guard as every node LP: the search stops with the warm
+/// incumbent as `Feasible`, or the typed [`SolveError::WorkerPanic`]
+/// without one, instead of unwinding out of [`milp::Solver::run`].
+#[test]
+fn worker_panic_during_root_import_is_caught() {
+    plane(|| {
+        let (m, _) = knapsack();
+        let options = SolveOptions::new().with_presolve(false);
+        let slot = Arc::new(RootBasisSlot::new());
+        m.solver()
+            .options(options.clone())
+            .root_slot(Arc::clone(&slot))
+            .run()
+            .expect("the donor solves");
+        assert!(slot.get().is_some(), "the donor published its root basis");
+        for warm in [None, Some(vec![0.0, 0.0, 1.0])] {
+            fault::disarm_all();
+            fault::arm(FaultSite::WorkerPanic, FaultSpec::always().limit_fires(1));
+            let mut opts = options.clone().with_node_limit(1);
+            if let Some(w) = &warm {
+                opts = opts.with_warm_start(w.clone());
+            }
+            let mut stats = SolverStats::new();
+            let result = quiet_panics(|| {
+                m.solver()
+                    .options(opts)
+                    .root_slot(Arc::clone(&slot))
+                    .instrument(&mut stats)
+                    .run()
+            });
+            assert_eq!(fault::fires(FaultSite::WorkerPanic), 1, "warm={warm:?}");
+            assert_eq!(stats.counter(Counter::PanicsCaught), 1, "warm={warm:?}");
+            match (warm, result) {
+                (Some(_), Ok(sol)) => {
+                    assert_eq!(sol.status(), SolveStatus::Feasible);
+                    assert!((sol.objective() - 120.0).abs() < 1e-9);
+                }
+                (None, Err(SolveError::WorkerPanic { caught: 1 })) => {}
+                (warm, other) => panic!("warm={warm:?}: unexpected {other:?}"),
+            }
+        }
     });
 }
 

@@ -201,8 +201,9 @@ fi
 # (`Solver::root_slot`) replaced the import/export hook pair, and the
 # pipeline folds the request deadline into the MILP time limit, so the
 # solver has no deadline error of its own. Tests may still name the
-# fields an older wire client sends.
-if grep -rnwE 'max_transfers|reuse_basis|measure_root_gap|root_import|root_export' \
+# fields an older wire client sends. The root-solve helpers are gone:
+# every node LP, the root included, has one guarded path.
+if grep -rnwE 'max_transfers|reuse_basis|measure_root_gap|root_import|root_export|solve_root_import|solve_root|solve_inline' \
     crates/*/src --include='*.rs' \
   || grep -rn 'SolveError::DeadlineExpired' crates/*/src --include='*.rs'; then
   echo "a retired solve knob or hook reappeared; bring it back with a caller"
