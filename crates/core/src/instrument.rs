@@ -24,7 +24,8 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Counter {
-    /// Simplex iterations (pricing loops entered), both phases.
+    /// Simplex iterations (pricing passes that moved the point by a pivot
+    /// or a bound flip), both phases.
     SimplexIterations,
     /// Simplex iterations spent in phase 1, which minimizes the bound
     /// violations of the basic variables until the point is feasible.

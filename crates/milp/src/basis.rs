@@ -18,12 +18,13 @@
 use std::cell::RefCell;
 use std::fmt;
 
+use crate::simplex::LpWork;
+
 /// Sparse column: `(row, coefficient)` pairs, as stored by the solver.
 pub type SparseCol = Vec<(usize, f64)>;
 
 /// One product-form update: the inverse of the elementary matrix that
 /// replaces basis position `r`, stored as its only non-identity column.
-#[derive(Clone)]
 struct Eta {
     r: usize,
     /// `1 / w_r` — the diagonal entry at `r`.
@@ -35,7 +36,7 @@ struct Eta {
 /// Scratch vectors reused across `ftran`/`btran` calls (interior
 /// mutability keeps the solves `&self` without per-call allocation in
 /// the hot loop).
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct Scratch {
     a: Vec<f64>,
     b: Vec<f64>,
@@ -328,11 +329,9 @@ pub struct SparseLu {
     lu_nnz: u64,
     scratch: RefCell<Scratch>,
     updates_since_refactor: u64,
-    pivots: u64,
-    refactorizations: u64,
-    eta_nnz_total: u64,
-    lu_nnz_total: u64,
-    basis_nnz_total: u64,
+    /// The pivots, refactorizations and nonzeros counted since
+    /// construction.
+    work: LpWork,
 }
 
 impl Default for SparseLu {
@@ -363,11 +362,7 @@ impl SparseLu {
             lu_nnz: 0,
             scratch: RefCell::new(Scratch::default()),
             updates_since_refactor: 0,
-            pivots: 0,
-            refactorizations: 0,
-            eta_nnz_total: 0,
-            lu_nnz_total: 0,
-            basis_nnz_total: 0,
+            work: LpWork::default(),
         }
     }
 
@@ -522,13 +517,13 @@ impl SparseLu {
         }
         let nnz = 1 + off.len() as u64;
         self.eta_nnz_current += nnz;
-        self.eta_nnz_total += nnz;
+        self.work.eta_nonzeros += nnz;
         self.etas.push(Eta {
             r,
             diag: inv_pivot,
             off,
         });
-        self.pivots += 1;
+        self.work.pivots += 1;
         self.updates_since_refactor += 1;
     }
 
@@ -558,10 +553,10 @@ impl SparseLu {
         self.etas.clear();
         self.eta_nnz_current = 0;
         self.lu_nnz = lu_nnz;
-        self.lu_nnz_total += lu_nnz;
-        self.basis_nnz_total += f.basis_nnz;
+        self.work.lu_nonzeros += lu_nnz;
+        self.work.basis_nonzeros += f.basis_nnz;
         self.updates_since_refactor = 0;
-        self.refactorizations += 1;
+        self.work.refactorizations += 1;
         true
     }
 
@@ -572,16 +567,12 @@ impl SparseLu {
         self.updates_since_refactor
     }
 
-    /// Total pivot updates applied since construction.
+    /// The pivot updates, successful refactorizations and nonzeros
+    /// (eta file, `L+U`, basis) counted since construction; the other
+    /// fields stay zero.
     #[must_use]
-    pub fn pivots(&self) -> u64 {
-        self.pivots
-    }
-
-    /// Total successful refactorizations since construction.
-    #[must_use]
-    pub fn refactorizations(&self) -> u64 {
-        self.refactorizations
+    pub fn work(&self) -> &LpWork {
+        &self.work
     }
 
     /// Whether a refactorization is due: `interval` pivot updates since
@@ -591,55 +582,17 @@ impl SparseLu {
         self.updates_since_refactor >= interval
             || self.eta_nnz_current > 2 * (self.lu_nnz + self.m as u64)
     }
-
-    /// Total nonzeros appended to the eta file by pivots since
-    /// construction.
-    #[must_use]
-    pub fn eta_nonzeros(&self) -> u64 {
-        self.eta_nnz_total
-    }
-
-    /// `(Σ nnz(L+U), Σ nnz(B))` over all successful refactorizations
-    /// since construction — the fill-in ratio numerator/denominator.
-    #[must_use]
-    pub fn fill_nonzeros(&self) -> (u64, u64) {
-        (self.lu_nnz_total, self.basis_nnz_total)
-    }
 }
 
 impl fmt::Debug for SparseLu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SparseLu")
             .field("rows", &self.m)
-            .field("pivots", &self.pivots)
-            .field("refactorizations", &self.refactorizations)
+            .field("pivots", &self.work.pivots)
+            .field("refactorizations", &self.work.refactorizations)
             .field("lu_nnz", &self.lu_nnz)
             .field("eta_nnz", &self.eta_nnz_current)
             .finish()
-    }
-}
-
-impl Clone for SparseLu {
-    fn clone(&self) -> Self {
-        Self {
-            m: self.m,
-            rowp: self.rowp.clone(),
-            row_of: self.row_of.clone(),
-            colp: self.colp.clone(),
-            lcols: self.lcols.clone(),
-            ucols: self.ucols.clone(),
-            udiag: self.udiag.clone(),
-            etas: self.etas.clone(),
-            eta_nnz_current: self.eta_nnz_current,
-            lu_nnz: self.lu_nnz,
-            scratch: RefCell::new(Scratch::default()),
-            updates_since_refactor: self.updates_since_refactor,
-            pivots: self.pivots,
-            refactorizations: self.refactorizations,
-            eta_nnz_total: self.eta_nnz_total,
-            lu_nnz_total: self.lu_nnz_total,
-            basis_nnz_total: self.basis_nnz_total,
-        }
     }
 }
 
@@ -704,9 +657,9 @@ mod tests {
         let e1: SparseCol = vec![(0, 1.0)];
         b.ftran(&e1, &mut w);
         assert!((w[0] - 0.5).abs() < 1e-12 && (w[1] + 0.5).abs() < 1e-12);
-        assert_eq!(b.pivots(), 1);
+        assert_eq!(b.work().pivots, 1);
         assert_eq!(b.updates_since_refactor(), 1);
-        assert!(b.eta_nonzeros() >= 2);
+        assert!(b.work().eta_nonzeros >= 2);
         let mut y = vec![0.0; 2];
         b.btran(&[(1, 2.0)], &mut y);
         assert!((y[0] + 1.0).abs() < 1e-12 && (y[1] - 2.0).abs() < 1e-12);
@@ -719,7 +672,7 @@ mod tests {
         let c0: SparseCol = vec![(0, 1.0), (1, 1.0)];
         let c1: SparseCol = vec![(0, 2.0), (1, 2.0)]; // linearly dependent
         assert!(!b.refactorize(&[&c0, &c1]));
-        assert_eq!(b.refactorizations(), 0);
+        assert_eq!(b.work().refactorizations, 0);
         // Still the identity factorization.
         let mut w = vec![0.0; 2];
         b.ftran(&[(0, 7.0)], &mut w);

@@ -72,7 +72,7 @@ pub use basis::SparseLu;
 pub use expr::{LinExpr, Var};
 pub use model::{Comparison, Constraint, Model, ObjectiveSense, Sense, VarDef, VarType};
 pub use presolve::{Lift, LiftEntry, PresolveInfeasible, PresolveStats, Presolved};
-pub use simplex::WarmBasis;
+pub use simplex::{LpWork, WarmBasis};
 pub use solver::{
     root_gap_bps, MilpSolution, RootBasisSlot, SolveError, SolveOptions, SolveStats, SolveStatus,
     Solver, INTEGRALITY_TOL,

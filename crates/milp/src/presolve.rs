@@ -106,12 +106,6 @@ impl Lift {
         self.entries.len()
     }
 
-    /// Number of variables in the reduced model.
-    #[must_use]
-    pub fn reduced_vars(&self) -> usize {
-        self.reduced_vars
-    }
-
     /// The disposition of one original variable.
     #[must_use]
     pub fn entry(&self, original: Var) -> LiftEntry {
@@ -133,7 +127,8 @@ impl Lift {
     ///
     /// # Panics
     ///
-    /// Panics if `reduced` does not have [`Self::reduced_vars`] entries.
+    /// Panics if `reduced` does not have one entry per reduced-model
+    /// variable.
     #[must_use]
     pub fn lift_values(&self, reduced: &[f64]) -> Vec<f64> {
         assert_eq!(reduced.len(), self.reduced_vars, "reduced arity mismatch");

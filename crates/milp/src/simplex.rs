@@ -55,10 +55,18 @@
 //! point's on-bound integral columns fixed, restores their bounds, and
 //! runs phase 2 from that basis, which is primal feasible. Every other
 //! solve starts cold.
+//!
+//! # Work
+//!
+//! A solver counts its work in one [`LpWork`] record, returned by
+//! [`SimplexSolver::work`]. An iteration is a pricing pass that moves the
+//! point by a pivot or a bound flip; the pass that finds no improving
+//! column ends the phase and is not one.
 
 // Index-based loops mirror the mathematical notation (rows i, columns j,
 // groups g); iterator rewrites would obscure the correspondence.
 #![allow(clippy::needless_range_loop)]
+use std::ops::AddAssign;
 use std::time::{Duration, Instant};
 
 use letdma_core::fault::{self, FaultSite};
@@ -155,25 +163,17 @@ pub struct SimplexSolver {
     /// since (bound flips leave `d` as it is).
     d_fresh: bool,
     /// Per-iteration work vectors, sized once and reused.
-    work: Work,
+    scratch: Scratch,
     /// Current values of all columns.
     x: Vec<f64>,
     /// Multiplier for converting the model objective to minimization.
     obj_scale: f64,
     /// Constant offset of the objective.
     obj_offset: f64,
-    /// Iterations of the most recent solve (across phases, and both
-    /// stages of [`solve_from_point`](Self::solve_from_point)).
-    pub iterations: u64,
     /// Hard iteration cap.
     pub iteration_limit: u64,
     /// Optional wall-clock deadline, checked periodically.
     pub deadline: Option<Instant>,
-    /// Iterations spent in phase 1 of the most recent solve (both stages
-    /// of [`solve_from_point`](Self::solve_from_point)).
-    pub phase1_iterations: u64,
-    /// Bound-to-bound flips (steps without a basis change).
-    pub bound_flips: u64,
     /// Refactorize after this many product-form updates (numerical-drift
     /// control for long solves; `u64::MAX` disables).
     pub refactor_interval: u64,
@@ -185,24 +185,9 @@ pub struct SimplexSolver {
     /// node whose first solve broke down, trading a slightly weaker
     /// ratio test for pivots that cannot blow up the maintained inverse.
     pub min_pivot: f64,
-    /// FTRAN solves performed (ratio-test columns and the basic-value
-    /// solve of each basis install).
-    pub ftran_calls: u64,
-    /// BTRAN solves performed (the duals of each reduced-cost refresh,
-    /// one pivot row per basis change).
-    pub btran_calls: u64,
-    /// Columns whose reduced cost was computed by a full dot product
-    /// `c_j − yᵀa_j`: every nonbasic column at each reduced-cost refresh.
-    /// The pivot-row update between refreshes computes none.
-    pub pricing_candidates: u64,
-    /// Wall-clock spent refactorizing the basis from scratch.
-    pub time_factorize: Duration,
-    /// Wall-clock spent in `ftran`/`btran` solves and pivot updates.
-    pub time_solve: Duration,
-    /// Wall-clock spent choosing entering variables, recomputing reduced
-    /// costs, and updating them together with the Devex weights from the
-    /// pivot row `ρᵀA`.
-    pub time_pricing: Duration,
+    /// The work counted here since construction; `basis_inv` counts the
+    /// rest (see [`work`](Self::work)).
+    work: LpWork,
 }
 
 impl std::fmt::Debug for SimplexSolver {
@@ -211,7 +196,7 @@ impl std::fmt::Debug for SimplexSolver {
             .field("rows", &self.m)
             .field("cols", &self.n)
             .field("structural", &self.n_struct)
-            .field("iterations", &self.iterations)
+            .field("iterations", &self.work.iterations)
             .field("basis", &self.basis_inv)
             .finish()
     }
@@ -307,23 +292,15 @@ impl SimplexSolver {
             pricing: Devex::default(),
             d: vec![0.0; n],
             d_fresh: false,
-            work: Work::new(m, n),
+            scratch: Scratch::new(m, n),
             x: vec![0.0; n],
             obj_scale,
             obj_offset,
-            iterations: 0,
             iteration_limit: 200_000,
             deadline: None,
-            phase1_iterations: 0,
-            bound_flips: 0,
             refactor_interval: SparseLu::REFACTOR_INTERVAL,
             min_pivot: 1e-9,
-            ftran_calls: 0,
-            btran_calls: 0,
-            pricing_candidates: 0,
-            time_factorize: Duration::ZERO,
-            time_solve: Duration::ZERO,
-            time_pricing: Duration::ZERO,
+            work: LpWork::default(),
         }
     }
 
@@ -336,30 +313,13 @@ impl SimplexSolver {
         self.lower[j] <= self.upper[j]
     }
 
-    /// Basis changes (entering/leaving pivots) applied so far.
+    /// Everything this solver has done since it was built, its own counts
+    /// and timers together with those of its basis factorization.
     #[must_use]
-    pub fn pivots(&self) -> u64 {
-        self.basis_inv.pivots()
-    }
-
-    /// Basis refactorizations performed so far.
-    #[must_use]
-    pub fn refactorizations(&self) -> u64 {
-        self.basis_inv.refactorizations()
-    }
-
-    /// Total eta-file nonzeros appended by pivot updates (see
-    /// [`SparseLu::eta_nonzeros`]).
-    #[must_use]
-    pub fn eta_nonzeros(&self) -> u64 {
-        self.basis_inv.eta_nonzeros()
-    }
-
-    /// `(Σ nnz(L+U), Σ nnz(B))` over this solver's refactorizations — the
-    /// fill-in ratio numerator/denominator (see [`SparseLu::fill_nonzeros`]).
-    #[must_use]
-    pub fn fill_nonzeros(&self) -> (u64, u64) {
-        self.basis_inv.fill_nonzeros()
+    pub fn work(&self) -> LpWork {
+        let mut work = self.work;
+        work += *self.basis_inv.work();
+        work
     }
 
     /// Solves the LP relaxation from the all-slack basis `B = I`: every
@@ -368,8 +328,7 @@ impl SimplexSolver {
     /// infeasible, and phase 2 optimizes.
     #[must_use]
     pub fn solve(&mut self) -> LpOutcome {
-        self.iterations = 0;
-        self.phase1_iterations = 0;
+        self.work.lp_solves += 1;
         if self.m == 0 {
             return self.solve_unconstrained();
         }
@@ -427,8 +386,8 @@ impl SimplexSolver {
         let mut xb = vec![0.0; self.m];
         let t0 = Instant::now();
         self.basis_inv.ftran(&resid, &mut xb);
-        self.time_solve += t0.elapsed();
-        self.ftran_calls += 1;
+        self.work.solve_time += t0.elapsed();
+        self.work.ftran_calls += 1;
         for (i, &bj) in self.basis.iter().enumerate() {
             if !xb[i].is_finite() {
                 return None;
@@ -436,9 +395,9 @@ impl SimplexSolver {
             self.x[bj] = xb[i];
         }
 
-        let before = self.iterations;
+        let before = self.work.iterations;
         let phase1 = self.optimize(true);
-        self.phase1_iterations += self.iterations - before;
+        self.work.phase1_iterations += self.work.iterations - before;
         match phase1 {
             PivotResult::Optimal if self.infeasibility() > 1e-6 => {
                 return Some(LpOutcome::Infeasible)
@@ -555,13 +514,13 @@ impl SimplexSolver {
             if phase1 && self.basis.iter().all(|&j| cost[j] == 0.0) {
                 return PivotResult::Optimal;
             }
-            if self.iterations >= self.iteration_limit {
+            if self.work.iterations >= self.iteration_limit {
                 return PivotResult::IterationLimit;
             }
             if fault::should_fire(FaultSite::SimplexNumerical) {
                 return PivotResult::Numerical;
             }
-            if self.iterations % 128 == 0 {
+            if self.work.iterations % 128 == 0 {
                 if fault::should_fire(FaultSite::DeadlineExhausted) {
                     return PivotResult::TimedOut;
                 }
@@ -571,8 +530,6 @@ impl SimplexSolver {
                     }
                 }
             }
-            self.iterations += 1;
-
             let use_bland = stall > 64;
             let mut entering = self.choose_entering(use_bland);
             if entering.is_none() && !self.d_fresh {
@@ -584,13 +541,16 @@ impl SimplexSolver {
             let Some((q, dir)) = entering else {
                 return PivotResult::Optimal;
             };
+            // An iteration is a pass that moves: the pass that finds no
+            // improving column ends the phase and counts nothing.
+            self.work.iterations += 1;
 
             // FTRAN: w = B⁻¹ A_q.
             let t0 = Instant::now();
-            self.basis_inv.ftran(&self.cols[q], &mut self.work.w);
-            self.time_solve += t0.elapsed();
-            self.ftran_calls += 1;
-            let w = &self.work.w;
+            self.basis_inv.ftran(&self.cols[q], &mut self.scratch.w);
+            self.work.solve_time += t0.elapsed();
+            self.work.ftran_calls += 1;
+            let w = &self.scratch.w;
 
             // Two-pass (Harris-style) ratio test. Entering moves by t ≥ 0
             // in direction `dir`; basic i changes by −dir·t·w_i. Pass 1
@@ -658,7 +618,7 @@ impl SimplexSolver {
             match leaving {
                 None => {
                     // Bound flip: entering jumped to its opposite bound.
-                    self.bound_flips += 1;
+                    self.work.bound_flips += 1;
                     self.status[q] = match self.status[q] {
                         ColStatus::AtLower => ColStatus::AtUpper,
                         ColStatus::AtUpper => ColStatus::AtLower,
@@ -692,8 +652,8 @@ impl SimplexSolver {
                         cost[leaving_col] = 0.0;
                     }
                     let t0 = Instant::now();
-                    self.basis_inv.pivot(r, &self.work.w);
-                    self.time_solve += t0.elapsed();
+                    self.basis_inv.pivot(r, &self.scratch.w);
+                    self.work.solve_time += t0.elapsed();
                     if self.basis_inv.wants_refactor(self.refactor_interval) {
                         if !self.refactorize() {
                             return PivotResult::Numerical;
@@ -790,7 +750,7 @@ impl SimplexSolver {
         } else {
             self.pricing.select(eval)
         };
-        self.time_pricing += t0.elapsed();
+        self.work.pricing_time += t0.elapsed();
         choice
     }
 
@@ -806,11 +766,11 @@ impl SimplexSolver {
             .map(|(i, &bj)| (i, cost[bj]))
             .collect();
         let t0 = Instant::now();
-        self.basis_inv.btran(&cb, &mut self.work.y);
-        self.time_solve += t0.elapsed();
-        self.btran_calls += 1;
+        self.basis_inv.btran(&cb, &mut self.scratch.y);
+        self.work.solve_time += t0.elapsed();
+        self.work.btran_calls += 1;
         let t0 = Instant::now();
-        let y = &self.work.y;
+        let y = &self.scratch.y;
         let mut priced = 0;
         for (j, dj) in self.d.iter_mut().enumerate() {
             *dj = if matches!(self.status[j], ColStatus::Basic(_)) {
@@ -824,14 +784,14 @@ impl SimplexSolver {
                 d
             };
         }
-        self.pricing_candidates += priced;
+        self.work.pricing_candidates += priced;
         self.d_fresh = true;
-        self.time_pricing += t0.elapsed();
+        self.work.pricing_time += t0.elapsed();
     }
 
     /// Updates the reduced costs and the Devex weights after the pivot
     /// that brings `entering` into basis row `r` in place of `leaving`
-    /// (statuses already flipped, `basis_inv` not yet updated, `work.w`
+    /// (statuses already flipped, `basis_inv` not yet updated, `scratch.w`
     /// holding `B⁻¹ a_entering`). One pass over the nonzeros of the pivot
     /// row `α = ρᵀA`, `ρ = e_r' B⁻¹`, applies `d_j ← d_j − (d_q/α_q)·α_j`
     /// and the Devex weight update on every column nonbasic in the new
@@ -839,16 +799,16 @@ impl SimplexSolver {
     /// `−d_q·α_l/α_q`.
     fn update_pricing(&mut self, r: usize, entering: usize, leaving: usize) {
         let t0 = Instant::now();
-        self.basis_inv.btran(&[(r, 1.0)], &mut self.work.rho);
-        self.time_solve += t0.elapsed();
-        self.btran_calls += 1;
+        self.basis_inv.btran(&[(r, 1.0)], &mut self.scratch.rho);
+        self.work.solve_time += t0.elapsed();
+        self.work.btran_calls += 1;
         let t0 = Instant::now();
         self.pivot_row();
-        let pivot = self.work.w[r];
+        let pivot = self.scratch.w[r];
         let theta = self.d[entering] / pivot;
-        let (status, d, alpha) = (&self.status, &mut self.d, &self.work.alpha);
+        let (status, d, alpha) = (&self.status, &mut self.d, &self.scratch.alpha);
         let row = self
-            .work
+            .scratch
             .alpha_nz
             .iter()
             .filter(|&&j| !matches!(status[j], ColStatus::Basic(_)))
@@ -857,27 +817,27 @@ impl SimplexSolver {
         self.pricing.update(entering, leaving, pivot, row);
         self.d[entering] = 0.0;
         self.d_fresh = false;
-        self.work.clear_pivot_row();
-        self.time_pricing += t0.elapsed();
+        self.scratch.clear_pivot_row();
+        self.work.pricing_time += t0.elapsed();
     }
 
-    /// Accumulates `α = ρᵀA` (`ρ = work.rho`) into `work.alpha`, touching
+    /// Accumulates `α = ρᵀA` (`ρ = scratch.rho`) into `scratch.alpha`, touching
     /// only the rows where `ρ_i ≠ 0`, and lists the touched columns in
-    /// `work.alpha_nz`. Rows are visited in ascending order, so every
+    /// `scratch.alpha_nz`. Rows are visited in ascending order, so every
     /// `α_j` equals the column-wise dot product `ρ · a_j` bit for bit.
     fn pivot_row(&mut self) {
         if self.row_start.is_empty() {
             self.build_rows();
         }
-        let work = &mut self.work;
-        for (i, &ri) in work.rho.iter().enumerate() {
+        let scratch = &mut self.scratch;
+        for (i, &ri) in scratch.rho.iter().enumerate() {
             if ri != 0.0 {
                 for &(j, a) in &self.row_entries[self.row_start[i]..self.row_start[i + 1]] {
-                    if !work.touched[j] {
-                        work.touched[j] = true;
-                        work.alpha_nz.push(j);
+                    if !scratch.touched[j] {
+                        scratch.touched[j] = true;
+                        scratch.alpha_nz.push(j);
                     }
-                    work.alpha[j] += ri * a;
+                    scratch.alpha[j] += ri * a;
                 }
             }
         }
@@ -925,7 +885,7 @@ impl SimplexSolver {
         let cols: Vec<&crate::basis::SparseCol> =
             self.basis.iter().map(|&j| &self.cols[j]).collect();
         let ok = self.basis_inv.refactorize(&cols);
-        self.time_factorize += t0.elapsed();
+        self.work.factorize_time += t0.elapsed();
         ok
     }
 
@@ -939,7 +899,7 @@ impl SimplexSolver {
             basis: self.basis.clone(),
             status: self.status.clone(),
             n_struct: self.n_struct,
-            phase1_iterations: self.phase1_iterations,
+            phase1_iterations: self.work.phase1_iterations,
         }
     }
 
@@ -958,8 +918,6 @@ impl SimplexSolver {
     /// optimal basis is primal feasible, so phase 1 runs no iteration and
     /// phase 2 terminates in a handful.
     pub fn solve_from_basis(&mut self, warm: &WarmBasis) -> Option<LpOutcome> {
-        self.iterations = 0;
-        self.phase1_iterations = 0;
         let m = self.m;
         if m == 0
             || warm.basis.len() != m
@@ -979,7 +937,9 @@ impl SimplexSolver {
         if !self.refactorize() {
             return None;
         }
-        self.settle()
+        let outcome = self.settle();
+        self.work.lp_solves += u64::from(outcome.is_some());
+        outcome
     }
 
     /// Solves from a feasible point of this model (the heuristic incumbent
@@ -995,7 +955,7 @@ impl SimplexSolver {
     /// 3. the solve continues from that basis on the path every solve
     ///    takes: phase 1 finds nothing to repair, and phase 2 optimizes.
     ///
-    /// `iterations` and `phase1_iterations` count both stages. `None`
+    /// The solver's [`work`](Self::work) counts both stages. `None`
     /// means the fixed stage did not reach an optimum (the point is not
     /// feasible on this model's data, or the stage broke down); the caller
     /// then solves cold. A deadline stops either stage with `TimedOut`.
@@ -1069,9 +1029,76 @@ impl WarmBasis {
     }
 }
 
+/// The work of LP solves, one record from the factorization to the
+/// instrument: a [`SimplexSolver`] counts it where it happens (its basis
+/// factorization counts pivots, refactorizations and nonzeros), and every
+/// level above adds whole records. The counts are deterministic; the three
+/// timers are wall clock.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LpWork {
+    /// LP solves: each [`SimplexSolver::solve`] (so one per
+    /// [`SimplexSolver::solve_from_point`]), and each
+    /// [`SimplexSolver::solve_from_basis`] whose basis installs.
+    pub lp_solves: u64,
+    /// Simplex iterations, both phases.
+    pub iterations: u64,
+    /// The iterations spent in phase 1.
+    pub phase1_iterations: u64,
+    /// Basis changes (entering/leaving pivots).
+    pub pivots: u64,
+    /// Bound-to-bound flips (steps without a basis change).
+    pub bound_flips: u64,
+    /// Successful from-scratch refactorizations.
+    pub refactorizations: u64,
+    /// FTRAN solves: ratio-test columns and the basic-value solve of each
+    /// basis install.
+    pub ftran_calls: u64,
+    /// BTRAN solves: the duals of each reduced-cost refresh and one pivot
+    /// row per basis change.
+    pub btran_calls: u64,
+    /// Reduced costs computed by a full dot product `c_j − yᵀa_j`: every
+    /// nonbasic column at each refresh (the pivot-row update computes
+    /// none).
+    pub pricing_candidates: u64,
+    /// Nonzeros appended to the eta file by pivots.
+    pub eta_nonzeros: u64,
+    /// `Σ nnz(L+U)` over the refactorizations, the fill-in ratio's
+    /// numerator.
+    pub lu_nonzeros: u64,
+    /// `Σ nnz(B)` over the refactorizations, its denominator.
+    pub basis_nonzeros: u64,
+    /// Wall clock refactorizing the basis from scratch.
+    pub factorize_time: Duration,
+    /// Wall clock in FTRAN/BTRAN solves and pivot updates.
+    pub solve_time: Duration,
+    /// Wall clock choosing entering columns, recomputing reduced costs and
+    /// updating them with the Devex weights from the pivot row.
+    pub pricing_time: Duration,
+}
+
+impl AddAssign for LpWork {
+    fn add_assign(&mut self, other: Self) {
+        self.lp_solves += other.lp_solves;
+        self.iterations += other.iterations;
+        self.phase1_iterations += other.phase1_iterations;
+        self.pivots += other.pivots;
+        self.bound_flips += other.bound_flips;
+        self.refactorizations += other.refactorizations;
+        self.ftran_calls += other.ftran_calls;
+        self.btran_calls += other.btran_calls;
+        self.pricing_candidates += other.pricing_candidates;
+        self.eta_nonzeros += other.eta_nonzeros;
+        self.lu_nonzeros += other.lu_nonzeros;
+        self.basis_nonzeros += other.basis_nonzeros;
+        self.factorize_time += other.factorize_time;
+        self.solve_time += other.solve_time;
+        self.pricing_time += other.pricing_time;
+    }
+}
+
 /// Work vectors of the pivoting loop, allocated once per solver so no
 /// iteration allocates.
-struct Work {
+struct Scratch {
     /// Duals `y = c_B' B⁻¹` of a reduced-cost refresh, len `m`.
     y: Vec<f64>,
     /// Entering column `B⁻¹ a_q`, by basis position, len `m`.
@@ -1086,7 +1113,7 @@ struct Work {
     touched: Vec<bool>,
 }
 
-impl Work {
+impl Scratch {
     fn new(m: usize, n: usize) -> Self {
         Self {
             y: vec![0.0; m],
@@ -1367,7 +1394,24 @@ mod tests {
         assert_eq!(lp.n, lp.n_struct + lp.m, "one slack per row, nothing else");
         lp.deadline = Some(Instant::now());
         assert_eq!(lp.solve(), LpOutcome::TimedOut);
-        assert_eq!(lp.iterations, 0, "no pivots after the deadline");
+        assert_eq!(lp.work().iterations, 0, "no pivots after the deadline");
+    }
+
+    /// A pricing pass that finds no improving column is not an
+    /// iteration: an LP whose all-slack basis is already optimal solves
+    /// in 0 iterations, with one FTRAN (the basic values of the install).
+    #[test]
+    fn optimal_slack_basis_takes_no_iteration() {
+        let mut m = Model::new();
+        let x = m.add_continuous("x", 0.0, 10.0);
+        let y = m.add_continuous("y", 0.0, 10.0);
+        m.add_constraint("c", (x + y).le(4.0));
+        m.set_objective(ObjectiveSense::Minimize, x + 2.0 * y);
+        let mut lp = SimplexSolver::from_model(&m);
+        assert_optimal(&lp.solve(), 0.0);
+        let work = lp.work();
+        assert_eq!(work.iterations, 0, "the optimality check is no iteration");
+        assert_eq!((work.pivots, work.bound_flips, work.ftran_calls), (0, 0, 1));
     }
 
     /// A root import honors the same deadline contract: the donor basis
@@ -1383,7 +1427,7 @@ mod tests {
             lp.solve_from_basis(&donor.snapshot()),
             Some(LpOutcome::TimedOut)
         );
-        assert_eq!(lp.iterations, 0, "no pivots after the deadline");
+        assert_eq!(lp.work().iterations, 0, "no pivots after the deadline");
     }
 
     /// A snapshot of a differently shaped model is refused (`None`, the
@@ -1407,7 +1451,7 @@ mod tests {
             .solve_from_basis(&donor.snapshot())
             .expect("same shape installs");
         assert_optimal(&outcome, 4.0);
-        assert_eq!(lp.phase1_iterations, 0, "an import skips phase 1");
+        assert_eq!(lp.work().phase1_iterations, 0, "an import skips phase 1");
     }
 
     /// Boxed columns under two coupling rows: the path mixes bound flips
@@ -1546,9 +1590,9 @@ mod tests {
                 let mut full = SimplexSolver::from_model(&model);
                 full.refactor_interval = interval;
                 assert_optimal_any(&full.solve(), name);
-                assert!(full.pivots() >= 2, "{name}: too few pivots to sample");
+                assert!(full.work().pivots >= 2, "{name}: too few pivots to sample");
                 let mut refactored = false;
-                for limit in 1..=full.iterations {
+                for limit in 1..=full.work().iterations {
                     let mut lp = SimplexSolver::from_model(&model);
                     lp.refactor_interval = interval;
                     lp.iteration_limit = limit;
@@ -1566,7 +1610,7 @@ mod tests {
                         );
                     }
                     if lp.basis_inv.updates_since_refactor() == 0 {
-                        refactored |= lp.refactorizations() > 0;
+                        refactored |= lp.work().refactorizations > 0;
                         assert_eq!(
                             lp.d, fresh,
                             "{name}: interval {interval}, limit {limit}: \
@@ -1628,7 +1672,7 @@ mod tests {
                 let Some(outcome) = lp.solve_from_basis(donor) else {
                     continue;
                 };
-                repaired += usize::from(lp.phase1_iterations > 0);
+                repaired += usize::from(lp.work().phase1_iterations > 0);
                 match (&cold, &outcome) {
                     (
                         LpOutcome::Optimal { objective: z, .. },
@@ -1731,10 +1775,14 @@ mod tests {
             let mut stage = SimplexSolver::from_model(&fixed);
             assert_optimal_any(&stage.solve(), "fixed stage");
             assert_eq!(
-                lp.phase1_iterations, stage.phase1_iterations,
+                lp.work().phase1_iterations,
+                stage.work().phase1_iterations,
                 "seed {seed}: the restored basis must need no repair"
             );
-            assert!(lp.iterations >= stage.iterations, "seed {seed}");
+            assert!(
+                lp.work().iterations >= stage.work().iterations,
+                "seed {seed}"
+            );
         }
         assert!(interior > 20, "only {interior} interior general integers");
     }
@@ -1748,7 +1796,7 @@ mod tests {
         let mut lp = SimplexSolver::from_model(&model);
         lp.deadline = Some(Instant::now());
         assert_eq!(lp.solve_from_point(&point), Some(LpOutcome::TimedOut));
-        assert_eq!(lp.iterations, 0, "no pivots after the deadline");
+        assert_eq!(lp.work().iterations, 0, "no pivots after the deadline");
 
         let mut refused = 0;
         for j in (0..point.len()).filter(|&j| model.vars[j].is_integral()) {
@@ -1787,20 +1835,24 @@ mod tests {
         for (name, model) in [("transport", transport_lp()), ("flip", bound_flip_lp())] {
             let mut full = SimplexSolver::from_model(&model);
             assert!(matches!(full.solve(), LpOutcome::Optimal { .. }));
-            assert!(full.pivots() >= 2, "{name}: too few pivots to sample");
-            for limit in 1..=full.iterations {
+            assert!(full.work().pivots >= 2, "{name}: too few pivots to sample");
+            for limit in 1..=full.work().iterations {
                 let mut lp = SimplexSolver::from_model(&model);
                 lp.iteration_limit = limit;
                 let _ = lp.solve();
                 for r in 0..lp.m {
-                    lp.basis_inv.btran(&[(r, 1.0)], &mut lp.work.rho);
+                    lp.basis_inv.btran(&[(r, 1.0)], &mut lp.scratch.rho);
                     lp.pivot_row();
-                    let rho = &lp.work.rho;
-                    let alpha = &lp.work.alpha;
-                    let mut listed = lp.work.alpha_nz.clone();
+                    let rho = &lp.scratch.rho;
+                    let alpha = &lp.scratch.alpha;
+                    let mut listed = lp.scratch.alpha_nz.clone();
                     listed.sort_unstable();
                     listed.dedup();
-                    assert_eq!(listed.len(), lp.work.alpha_nz.len(), "{name}: duplicates");
+                    assert_eq!(
+                        listed.len(),
+                        lp.scratch.alpha_nz.len(),
+                        "{name}: duplicates"
+                    );
                     for j in 0..lp.n {
                         assert!(
                             alpha[j] == 0.0 || listed.binary_search(&j).is_ok(),
@@ -1816,14 +1868,17 @@ mod tests {
                             alpha[j]
                         );
                     }
-                    lp.work.clear_pivot_row();
-                    assert!(lp.work.alpha.iter().all(|&a| a == 0.0));
-                    assert!(lp.work.touched.iter().all(|&t| !t));
+                    lp.scratch.clear_pivot_row();
+                    assert!(lp.scratch.alpha.iter().all(|&a| a == 0.0));
+                    assert!(lp.scratch.touched.iter().all(|&t| !t));
                 }
             }
         }
         let mut flips = SimplexSolver::from_model(&bound_flip_lp());
         assert_optimal(&flips.solve(), 3.0);
-        assert!(flips.bound_flips > 0, "the flip LP must flip a bound");
+        assert!(
+            flips.work().bound_flips > 0,
+            "the flip LP must flip a bound"
+        );
     }
 }

@@ -34,7 +34,15 @@
 //! incumbent objective only ever improves), the merge sequence — and with
 //! it every counter, node event, incumbent record and the returned solution
 //! vector — is a pure function of the model and options. Equal seeds yield
-//! byte-identical trajectories at 1, 2 or 64 threads.
+//! byte-identical trajectories at 1, 2 or 64 threads. A round that would
+//! use one thread runs the same merge loop with no worker spawned: it
+//! solves each job inline, in node-id order.
+//!
+//! # Work accounting
+//!
+//! A node LP adds the [`LpWork`] of every solver it used into its shard.
+//! The coordinator reports a shard through one function, `count_into`,
+//! when it merges the node, and adds it to the solve's sum.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -54,7 +62,7 @@ use letdma_core::instrument::{
 use crate::expr::Var;
 use crate::model::{Model, ObjectiveSense};
 use crate::presolve;
-use crate::simplex::{LpOutcome, SimplexSolver, WarmBasis};
+use crate::simplex::{LpOutcome, LpWork, SimplexSolver, WarmBasis};
 
 /// A value within this distance of an integer counts as integral.
 pub const INTEGRALITY_TOL: f64 = 1e-6;
@@ -691,16 +699,13 @@ enum PureLp {
     Panicked,
 }
 
-/// Deterministic counters of one node LP, recorded worker-side and
-/// absorbed by the coordinator only when the node is consumed.
+/// The work of one node LP, recorded worker-side and absorbed by the
+/// coordinator only when the node is consumed: the [`LpWork`] of every
+/// rung of the start ladder and the retry, plus what only the ladder
+/// knows.
 #[derive(Default)]
 struct LpShard {
-    lp_solves: u64,
-    iterations: u64,
-    phase1_iterations: u64,
-    pivots: u64,
-    bound_flips: u64,
-    refactorizations: u64,
+    work: LpWork,
     tolerance_escalations: u64,
     numerical_recoveries: u64,
     /// Cross-scenario root warm starts: attempts to start the root LP from
@@ -711,42 +716,40 @@ struct LpShard {
     cross_attempts: u64,
     cross_hits: u64,
     phase1_saved: u64,
-    ftran_calls: u64,
-    btran_calls: u64,
-    pricing_candidates: u64,
-    eta_nonzeros: u64,
-    /// Fill-in ratio numerator/denominator (`Σ nnz(L+U)` / `Σ nnz(B)`
-    /// over this node's refactorizations).
-    lu_nonzeros: u64,
-    basis_nonzeros: u64,
-    /// Wall-clock breakdown of this node's simplex work (refactorization /
-    /// `ftran`·`btran`·pivot solves / entering-variable pricing). Not part
-    /// of the deterministic trajectory — reported as instrument phases,
-    /// never compared across runs.
-    time_factorize: Duration,
-    time_solve: Duration,
-    time_pricing: Duration,
 }
 
 impl LpShard {
-    /// Accumulates one finished `SimplexSolver`'s work counters (every
-    /// rung of the start ladder and the retry).
-    fn absorb_lp(&mut self, lp: &SimplexSolver) {
-        self.iterations += lp.iterations;
-        self.phase1_iterations += lp.phase1_iterations;
-        self.pivots += lp.pivots();
-        self.bound_flips += lp.bound_flips;
-        self.refactorizations += lp.refactorizations();
-        self.ftran_calls += lp.ftran_calls;
-        self.btran_calls += lp.btran_calls;
-        self.pricing_candidates += lp.pricing_candidates;
-        self.eta_nonzeros += lp.eta_nonzeros();
-        let (lu, basis) = lp.fill_nonzeros();
-        self.lu_nonzeros += lu;
-        self.basis_nonzeros += basis;
-        self.time_factorize += lp.time_factorize;
-        self.time_solve += lp.time_solve;
-        self.time_pricing += lp.time_pricing;
+    /// Reports this node's work to the instrument, the one place an LP
+    /// counter is emitted. A `count(c, 0)` creates an entry that every
+    /// reader shows, so each group is reported only when it applies: the
+    /// LP counters when an LP ran or a donor import was tried,
+    /// escalations when one happened, the cross counters on an attempt.
+    fn count_into(&self, instrument: &mut dyn Instrument) {
+        let w = &self.work;
+        if w.lp_solves > 0 || self.cross_attempts > 0 {
+            for (counter, n) in [
+                (Counter::LpSolves, w.lp_solves),
+                (Counter::SimplexIterations, w.iterations),
+                (Counter::Phase1Iterations, w.phase1_iterations),
+                (Counter::Pivots, w.pivots),
+                (Counter::BoundFlips, w.bound_flips),
+                (Counter::Refactorizations, w.refactorizations),
+                (Counter::FtranCalls, w.ftran_calls),
+                (Counter::BtranCalls, w.btran_calls),
+                (Counter::PricingCandidates, w.pricing_candidates),
+                (Counter::EtaNonzeros, w.eta_nonzeros),
+            ] {
+                instrument.count(counter, n);
+            }
+        }
+        if self.tolerance_escalations > 0 {
+            instrument.count(Counter::ToleranceEscalations, self.tolerance_escalations);
+            instrument.count(Counter::NumericalRecoveries, self.numerical_recoveries);
+        }
+        if self.cross_attempts > 0 {
+            instrument.count(Counter::CrossScenarioWarmStarts, self.cross_hits);
+            instrument.count(Counter::Phase1IterationsSaved, self.phase1_saved);
+        }
     }
 }
 
@@ -826,8 +829,7 @@ fn solve_node_lp(
     if let Some(basis) = &donor {
         started = lp.solve_from_basis(basis);
         shard.cross_attempts = 1;
-        shard.lp_solves += u64::from(started.is_some());
-        shard.absorb_lp(&lp);
+        shard.work += lp.work();
         if let Some(LpOutcome::Optimal { .. }) = started {
             shard.cross_hits = 1;
             // What the hit avoided: the donor's phase-1 bill for the same
@@ -835,7 +837,7 @@ fn solve_node_lp(
             // and is counted).
             shard.phase1_saved = basis
                 .phase1_iterations()
-                .saturating_sub(lp.phase1_iterations);
+                .saturating_sub(lp.work().phase1_iterations);
         }
         if unsettled(&started) {
             started = None;
@@ -844,8 +846,7 @@ fn solve_node_lp(
     }
     if let (None, Some(point)) = (&started, root.incumbent) {
         started = lp.solve_from_point(point);
-        shard.lp_solves += 1;
-        shard.absorb_lp(&lp);
+        shard.work += lp.work();
         if unsettled(&started) {
             started = None;
             lp = new_lp().0;
@@ -853,8 +854,7 @@ fn solve_node_lp(
     }
     let mut outcome = started.unwrap_or_else(|| {
         let outcome = lp.solve();
-        shard.lp_solves += 1;
-        shard.absorb_lp(&lp);
+        shard.work += lp.work();
         outcome
     });
     if matches!(outcome, LpOutcome::Numerical) {
@@ -870,8 +870,7 @@ fn solve_node_lp(
         retry.min_pivot = 1e-7;
         retry.refactor_interval = 64;
         outcome = retry.solve();
-        shard.lp_solves += 1;
-        shard.absorb_lp(&retry);
+        shard.work += retry.work();
         if !matches!(outcome, LpOutcome::Numerical) {
             shard.numerical_recoveries = 1;
         }
@@ -934,16 +933,10 @@ struct BranchAndBound<'a> {
     start: Instant,
     threads: usize,
     nodes: u64,
-    lp_iterations: u64,
-    /// Fill-in ratio numerator/denominator summed over consumed shards
-    /// (reported once per solve as `Counter::FillInRatio`).
-    lu_nonzeros: u64,
-    basis_nonzeros: u64,
-    /// Simplex wall-clock breakdown summed over consumed shards (reported
-    /// once per solve as the `simplex-*` instrument phases).
-    time_factorize: Duration,
-    time_solve: Duration,
-    time_pricing: Duration,
+    /// LP work summed over the consumed shards: `SolveStats::lp_iterations`,
+    /// and once per solve `Counter::FillInRatio` and the `simplex-*`
+    /// instrument phases.
+    work: LpWork,
     incumbent: Option<(Vec<f64>, f64)>, // (values, min-form objective)
     /// Best (lowest) LP bound among open nodes, min-form.
     open: BinaryHeap<Node>,
@@ -976,12 +969,7 @@ impl<'a> BranchAndBound<'a> {
             start: Instant::now(),
             threads: resolve_threads(options.threads),
             nodes: 0,
-            lp_iterations: 0,
-            lu_nonzeros: 0,
-            basis_nonzeros: 0,
-            time_factorize: Duration::ZERO,
-            time_solve: Duration::ZERO,
-            time_pricing: Duration::ZERO,
+            work: LpWork::default(),
             incumbent: None,
             open: BinaryHeap::new(),
             root_bound: None,
@@ -1091,49 +1079,6 @@ impl<'a> BranchAndBound<'a> {
         best.map(|(v, val, _)| (v, val))
     }
 
-    /// Absorbs the deterministic counters of one *consumed* LP into the
-    /// aggregate statistics and the instrument.
-    fn absorb_shard(&mut self, shard: &LpShard) {
-        self.lp_iterations += shard.iterations;
-        if shard.lp_solves > 0 || shard.cross_attempts > 0 {
-            self.instrument.count(Counter::LpSolves, shard.lp_solves);
-            self.instrument
-                .count(Counter::SimplexIterations, shard.iterations);
-            self.instrument
-                .count(Counter::Phase1Iterations, shard.phase1_iterations);
-            self.instrument.count(Counter::Pivots, shard.pivots);
-            self.instrument
-                .count(Counter::BoundFlips, shard.bound_flips);
-            self.instrument
-                .count(Counter::Refactorizations, shard.refactorizations);
-            self.instrument
-                .count(Counter::FtranCalls, shard.ftran_calls);
-            self.instrument
-                .count(Counter::BtranCalls, shard.btran_calls);
-            self.instrument
-                .count(Counter::PricingCandidates, shard.pricing_candidates);
-            self.instrument
-                .count(Counter::EtaNonzeros, shard.eta_nonzeros);
-        }
-        self.lu_nonzeros += shard.lu_nonzeros;
-        self.basis_nonzeros += shard.basis_nonzeros;
-        self.time_factorize += shard.time_factorize;
-        self.time_solve += shard.time_solve;
-        self.time_pricing += shard.time_pricing;
-        if shard.tolerance_escalations > 0 {
-            self.instrument
-                .count(Counter::ToleranceEscalations, shard.tolerance_escalations);
-            self.instrument
-                .count(Counter::NumericalRecoveries, shard.numerical_recoveries);
-        }
-        if shard.cross_attempts > 0 {
-            self.instrument
-                .count(Counter::CrossScenarioWarmStarts, shard.cross_hits);
-            self.instrument
-                .count(Counter::Phase1IterationsSaved, shard.phase1_saved);
-        }
-    }
-
     fn run(mut self) -> Result<MilpSolution, SolveError> {
         // Seed with the warm start, if it is actually feasible.
         if let Some(warm) = &self.options.warm_start {
@@ -1213,16 +1158,17 @@ impl<'a> BranchAndBound<'a> {
         // Once-per-solve basis summary: the realized fill-in ratio and the
         // simplex wall-clock breakdown (mirrors the once-per-solve
         // RootGapBps pattern — a summed ratio would be meaningless).
-        if self.basis_nonzeros > 0 {
-            let permille = (1000.0 * self.lu_nonzeros as f64 / self.basis_nonzeros as f64).round();
+        let work = self.work;
+        if work.basis_nonzeros > 0 {
+            let permille = (1000.0 * work.lu_nonzeros as f64 / work.basis_nonzeros as f64).round();
             self.instrument.count(Counter::FillInRatio, permille as u64);
         }
         self.instrument
-            .phase_finished("simplex-factorize", self.time_factorize);
+            .phase_finished("simplex-factorize", work.factorize_time);
         self.instrument
-            .phase_finished("simplex-solve", self.time_solve);
+            .phase_finished("simplex-solve", work.solve_time);
         self.instrument
-            .phase_finished("simplex-pricing", self.time_pricing);
+            .phase_finished("simplex-pricing", work.pricing_time);
 
         let proven_optimal = exhausted && self.open.is_empty();
         let best_bound_min = if proven_optimal {
@@ -1238,7 +1184,7 @@ impl<'a> BranchAndBound<'a> {
 
         let stats = SolveStats {
             nodes: self.nodes,
-            lp_iterations: self.lp_iterations,
+            lp_iterations: work.iterations,
             dual_iterations: 0,
             elapsed: self.start.elapsed(),
             best_bound: best_bound_min.map(|b| self.to_model(b)),
@@ -1325,39 +1271,17 @@ impl<'a> BranchAndBound<'a> {
         false
     }
 
-    /// Runs one round over `batch`, sequentially or on the worker pool.
+    /// Runs one round over `batch`: workers race through the batch
+    /// (skipping jobs the published incumbent already fathoms), the
+    /// coordinator merges in node-id order. A round that would use one
+    /// thread spawns no worker: the coordinator solves and merges each
+    /// job in node-id order, the reference trajectory every thread count
+    /// reproduces.
     fn run_round(&mut self, batch: Vec<Node>) -> Result<RoundControl, SolveError> {
-        if self.threads.min(batch.len()) <= 1 {
-            self.run_round_inline(batch)
-        } else {
-            self.run_round_parallel(batch)
-        }
-    }
-
-    /// The sequential path: solve and merge each job in node-id order.
-    /// This *is* the reference trajectory the parallel path reproduces.
-    fn run_round_inline(&mut self, batch: Vec<Node>) -> Result<RoundControl, SolveError> {
-        let mut jobs = batch.into_iter();
-        while let Some(node) = jobs.next() {
-            match self.merge_job(&node, None)? {
-                MergeControl::Continue => {}
-                MergeControl::PushBackAndStop => {
-                    self.open.push(node);
-                    for rest in jobs {
-                        self.open.push(rest);
-                    }
-                    return Ok(RoundControl::Stop);
-                }
-            }
-        }
-        Ok(RoundControl::Continue)
-    }
-
-    /// The parallel path: workers race through the batch (skipping jobs
-    /// the published incumbent already fathoms), the coordinator merges in
-    /// node-id order.
-    fn run_round_parallel(&mut self, batch: Vec<Node>) -> Result<RoundControl, SolveError> {
-        let threads = self.threads.min(batch.len());
+        let workers = match self.threads.min(batch.len()) {
+            1 => 0,
+            n => n,
+        };
         // Shared refs copied out of `self` so worker closures borrow
         // nothing of the coordinator's mutable state.
         let model = self.model;
@@ -1374,8 +1298,8 @@ impl<'a> BranchAndBound<'a> {
 
         std::thread::scope(|s| {
             let (tx, rx) = mpsc::channel::<(usize, JobOutcome)>();
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
+            let mut handles = Vec::with_capacity(workers);
+            for _ in 0..workers {
                 let tx = tx.clone();
                 let inc_bits = &inc_bits;
                 let next_job = &next_job;
@@ -1451,10 +1375,10 @@ impl<'a> BranchAndBound<'a> {
                 }
             }
             // The channel is closed, so every worker has exited its loop. A
-            // gap in the merge order is a job some worker claimed but never
-            // delivered (its thread died mid-node); completing the
-            // remainder inline — in node-id order — keeps the trajectory
-            // identical to the no-failure run.
+            // gap in the merge order is a job no worker delivered: all of
+            // them without workers, else one whose thread died mid-node.
+            // Completing the remainder inline, in node-id order, keeps the
+            // trajectory identical to the no-failure run.
             while next_merge < jobs.len() {
                 let outcome = pending.remove(&next_merge);
                 merge_one(self, next_merge, outcome);
@@ -1492,8 +1416,8 @@ impl<'a> BranchAndBound<'a> {
 
     /// Consumes one job in merge order: re-check fathoming against the
     /// *current* incumbent, enforce budgets, then process the LP result.
-    /// `outcome: None` (the root and the sequential path, and defensively a
-    /// worker-side skip) solves the LP inline, the root down its start
+    /// `outcome: None` (the root, a round without workers, and defensively
+    /// a worker-side skip) solves the LP inline, the root down its start
     /// ladder.
     fn merge_job(
         &mut self,
@@ -1532,7 +1456,8 @@ impl<'a> BranchAndBound<'a> {
         };
         self.nodes += 1;
         self.instrument.count(Counter::Nodes, 1);
-        self.absorb_shard(&shard);
+        shard.count_into(self.instrument);
+        self.work += shard.work;
         match lp {
             PureLp::Infeasible => {
                 self.instrument.node_event(NodeEvent::Infeasible);
@@ -1785,8 +1710,16 @@ mod tests {
         let y = m.add_integer("y", 0.0, 10.0);
         m.add_constraint("c", (2.0 * x + 3.0 * y).le(11.0));
         m.set_objective(ObjectiveSense::Maximize, x + y);
+        // Presolve is set, not left to `LETDMA_PRESOLVE`: it decides
+        // whether the presolve counters are listed.
+        let presolved = SolveOptions::new().with_presolve(true);
         let mut instrumented = SolverStats::new();
-        let s = m.solver().instrument(&mut instrumented).run().unwrap();
+        let s = m
+            .solver()
+            .options(presolved.clone())
+            .instrument(&mut instrumented)
+            .run()
+            .unwrap();
         assert!(s.stats().nodes >= 1);
         assert!(s.stats().lp_iterations >= 1);
         // `SolveStats` is a view of the one stats stream: its work counts
@@ -1796,6 +1729,65 @@ mod tests {
             s.stats().lp_iterations
         );
         assert_eq!(instrumented.counter(Counter::Nodes), s.stats().nodes);
+
+        // The exact key set, zero-valued entries included: a counter
+        // reported with 0 is an entry every reader shows, so each one
+        // appears only when its group applies.
+        use Counter::*;
+        let keys = |stats: &SolverStats| -> Vec<Counter> {
+            stats.counters().into_iter().map(|(c, _)| c).collect()
+        };
+        let lp = [
+            SimplexIterations,
+            Phase1Iterations,
+            Pivots,
+            BoundFlips,
+            Refactorizations,
+            LpSolves,
+            Nodes,
+            Incumbents,
+        ];
+        let presolve = [PresolveRowsDropped, PresolveColsFixed, CoeffsTightened];
+        let lu = [FtranCalls, BtranCalls, EtaNonzeros];
+        let no_slot: Vec<Counter> = [&lp[..], &presolve, &lu, &[PricingCandidates]].concat();
+        assert_eq!(keys(&instrumented), no_slot);
+
+        let slot = Arc::new(RootBasisSlot::new());
+        let mut donor = SolverStats::new();
+        let mut import = SolverStats::new();
+        for stats in [&mut donor, &mut import] {
+            phase1_model()
+                .solver()
+                .options(presolved.clone())
+                .root_slot(Arc::clone(&slot))
+                .instrument(stats)
+                .run()
+                .unwrap();
+        }
+        assert_eq!(
+            keys(&donor),
+            no_slot,
+            "a donor reports as a solve without a slot"
+        );
+        let imported: Vec<Counter> = [
+            &lp[..],
+            &presolve,
+            &lu,
+            &[
+                FillInRatio,
+                PricingCandidates,
+                CrossScenarioWarmStarts,
+                Phase1IterationsSaved,
+            ],
+        ]
+        .concat();
+        assert_eq!(keys(&import), imported);
+        assert_eq!(import.counter(CrossScenarioWarmStarts), 1);
+        // The imported optimum moves nothing, yet every LP counter of the
+        // node is listed.
+        for counter in [Phase1Iterations, Pivots, BoundFlips, EtaNonzeros] {
+            assert_eq!(import.counter(counter), 0, "{counter:?}");
+        }
     }
 
     #[test]

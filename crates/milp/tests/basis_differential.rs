@@ -404,10 +404,10 @@ fn long_pivot_chains_stay_in_agreement() {
             }
         }
         assert_eq!(dense.pivots, pivots);
-        assert_eq!(sparse.pivots(), pivots);
-        assert!(sparse.refactorizations() >= 4);
+        assert_eq!(sparse.work().pivots, pivots);
+        assert!(sparse.work().refactorizations >= 4);
         assert!(
-            sparse.eta_nonzeros() > 0,
+            sparse.work().eta_nonzeros > 0,
             "product-form updates must go through the eta file"
         );
     }
@@ -438,7 +438,7 @@ fn singular_bases_fail_on_both() {
         assert!(!dense.refactorize(&refs), "case {case}: dense accepted");
         assert!(!sparse.refactorize(&refs), "case {case}: sparse accepted");
         assert_eq!(dense.refactorizations, 0);
-        assert_eq!(sparse.refactorizations(), 0);
+        assert_eq!(sparse.work().refactorizations, 0);
 
         // Both still answer as the identity they held before the attempt.
         let (mut wd, mut ws) = (vec![0.0; m], vec![0.0; m]);

@@ -723,8 +723,8 @@ mod tests {
                 }
                 _ => panic!("{name}: cold {cold_outcome:?}, from the incumbent {outcome:?}"),
             }
-            cold_iterations += cold.iterations;
-            start_iterations += lp.iterations;
+            cold_iterations += cold.work().iterations;
+            start_iterations += lp.work().iterations;
         }
         (cold_iterations, start_iterations)
     }

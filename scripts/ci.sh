@@ -202,8 +202,9 @@ fi
 # pipeline folds the request deadline into the MILP time limit, so the
 # solver has no deadline error of its own. Tests may still name the
 # fields an older wire client sends. The root-solve helpers are gone:
-# every node LP, the root included, has one guarded path.
-if grep -rnwE 'max_transfers|reuse_basis|measure_root_gap|root_import|root_export|solve_root_import|solve_root|solve_inline' \
+# every node LP, the root included, has one guarded path. LP work is one
+# `LpWork` record added whole, and a round has one path with or without workers.
+if grep -rnwE 'max_transfers|reuse_basis|measure_root_gap|root_import|root_export|solve_root_import|solve_root|solve_inline|absorb_lp|absorb_shard|fill_nonzeros|time_factorize|time_solve|time_pricing|run_round_inline|run_round_parallel' \
     crates/*/src --include='*.rs' \
   || grep -rn 'SolveError::DeadlineExpired' crates/*/src --include='*.rs'; then
   echo "a retired solve knob or hook reappeared; bring it back with a caller"
